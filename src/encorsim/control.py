@@ -6,17 +6,18 @@ The SME is the only stateful core element: it authenticates subscribers,
 assigns private addresses, and distributes session keys. Handover comes
 in two modes: core-assisted (signaled through the SME, which cycles the
 session key) and direct (peer-to-peer through a HOP, reusing the key).
-Every procedure returns a trace whose message counts are pinned by tests.
+Both run the step tables in ``messages`` through one executor. Every
+procedure returns a trace whose message counts are pinned by tests.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import enum
 import random
 
-from . import security
+from . import messages, security
 from .addressing import Addr128, RecentlyMovedTable, assign_private_addr
 from .messages import ControlMessage, HandoverMode, HandoverTrace, Kind
 
-SME_ID = "sme"
+SME_ID = messages.SME
 
 
 class AttachError(Exception):
@@ -39,7 +40,6 @@ class RelayError(Exception):
 
 class UeState(str, enum.Enum):
     DETACHED = "Detached"
-    ATTACHING = "Attaching"
     CONNECTED = "Connected"
     HANDING_OVER = "HandingOver"
 
@@ -117,17 +117,11 @@ class Sme:
         self.rng = random.Random(seed)
         self.contexts = {}  # imsi -> UeContext
 
-    def fresh_rand(self):
-        return self.rng.getrandbits(128).to_bytes(16, "big")
 
-
-def _msg(kind, src, dst, now_us, payload=None, via_hop=None):
-    payload = dict(payload or {})
-    if via_hop is not None:
-        payload["via_hop"] = via_hop
-    via_core = SME_ID in (src, dst)
-    return ControlMessage(kind=kind, src=src, dst=dst, via_core=via_core,
-                          payload=payload, time_us=now_us)
+def _msg(kind, src, dst, now_us, payload=None):
+    return ControlMessage(kind=kind, src=src, dst=dst,
+                          via_core=SME_ID in (src, dst),
+                          payload=dict(payload or {}), time_us=now_us)
 
 
 def attach(ue, inb, sme, now_us=0):
@@ -146,21 +140,15 @@ def attach(ue, inb, sme, now_us=0):
         ue.attach_failure = "unknown subscriber"
         raise AttachError("unknown subscriber")
 
-    rand = sme.fresh_rand()
-    vector = security.generate_auth_vector(rec, rand)
-    trace.append(_msg(Kind.AUTH_CHALLENGE, sme.id, "ue", now_us,
-                      {"rand": rand, "autn": vector.autn}))
     try:
-        res, ue.sqn = security.ue_process_challenge(ue.k, ue.sqn, rand, vector.autn)
-    except (security.NetworkAuthError, security.ReplayError) as exc:
+        vector, res, keys = security.authenticate(rec, ue, sme.rng)
+    except security.AuthError as exc:
         ue.attach_failure = str(exc)
         raise AttachError(str(exc)) from exc
+    trace.append(_msg(Kind.AUTH_CHALLENGE, sme.id, "ue", now_us,
+                      {"rand": vector.rand, "autn": vector.autn}))
     trace.append(_msg(Kind.AUTH_RESPONSE, "ue", sme.id, now_us, {"res": res}))
-    if res != vector.xres:
-        ue.attach_failure = "response mismatch"
-        raise AttachError("response mismatch")
 
-    keys = security.derive_k_enb(vector.k_asme)
     addr = assign_private_addr(ue.imsi)
     ctx = UeContext(imsi=ue.imsi, state=UeState.CONNECTED, serving_inb=inb.id,
                     private_addr=addr, keys=keys, qci=rec.qci_profile)
@@ -176,74 +164,50 @@ def attach(ue, inb, sme, now_us=0):
     return ctx, trace
 
 
-def _require_connected(ctx, src):
-    if ctx.state != UeState.CONNECTED or ctx.serving_inb != src.id:
-        raise HandoverError(f"ue {ctx.imsi} not connected at {src.id}")
-
-
-def _complete_handover(ctx, ue, src, tgt, new_keys, now_us):
-    ident = ctx.private_addr.identifier
-    del src.attached[ident]
-    tgt.attached[ident] = ctx
-    src.moved.record_move(ident, tgt.locator, now_us)
-    ctx.keys = new_keys
-    ctx.serving_inb = tgt.id
-    ctx.target_inb = None
-    ctx.state = UeState.CONNECTED
-    ue.keys = new_keys
-
-
 def handover_core_assisted(ctx, ue, src, tgt, sme, hop, now_us=0):
     """Canonical 7-message handover through the SME, which cycles the
     session key (NCC += 1). Exactly two messages traverse the core."""
-    _require_connected(ctx, src)
-    trace = HandoverTrace(mode=HandoverMode.CORE_ASSISTED, start_us=now_us)
-    trace.append(_msg(Kind.HO_REQUIRED, src.id, sme.id, now_us,
-                      {"imsi": ctx.imsi, "target": tgt.id, "qci": ctx.qci}))
-    new_keys = security.chain_k_enb(ctx.keys)
-    trace.append(_msg(Kind.HO_REQUEST, sme.id, tgt.id, now_us,
-                      {"imsi": ctx.imsi, "k_enb": new_keys.k_enb,
-                       "ncc": new_keys.ncc, "qci": ctx.qci}))
-    if not tgt.has_room():
-        trace.failed = True
-        trace.end_us = now_us
-        return trace
-
-    ctx.state = UeState.HANDING_OVER
-    ctx.target_inb = tgt.id
-    radio_config = _radio_config(tgt, ctx)
-    ack = _msg(Kind.HO_REQUEST_ACK, tgt.id, src.id, now_us,
-               {"radio_config": radio_config}, via_hop=hop.id)
-    hop.relay(ack, src.id)
-    trace.append(ack)
-    # forwarded to the device unmodified
-    trace.append(_msg(Kind.HO_COMMAND, src.id, "ue", now_us,
-                      {"radio_config": radio_config}))
-    trace.append(_msg(Kind.HO_CONFIRM, "ue", tgt.id, now_us))
-    notify = _msg(Kind.HO_COMPLETE_NOTIFY, tgt.id, src.id, now_us, via_hop=hop.id)
-    hop.relay(notify, src.id)
-    trace.append(notify)
-    _complete_handover(ctx, ue, src, tgt, new_keys, now_us)
-    trace.append(_msg(Kind.UE_CONTEXT_RELEASE, src.id, hop.id, now_us,
-                      {"imsi": ctx.imsi}))
-    trace.end_us = now_us
-    return trace
+    return _handover(HandoverMode.CORE_ASSISTED, ctx, ue, src, tgt, hop,
+                     now_us, sme.id)
 
 
 def handover_direct(ctx, ue, src, tgt, hop, now_us=0):
     """6-message peer-to-peer handover through a shared HOP. The source
     shares its current session key with the target; no core involvement,
     NCC unchanged."""
-    _require_connected(ctx, src)
+    return _handover(HandoverMode.DIRECT, ctx, ue, src, tgt, hop, now_us)
+
+
+def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
+    """Run the mode's prefix, the target's admission check and the shared
+    tail. Every precondition is checked before any state changes, so a
+    refused or misconfigured handover leaves the device at the source."""
+    if ctx.state != UeState.CONNECTED or ctx.serving_inb != src.id:
+        raise HandoverError(f"ue {ctx.imsi} not connected at {src.id}")
     if src.id not in hop.connected or tgt.id not in hop.connected:
         raise ConfigurationError(
             f"{src.id} and {tgt.id} do not share hop {hop.id}")
-    trace = HandoverTrace(mode=HandoverMode.DIRECT, start_us=now_us)
-    required = _msg(Kind.HO_REQUIRED, src.id, tgt.id, now_us,
-                    {"imsi": ctx.imsi, "k_enb": ctx.keys.k_enb,
-                     "ncc": ctx.keys.ncc, "qci": ctx.qci}, via_hop=hop.id)
-    hop.relay(required, tgt.id)
-    trace.append(required)
+    ids = {messages.SRC: src.id, messages.TGT: tgt.id, messages.UE: "ue",
+           messages.SME: sme_id, messages.HOP: hop.id}
+    trace = HandoverTrace(mode=mode, start_us=now_us)
+
+    def emit(kind, a, b, via_core, via_hop, payload=None):
+        msg = ControlMessage(kind, ids[a], ids[b], via_core, payload or {},
+                             now_us)
+        if via_hop:
+            msg.payload["via_hop"] = hop.id
+            hop.relay(msg, msg.dst)
+        trace.append(msg)
+
+    new_keys = (security.chain_k_enb(ctx.keys)
+                if mode is HandoverMode.CORE_ASSISTED else ctx.keys)
+    for kind, a, b, via_core, via_hop in messages.EDGE_PREFIX[mode]:
+        if b == messages.TGT:  # the target learns the session key
+            payload = {"imsi": ctx.imsi, "k_enb": new_keys.k_enb,
+                       "ncc": new_keys.ncc, "qci": ctx.qci}
+        else:
+            payload = {"imsi": ctx.imsi, "target": tgt.id, "qci": ctx.qci}
+        emit(kind, a, b, via_core, via_hop, payload)
     if not tgt.has_room():
         trace.failed = True
         trace.end_us = now_us
@@ -251,24 +215,21 @@ def handover_direct(ctx, ue, src, tgt, hop, now_us=0):
 
     ctx.state = UeState.HANDING_OVER
     ctx.target_inb = tgt.id
-    radio_config = _radio_config(tgt, ctx)
-    ack = _msg(Kind.HO_REQUEST_ACK, tgt.id, src.id, now_us,
-               {"radio_config": radio_config}, via_hop=hop.id)
-    hop.relay(ack, src.id)
-    trace.append(ack)
-    trace.append(_msg(Kind.HO_COMMAND, src.id, "ue", now_us,
-                      {"radio_config": radio_config}))
-    trace.append(_msg(Kind.HO_CONFIRM, "ue", tgt.id, now_us))
-    notify = _msg(Kind.HO_COMPLETE_NOTIFY, tgt.id, src.id, now_us, via_hop=hop.id)
-    hop.relay(notify, src.id)
-    trace.append(notify)
-    _complete_handover(ctx, ue, src, tgt, ctx.keys, now_us)
-    trace.append(_msg(Kind.UE_CONTEXT_RELEASE, src.id, hop.id, now_us,
-                      {"imsi": ctx.imsi}))
+    # opaque blob, forwarded to the device unmodified
+    radio_config = f"radio:{tgt.id}:{ctx.imsi}:{ctx.qci}".encode()
+    ack, command, confirm, notify, release = messages.EDGE_TAIL
+    emit(*ack, {"radio_config": radio_config})
+    emit(*command, {"radio_config": radio_config})
+    emit(*confirm)
+    emit(*notify)
+    ident = ctx.private_addr.identifier
+    del src.attached[ident]
+    tgt.attached[ident] = ctx
+    src.moved.record_move(ident, tgt.locator, now_us)
+    ctx.keys = ue.keys = new_keys
+    ctx.serving_inb = tgt.id
+    ctx.target_inb = None
+    ctx.state = UeState.CONNECTED
+    emit(*release, {"imsi": ctx.imsi})
     trace.end_us = now_us
     return trace
-
-
-def _radio_config(tgt, ctx):
-    # opaque blob so byte-identical forwarding is checkable
-    return f"radio:{tgt.id}:{ctx.imsi}:{ctx.qci}".encode()

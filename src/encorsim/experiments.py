@@ -4,12 +4,14 @@ architectures, handover completion time under control-plane load with a
 throttled core, and user-plane path latency with and without anchoring.
 """
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 
 from . import control, lte, security
 from .control import Hop, Inb, Sme, Ue
 from .kernel import Simulator, US_PER_S
-from .messages import count_messages
+from .messages import (EDGE_PREFIX, EDGE_TAIL, S1_SEQUENCE, HandoverMode,
+                       count_messages)
 
 # passive connection migration costs at most this many transport-layer
 # control packets; the ping fix adds exactly one more
@@ -18,7 +20,6 @@ PING_FIX_PACKETS = 1
 
 
 def make_subdb(imsis, seed=0):
-    import random
     rng = random.Random(seed)
     return {imsi: security.SubscriberRecord(
         imsi=imsi, k=rng.getrandbits(128).to_bytes(16, "big"))
@@ -100,8 +101,18 @@ class LoadScenario:
     seed: int = 0
 
     def __post_init__(self):
+        positive = [("core_service_rate", self.core_service_rate),
+                    ("edge_service_rate", self.edge_service_rate),
+                    ("duration_s", self.duration_s)]
+        positive += [("rates_per_s", r) for r in self.rates_per_s]
+        for key, value in positive:
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite,"
+                                 f" got {value}")
+        if self.link_latency_us < 0:
+            raise ValueError("link_latency_us must be nonnegative")
         if list(self.rates_per_s) != sorted(self.rates_per_s):
-            raise ValueError("rate sweep must be ascending")
+            raise ValueError("rates_per_s must be ascending")
 
 
 @dataclass
@@ -122,13 +133,13 @@ class LoadPoint:
                 self.completions)
 
 
-# canonical per-message core flags for each architecture's sequence
-ENCOR_SEQUENCE_CORE_FLAGS = (True, True, False, False, False, False, False)
-LTE_SEQUENCE_CORE_FLAGS = (True,) * 15
+# the handover each architecture's load point replays, message by message
+LOAD_SEQUENCES = {"encor": EDGE_PREFIX[HandoverMode.CORE_ASSISTED] + EDGE_TAIL,
+                  "lte": S1_SEQUENCE}
 
 
 def _run_load_point(arch, rate_per_s, scenario):
-    flags = LTE_SEQUENCE_CORE_FLAGS if arch == "lte" else ENCOR_SEQUENCE_CORE_FLAGS
+    flags = [via_core for _, _, _, via_core, _ in LOAD_SEQUENCES[arch]]
     arch_bit = 0 if arch == "encor" else 1
     sim = Simulator(seed=(scenario.seed << 20) ^ (arch_bit << 19)
                     ^ int(rate_per_s * 100))
@@ -201,18 +212,8 @@ DEFAULT_TOPOLOGY = {
 
 def run_path_latency(topology=None):
     """One-way user-plane latency: anchored detour vs edge egress."""
-    topo = dict(DEFAULT_TOPOLOGY if topology is None else topology)
-
-    def hop(a, b):
-        if (a, b) in topo:
-            return topo[(a, b)]
-        return topo[(b, a)]
-
-    lte_path = ["ue", "enb", "sgw", "pgw", "internet"]
-    encor_path = ["ue", "inb", "internet"]
-    lte_latency = sum(hop(a, b) for a, b in zip(lte_path, lte_path[1:]))
-    encor_latency = sum(hop(a, b) for a, b in zip(encor_path, encor_path[1:]))
-    return {
-        "lte": {"path": lte_path, "one_way_us": lte_latency},
-        "encor": {"path": encor_path, "one_way_us": encor_latency},
-    }
+    topo = DEFAULT_TOPOLOGY if topology is None else topology
+    paths = {"lte": ["ue", "enb", "sgw", "pgw", "internet"],
+             "encor": ["ue", "inb", "internet"]}
+    return {arch: {"path": path, "one_way_us": lte.path_latency_us(topo, path)}
+            for arch, path in paths.items()}

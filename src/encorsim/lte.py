@@ -3,18 +3,17 @@ Reference LTE control and user plane used as the comparison baseline.
 
 MME/S-GW/P-GW with GTP tunnel anchoring: the P-GW anchors each device's
 public IP for the whole session, every user-plane packet detours through
-the anchor, and S1 handover re-points tunnels via a 15-message sequence
-that runs entirely through core-side elements, buffering downlink
-traffic at the source until completion.
+the anchor, and S1 handover re-points tunnels via the 15-message
+``messages.S1_SEQUENCE`` that runs entirely through core-side elements,
+buffering downlink traffic at the source until completion.
 """
 import itertools
+import random
 from dataclasses import dataclass, field
 
-from . import security
+from . import messages, security
+from .control import UeState
 from .messages import ControlMessage, HandoverMode, HandoverTrace, Kind
-
-CORE_NODES = ("mme", "sgw", "pgw", "hss")
-
 
 @dataclass
 class GtpTunnel:
@@ -49,22 +48,11 @@ class LteCore:
         self._teids = itertools.count(1)
         self._ips = itertools.count(0x0A00_0001)  # 10.0.0.x pool
         self.buffer_cap = buffer_cap
-        import random
         self.rng = random.Random(seed)
-
-    def fresh_rand(self):
-        return self.rng.getrandbits(128).to_bytes(16, "big")
 
     def new_tunnel(self, enb):
         return GtpTunnel(teid_up=next(self._teids), teid_down=next(self._teids),
                          enb=enb, sgw="sgw", pgw="pgw")
-
-
-def _msg(kind, src, dst, now_us, payload=None):
-    # S1 signaling is entirely a core-side procedure: even the UE-facing
-    # command/confirm exist only as legs of MME-driven exchanges
-    return ControlMessage(kind=kind, src=src, dst=dst, via_core=True,
-                          payload=dict(payload or {}), time_us=now_us)
 
 
 def attach_lte(ue, enb, core, now_us=0):
@@ -72,43 +60,17 @@ def attach_lte(ue, enb, core, now_us=0):
     rec = core.subdb.get(ue.imsi)
     if rec is None:
         raise LteAttachError("unknown subscriber")
-    rand = core.fresh_rand()
-    vector = security.generate_auth_vector(rec, rand)
     try:
-        res, ue.sqn = security.ue_process_challenge(ue.k, ue.sqn, rand, vector.autn)
-    except (security.NetworkAuthError, security.ReplayError) as exc:
+        _, _, keys = security.authenticate(rec, ue, core.rng)
+    except security.AuthError as exc:
         raise LteAttachError(str(exc)) from exc
-    if res != vector.xres:
-        raise LteAttachError("response mismatch")
-    keys = security.derive_k_enb(vector.k_asme)
     anchor = AnchorState(imsi=ue.imsi, public_ip=next(core._ips),
                          tunnel=core.new_tunnel(enb), buffer_cap=core.buffer_cap)
     core.anchors[ue.imsi] = anchor
     core.serving_enb[ue.imsi] = enb
     ue.keys = keys
-    from .control import UeState
     ue.state = UeState.CONNECTED
     return anchor
-
-
-# Reconstructed S1 handover sequence: 15 messages, all core-side.
-_S1_SEQUENCE = (
-    (Kind.HO_REQUIRED, "src_enb", "mme"),
-    (Kind.HO_REQUEST, "mme", "tgt_enb"),
-    (Kind.HO_REQUEST_ACK, "tgt_enb", "mme"),
-    (Kind.CREATE_INDIRECT_TUNNEL_REQ, "mme", "sgw"),
-    (Kind.CREATE_INDIRECT_TUNNEL_RESP, "sgw", "mme"),
-    (Kind.HO_COMMAND, "mme", "src_enb"),
-    (Kind.HO_COMMAND, "src_enb", "ue"),
-    (Kind.ENB_STATUS_TRANSFER, "src_enb", "mme"),
-    (Kind.MME_STATUS_TRANSFER, "mme", "tgt_enb"),
-    (Kind.HO_CONFIRM, "ue", "tgt_enb"),
-    (Kind.HO_NOTIFY, "tgt_enb", "mme"),
-    (Kind.MODIFY_BEARER_REQ, "mme", "sgw"),
-    (Kind.MODIFY_BEARER_RESP, "sgw", "mme"),
-    (Kind.UE_CONTEXT_RELEASE_COMMAND, "mme", "src_enb"),
-    (Kind.UE_CONTEXT_RELEASE_COMPLETE, "src_enb", "mme"),
-)
 
 
 def s1_handover(ue, src_enb, tgt_enb, core, now_us=0,
@@ -124,15 +86,14 @@ def s1_handover(ue, src_enb, tgt_enb, core, now_us=0,
 
     anchor.buffering = True
     trace = HandoverTrace(mode=HandoverMode.LTE_S1, start_us=now_us)
-    names = {"src_enb": src_enb, "tgt_enb": tgt_enb}
-    for kind, src, dst in _S1_SEQUENCE:
-        trace.append(_msg(kind, names.get(src, src), names.get(dst, dst), now_us))
-        if kind == Kind.HO_COMMAND and dst == "ue":
+    ids = {messages.SRC: src_enb, messages.TGT: tgt_enb}
+    for kind, src, dst, via_core, _ in messages.S1_SEQUENCE:
+        trace.append(ControlMessage(kind, ids.get(src, src), ids.get(dst, dst),
+                                    via_core, time_us=now_us))
+        if kind == Kind.HO_COMMAND and dst == messages.UE:
             # UE detaches from src radio here; any downlink now buffers
             for pkt in downlink_mid_handover:
                 deliver_downlink(core, ue.imsi, pkt)
-    # all S1 messages touch the core by construction
-    assert all(m.via_core for m in trace.messages)
 
     # re-anchor: fresh tunnel toward the target, public IP untouched
     anchor.tunnel = core.new_tunnel(tgt_enb)
@@ -174,13 +135,16 @@ def route_user_packet(core, imsi, topology):
         return None, None
     enb = anchor.tunnel.enb
     path = ["ue", enb, "sgw", "pgw", "internet"]
-    latency = sum(_hop_latency(topology, a, b) for a, b in zip(path, path[1:]))
-    return path, latency
+    return path, path_latency_us(topology, path)
 
 
-def _hop_latency(topology, a, b):
-    if (a, b) in topology:
-        return topology[(a, b)]
-    if (b, a) in topology:
-        return topology[(b, a)]
-    raise KeyError(f"no latency configured for hop {a} <-> {b}")
+def path_latency_us(topology, path):
+    """One-way latency of a node path; topology maps (a, b) node-id pairs,
+    in either order, to a hop's latency_us."""
+    total = 0
+    for a, b in zip(path, path[1:]):
+        latency = topology.get((a, b), topology.get((b, a)))
+        if latency is None:
+            raise KeyError(f"no latency configured for hop {a} <-> {b}")
+        total += latency
+    return total

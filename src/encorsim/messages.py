@@ -1,9 +1,8 @@
 """
-Control-plane message and trace types shared by both architectures.
-
-A message's via_core flag is true exactly when its source or destination
-is a central-core element, which is what the per-handover message
-accounting compares between architectures.
+Control-plane message and trace types shared by both architectures, and
+every handover sequence as a table of (kind, src role, dst role, via_core,
+via_hop) steps. ``control`` (edge-routed) and ``lte`` (S1) run the tables,
+and the load experiment takes its per-message core flags from them.
 """
 import enum
 from collections import Counter
@@ -34,9 +33,6 @@ class Kind(str, enum.Enum):
     MODIFY_BEARER_RESP = "ModifyBearerResp"
     UE_CONTEXT_RELEASE_COMMAND = "UeContextReleaseCommand"
     UE_CONTEXT_RELEASE_COMPLETE = "UeContextReleaseComplete"
-    # charging
-    QUOTA_REQUEST = "QuotaRequest"
-    QUOTA_GRANT = "QuotaGrant"
 
 
 @dataclass
@@ -84,6 +80,57 @@ class HandoverTrace:
             core = " [core]" if m.via_core else ""
             lines.append(f"{i + 1:2d}. {m.src} -> {m.dst}: {m.kind.value}{core}")
         return "\n".join(lines)
+
+
+# Roles a sequence step names; the procedure binds each to an element id.
+SRC, TGT, UE, HOP = "src", "tgt", "ue", "hop"
+SME, MME, SGW = "sme", "mme", "sgw"
+
+
+def _steps(rows, anchored=False):
+    """(kind, src, dst) rows -> (kind, src, dst, via_core, via_hop) steps.
+
+    Every message of an anchored (S1) sequence is via core, even the
+    UE-facing ones, which exist only as legs of MME-driven exchanges; an
+    edge-routed message is via core when it touches the SME. A message
+    between the two base stations goes through the relay."""
+    return tuple((kind, a, b, anchored or SME in (a, b), {a, b} == {SRC, TGT})
+                 for kind, a, b in rows)
+
+
+# Reconstructed S1 handover: 15 messages, all core-side.
+S1_SEQUENCE = _steps((
+    (Kind.HO_REQUIRED, SRC, MME),
+    (Kind.HO_REQUEST, MME, TGT),
+    (Kind.HO_REQUEST_ACK, TGT, MME),
+    (Kind.CREATE_INDIRECT_TUNNEL_REQ, MME, SGW),
+    (Kind.CREATE_INDIRECT_TUNNEL_RESP, SGW, MME),
+    (Kind.HO_COMMAND, MME, SRC),
+    (Kind.HO_COMMAND, SRC, UE),
+    (Kind.ENB_STATUS_TRANSFER, SRC, MME),
+    (Kind.MME_STATUS_TRANSFER, MME, TGT),
+    (Kind.HO_CONFIRM, UE, TGT),
+    (Kind.HO_NOTIFY, TGT, MME),
+    (Kind.MODIFY_BEARER_REQ, MME, SGW),
+    (Kind.MODIFY_BEARER_RESP, SGW, MME),
+    (Kind.UE_CONTEXT_RELEASE_COMMAND, MME, SRC),
+    (Kind.UE_CONTEXT_RELEASE_COMPLETE, SRC, MME),
+), anchored=True)
+
+# Edge-routed handover: a mode-specific prefix up to the target's
+# admission decision, then a tail shared by both modes.
+EDGE_PREFIX = {
+    HandoverMode.CORE_ASSISTED: _steps(((Kind.HO_REQUIRED, SRC, SME),
+                                        (Kind.HO_REQUEST, SME, TGT))),
+    HandoverMode.DIRECT: _steps(((Kind.HO_REQUIRED, SRC, TGT),)),
+}
+EDGE_TAIL = _steps((
+    (Kind.HO_REQUEST_ACK, TGT, SRC),
+    (Kind.HO_COMMAND, SRC, UE),
+    (Kind.HO_CONFIRM, UE, TGT),
+    (Kind.HO_COMPLETE_NOTIFY, TGT, SRC),
+    (Kind.UE_CONTEXT_RELEASE, SRC, HOP),
+))
 
 
 def count_messages(trace):

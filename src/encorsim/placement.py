@@ -86,7 +86,8 @@ def _coords(p):
 
 
 def best_tail_km(core, pops, cdns):
-    """Shortest core -> PoP -> CDN continuation from a given core site."""
+    """Shortest core -> PoP -> CDN continuation from a given core site, or
+    from a county where there is no core leg."""
     if not pops or not cdns:
         raise ValueError("pops and cdns must be nonempty")
     return min(haversine_km(_coords(core), _coords(pop))
@@ -107,11 +108,7 @@ def county_distance_3gpp(county, deployment, pops, cdns):
 
 def county_distance_encor(county, pops, cdns):
     """Shortest county -> PoP -> CDN chain; no core leg."""
-    if not pops or not cdns:
-        raise ValueError("pops and cdns must be nonempty")
-    return min(haversine_km(_coords(county), _coords(pop))
-               + min(haversine_km(_coords(pop), _coords(cdn)) for cdn in cdns)
-               for pop in pops)
+    return best_tail_km(county, pops, cdns)
 
 
 def coverage(counties, budget_km, deployment=None, pops=None, cdns=None):

@@ -14,11 +14,15 @@ from dataclasses import dataclass
 KEY_BYTES = 16
 
 
-class ReplayError(Exception):
+class AuthError(Exception):
+    """Authentication failed; the message names the cause."""
+
+
+class ReplayError(AuthError):
     """SQN outside the acceptance window: replayed or stale challenge."""
 
 
-class NetworkAuthError(Exception):
+class NetworkAuthError(AuthError):
     """AUTN MAC check failed: the network could not prove knowledge of K."""
 
 
@@ -102,6 +106,20 @@ def ue_process_challenge(k, ue_sqn, rand, autn):
         raise ReplayError(f"SQN {autn.sqn} not the expected {ue_sqn}")
     res = prf(k, "res", rand)
     return res, ue_sqn + 1
+
+
+def authenticate(rec, ue, rng):
+    """One AKA leg: challenge the device with a fresh RAND from rng, check
+    its response and derive its session key. Advances both SQNs.
+
+    Returns (vector, RES, SessionKeys); raises AuthError on failure.
+    """
+    rand = rng.getrandbits(128).to_bytes(KEY_BYTES, "big")
+    vector = generate_auth_vector(rec, rand)
+    res, ue.sqn = ue_process_challenge(ue.k, ue.sqn, rand, vector.autn)
+    if res != vector.xres:
+        raise AuthError("response mismatch")
+    return vector, res, derive_k_enb(vector.k_asme)
 
 
 def derive_k_enb(k_asme, initial_counter=0):

@@ -57,6 +57,22 @@ def test_load_writes_csv(tmp_path, capsys):
     assert {r[0] for r in rows[1:]} == {"encor", "lte"}
 
 
+@pytest.mark.parametrize("line,key", [
+    ("rates_per_s = a,b", "rates_per_s"),
+    ("rates_per_s = 0,2", "rates_per_s"),
+    ("core_service_rate = 0", "core_service_rate"),
+    ("duration_s = 0", "duration_s"),
+    ("link_latency_us = -1", "link_latency_us"),
+])
+def test_load_bad_value_is_usage_error_naming_the_key(tmp_path, capsys, line,
+                                                      key):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[load]\n{line}\n")
+    assert main(["--config", str(config), "load"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
 def test_mec_grid_flag_and_csv(tmp_path, capsys):
     config = tmp_path / "small.ini"
     config.write_text("[mec]\nue_count = 200\n")

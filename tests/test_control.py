@@ -118,6 +118,24 @@ def test_direct_requires_shared_hop():
         handover_direct(ctx, ue, inb_a, inb_b, lonely_hop)
 
 
+@pytest.mark.parametrize("mode", ["core", "direct"])
+def test_misconfigured_hop_leaves_ue_at_source(mode):
+    ue, inb_a, inb_b, sme, hop = make_world()
+    ctx, _ = attach(ue, inb_a, sme)
+    lonely_hop = Hop("hop2", ["inb_b"])
+    with pytest.raises(ConfigurationError):
+        if mode == "core":
+            handover_core_assisted(ctx, ue, inb_a, inb_b, sme, lonely_hop)
+        else:
+            handover_direct(ctx, ue, inb_a, inb_b, lonely_hop)
+    assert ctx.state is UeState.CONNECTED
+    assert ctx.serving_inb == inb_a.id and ctx.target_inb is None
+    assert ctx.keys.ncc == 0
+    assert 1 in inb_a.attached and 1 not in inb_b.attached
+    trace = handover_core_assisted(ctx, ue, inb_a, inb_b, sme, hop)
+    assert not trace.failed and ctx.serving_inb == inb_b.id
+
+
 def test_ho_command_byte_identical_to_target_radio_config():
     for mode in ("core", "direct"):
         _, _, _, _, _, _, trace = attach_and_handover(mode)

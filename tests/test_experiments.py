@@ -44,6 +44,20 @@ def test_load_scenario_rejects_unsorted_rates():
         LoadScenario(rates_per_s=(8, 4))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"rates_per_s": (0, 2)},
+    {"rates_per_s": (2, float("inf"))},
+    {"core_service_rate": 0},
+    {"edge_service_rate": -1.0},
+    {"duration_s": 0},
+    {"duration_s": float("nan")},
+    {"link_latency_us": -1},
+])
+def test_load_scenario_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        LoadScenario(**kwargs)
+
+
 @pytest.fixture(scope="module")
 def load_results():
     scenario = LoadScenario(rates_per_s=(2, 8, 16, 24, 30), duration_s=20.0,
