@@ -1,5 +1,5 @@
 """
-Golden outputs: the CLI's table and load CSVs at seeds 0-2, and the
+Golden outputs: the CSVs of every CLI command at seeds 0-2, and the
 per-message rows of attach and of every handover mode, compared byte for
 byte with the files under tests/golden/.
 
@@ -16,27 +16,58 @@ from encorsim import cli, control, lte, security
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEEDS = (0, 1, 2)
 LOAD_CONFIG = "[load]\nrates_per_s = 4,16\nduration_s = 3\n"
-CSV_CASES = [(name, argv, seed)
-             for seed in SEEDS
-             for name, argv in (
-                 (f"table_core-assisted_seed{seed}.csv",
-                  ["table", "--mode", "core-assisted"]),
-                 (f"table_direct_seed{seed}.csv", ["table", "--mode", "direct"]),
-                 (f"load_seed{seed}.csv", ["load"]))]
+# The handover lands mid-train: bulk retransmits and PassiveOnly deadlocks.
+APPS_CONFIG = ("[apps]\nfile_mb = 4\nvideo_s = 20\nlive_s = 10\n"
+               "handover_at_s = 0.4\nforwarding = {}\n")
+MEC_CONFIG = "[mec]\ngrid = 4x4\nue_count = 200\n"
+PLACE_CONFIG = "[place]\nbudget_km = 1500\ncore_budget = 4\n"
+# (golden prefix, config, argv, the files the command writes)
+COMMANDS = [
+    ("table_core-assisted", "", ["table", "--mode", "core-assisted"],
+     ["table.csv"]),
+    ("table_direct", "", ["table", "--mode", "direct"], ["table.csv"]),
+    ("load", LOAD_CONFIG, ["load"], ["load.csv"]),
+    ("apps_nofwd", APPS_CONFIG.format("false"), ["apps"], ["apps.csv"]),
+    ("apps_fwd", APPS_CONFIG.format("true"), ["apps"], ["apps.csv"]),
+    ("mec", MEC_CONFIG, ["mec"], ["mec.csv"]),
+    ("place", PLACE_CONFIG, ["place", "--synthetic"],
+     ["placement.csv", "coverage.csv", "cost.csv"]),
+    ("gen", "", ["gen"], ["counties.csv", "pops.csv", "cdns.csv"]),
+]
 
 
-def run_cli_csv(argv, seed, workdir):
-    """Run one command with --out and return the bytes of the CSV it wrote."""
-    config = os.path.join(workdir, "load.ini")
+def _case(prefix, config, argv, files, seed):
+    """One run of a command; a command that writes one file is named
+    after its golden, one that writes several after its prefix."""
+    if len(files) == 1:
+        goldens = {files[0]: f"{prefix}_seed{seed}.csv"}
+        case_id = goldens[files[0]]
+    else:
+        goldens = {f: f"{prefix}_{f[:-len('.csv')]}_seed{seed}.csv"
+                   for f in files}
+        case_id = f"{prefix}_seed{seed}"
+    return pytest.param(config, argv, seed, goldens, id=case_id)
+
+
+CLI_CASES = [_case(*command, seed) for seed in SEEDS for command in COMMANDS]
+
+
+def run_cli(config_text, argv, seed, workdir):
+    """Run one command with --out in a fresh directory; return the bytes
+    of every file it wrote, by name."""
+    config = os.path.join(workdir, "case.ini")
     with open(config, "w") as f:
-        f.write(LOAD_CONFIG)
+        f.write(config_text)
     out_dir = os.path.join(workdir, "out")
     code = cli.main(["--config", config, "--seed", str(seed), "--format",
                      "csv", "--out", out_dir] + argv)
     assert code == cli.EXIT_OK
-    name = "load.csv" if argv[0] == "load" else "table.csv"
-    with open(os.path.join(out_dir, name), "rb") as f:
-        return f.read()
+    written = {}
+    for name in os.listdir(out_dir):
+        with open(os.path.join(out_dir, name), "rb") as f:
+            written[name] = f.read()
+        os.remove(os.path.join(out_dir, name))
+    return written
 
 
 def sequences():
@@ -85,10 +116,13 @@ def read_golden(name):
         return f.read()
 
 
-@pytest.mark.parametrize("name,argv,seed", CSV_CASES,
-                         ids=[c[0] for c in CSV_CASES])
-def test_cli_csv_matches_golden(name, argv, seed, tmp_path, capsys):
-    assert run_cli_csv(argv, seed, str(tmp_path)) == read_golden(name)
+@pytest.mark.parametrize("config,argv,seed,goldens", CLI_CASES)
+def test_cli_csv_matches_golden(config, argv, seed, goldens, tmp_path,
+                                capsys):
+    written = run_cli(config, argv, seed, str(tmp_path))
+    assert sorted(written) == sorted(goldens)
+    for name, golden in goldens.items():
+        assert written[name] == read_golden(golden), golden
 
 
 def test_message_sequences_match_golden():
@@ -99,8 +133,10 @@ if __name__ == "__main__":
     import tempfile
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, seed in CSV_CASES:
-            with open(os.path.join(GOLDEN, name), "wb") as f:
-                f.write(run_cli_csv(argv, seed, tmp))
+        for case in CLI_CASES:
+            config, argv, seed, goldens = case.values
+            for name, data in run_cli(config, argv, seed, tmp).items():
+                with open(os.path.join(GOLDEN, goldens[name]), "wb") as f:
+                    f.write(data)
     with open(os.path.join(GOLDEN, "sequences.txt"), "w") as f:
         f.write(sequences_text())
