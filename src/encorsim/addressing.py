@@ -109,11 +109,6 @@ class RecentlyMovedTable:
             return None
         return target
 
-    def purge(self, now):
-        stale = [k for k, (_, exp) in self.entries.items() if now >= exp]
-        for k in stale:
-            del self.entries[k]
-
     def __len__(self):
         return len(self.entries)
 

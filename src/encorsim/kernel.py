@@ -7,6 +7,7 @@ scenario produce identical results. Nodes are capacity-limited FIFO
 servers; links add latency and may drop messages probabilistically.
 """
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -117,9 +118,6 @@ class Simulator:
         self._seq += 1
         return handle
 
-    def schedule_in(self, delay, action):
-        return self.schedule(self.now + delay, action)
-
     def send(self, src, dst, msg, on_delivered=None, category=None):
         """Send msg over the (src, dst) link into dst's service queue.
 
@@ -159,25 +157,25 @@ class Simulator:
 
         return self.schedule(self.now + latency_us, arrive)
 
-    def run_until(self, t_end):
-        """Execute every event with time <= t_end; returns the stats so far."""
-        while self._queue and self._queue[0][0] <= t_end:
-            at, _, action, handle = heapq.heappop(self._queue)
+    def _drain(self, t_end):
+        """Execute every event with time <= t_end, in (time, insertion)
+        order, skipping cancelled ones."""
+        queue = self._queue
+        while queue and queue[0][0] <= t_end:
+            at, _, action, handle = heapq.heappop(queue)
             if handle.cancelled:
                 continue
             self.now = at
             self.stats.events_processed += 1
             action(self)
+
+    def run_until(self, t_end):
+        """Execute every event with time <= t_end; returns the stats so far."""
+        self._drain(t_end)
         self.now = max(self.now, t_end)
         return self.stats
 
     def run(self):
         """Run until the event queue drains."""
-        while self._queue:
-            at, _, action, handle = heapq.heappop(self._queue)
-            if handle.cancelled:
-                continue
-            self.now = at
-            self.stats.events_processed += 1
-            action(self)
+        self._drain(math.inf)
         return self.stats

@@ -8,11 +8,13 @@ server sends to a stale path are lost unless the old base station still
 holds a live recently-moved forwarding entry. Three applications probe
 the consequences: bulk transfer (continuous downlink, worst-case loss),
 buffered adaptive-bitrate video (bursty, mild loss), and live streaming
-(pure subscriber, which can deadlock without the ping fix).
+(pure subscriber, which can deadlock without the ping fix). One server
+carries all three apps' downlink: the same transmit, ack and path
+learning, with retransmission for bulk and video only.
 """
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .addressing import Addr128, RecentlyMovedTable
 from .kernel import Simulator
@@ -56,8 +58,6 @@ class MobiConn:
     conn_id: int
     client_addr: Addr128
     server_path: Addr128
-    client_seq: int = 0
-    server_seq: int = 0
 
     def on_client_packet(self, conn_id, src_addr):
         """Server-side path learning: only a recognized connection id
@@ -106,7 +106,6 @@ class MobilityNet:
         self.conn = conn
         self.params = params
         self.tables = {}  # old locator -> RecentlyMovedTable
-        self.migrations = 0
 
     def migrate(self, now_us):
         old = self.conn.client_addr.locator
@@ -116,7 +115,6 @@ class MobilityNet:
                 old, RecentlyMovedTable(self.params.forwarding_ttl_us))
             table.record_move(self.conn.client_addr.identifier, new, now_us)
         client_migrate(self.conn, Addr128(new, self.conn.client_addr.identifier))
-        self.migrations += 1
 
     def reaches_client(self, dest_addr, arrival_us):
         """Can a packet addressed to dest_addr reach the client at this
@@ -134,88 +132,101 @@ class MobilityNet:
         return False
 
 
-def server_send(net, conn, arrival_us):
-    """One delivery attempt to the server's last-known client path."""
-    return net.reaches_client(conn.server_path, arrival_us)
-
-
-def _new_conn(conn_id=1, identifier=0x42):
-    addr = Addr128(BASE_LOCATOR, identifier)
-    return MobiConn(conn_id=conn_id, client_addr=addr, server_path=addr)
-
-
 class _DownlinkServer:
-    """Server-side reliable downlink: per-packet retransmission timers,
-    path learning from any client packet."""
+    """One server carries every app's downlink over one connection to a
+    mobile client: unreliable sends to the last-known path, reliable sends
+    with a doubling retransmission timer, and path learning from every
+    client packet (acks, requests, keepalives, pings)."""
 
-    def __init__(self, sim, net, conn, params, rng):
-        self.sim = sim
-        self.net = net
-        self.conn = conn
+    def __init__(self, params, seed):
+        self.sim = Simulator(seed)
+        addr = Addr128(BASE_LOCATOR, 0x42)
+        self.conn = MobiConn(conn_id=1, client_addr=addr, server_path=addr)
+        self.net = MobilityNet(self.conn, params)
         self.params = params
-        self.rng = rng
+        self.handovers = 0
         self.acked = set()
         self.delivered = set()
         self.retx_count = 0
         self.tx_count = 0
         self.on_packet_delivered = None  # callback(pkt_id, now)
 
-    def send_packet(self, pkt_id, rto_us=None):
-        if pkt_id in self.acked:
-            return
-        rto = self.params.rto_us if rto_us is None else rto_us
+    def schedule_handovers(self, times_us):
+        """The client moves at each time; the server is not told."""
+        self.handovers = len(times_us)
+        for t in times_us:
+            self.sim.schedule(t, lambda s: self.net.migrate(s.now))
+
+    def transmit(self, pkt_id):
+        """One unreliable send to the last-known path."""
         self.tx_count += 1
         dest = self.conn.server_path
-        arrival = self.sim.now + self.params.one_way_us
 
         def arrive(sim):
             if self.net.reaches_client(dest, sim.now):
                 self._client_receive(pkt_id, sim.now)
 
-        self.sim.schedule(arrival, arrive)
+        self.sim.schedule(self.sim.now + self.params.one_way_us, arrive)
+
+    def send_reliable(self, pkt_id, rto_us=None):
+        """Transmit until acked, doubling the timeout after each loss."""
+        rto = self.params.rto_us if rto_us is None else rto_us
+        self.transmit(pkt_id)
 
         def timeout(sim):
             if pkt_id not in self.acked:
                 self.retx_count += 1
-                self.send_packet(pkt_id, rto_us=rto * 2)
+                self.send_reliable(pkt_id, rto_us=rto * 2)
 
         self.sim.schedule(self.sim.now + rto, timeout)
 
     def _client_receive(self, pkt_id, now):
         first = pkt_id not in self.delivered
         self.delivered.add(pkt_id)
-        ack_at = now + self.params.ack_delay_us
-
-        def send_ack(sim):
-            src = self.conn.client_addr  # address at emission time
-            sim.schedule(sim.now + self.params.one_way_us,
-                         lambda s: self._server_ack(pkt_id, src))
-
-        self.sim.schedule(ack_at, send_ack)
+        self.sim.schedule(now + self.params.ack_delay_us,
+                          lambda sim: self.client_packet(ack=pkt_id))
         if first and self.on_packet_delivered is not None:
             self.on_packet_delivered(pkt_id, now)
 
-    def _server_ack(self, pkt_id, src_addr):
-        self.conn.on_client_packet(self.conn.conn_id, src_addr)
-        self.acked.add(pkt_id)
-
-    def client_packet(self, kind="keepalive"):
-        """Any client-originated packet updates the server path on arrival."""
+    def client_packet(self, ack=None):
+        """A client packet (an ack of packet `ack`, a request, a keepalive
+        or a ping) leaves from the client's address at this instant and
+        moves the server's path there on arrival."""
         src = self.conn.client_addr
 
         def arrive(sim):
             self.conn.on_client_packet(self.conn.conn_id, src)
+            if ack is not None:
+                self.acked.add(ack)
 
         self.sim.schedule(self.sim.now + self.params.one_way_us, arrive)
+
+    def keep_alive(self, running, busy):
+        """A client mid-download is never idle: a window update every
+        keepalive interval while `busy()`, ticking while `running()`. The
+        first tick is jittered."""
+        interval = self.params.keepalive_interval_us
+
+        def tick(sim):
+            if running():
+                if busy():
+                    self.client_packet()
+                sim.schedule(sim.now + interval, tick)
+
+        self.sim.schedule(self.sim.rng.randrange(interval), tick)
+
+    def metrics(self, app, **fields):
+        return AppMetrics(app=app, handovers=self.handovers,
+                          retx_count=self.retx_count,
+                          retx_rate=self.retx_count / max(1, self.tx_count),
+                          **fields)
 
 
 def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
     """Reliable download of a single file; one continuous packet train."""
     params = params or TransportParams()
-    sim = Simulator(seed)
-    conn = _new_conn()
-    net = MobilityNet(conn, params)
-    server = _DownlinkServer(sim, net, conn, params, sim.rng)
+    server = _DownlinkServer(params, seed)
+    sim = server.sim
 
     n_packets = max(1, math.ceil(file_bytes / params.packet_bytes))
     interval = params.packet_interval_us()
@@ -225,29 +236,20 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
         if len(server.delivered) == n_packets:
             finish_us[0] = now
 
+    def downloading():
+        return len(server.delivered) < n_packets
+
     server.on_packet_delivered = on_delivered
     for i in range(n_packets):
-        sim.schedule(i * interval, lambda s, i=i: server.send_packet(i))
-    for t in handover_times_us:
-        sim.schedule(t, lambda s: net.migrate(s.now))
-
-    # client is never idle mid-download: periodic window updates
-    def keepalive(sim):
-        if len(server.delivered) < n_packets:
-            server.client_packet()
-            sim.schedule(sim.now + params.keepalive_interval_us, keepalive)
-
-    jitter = sim.rng.randrange(params.keepalive_interval_us)
-    sim.schedule(jitter, keepalive)
+        sim.schedule(i * interval, lambda s, i=i: server.send_reliable(i))
+    server.schedule_handovers(handover_times_us)
+    server.keep_alive(downloading, downloading)
 
     horizon = n_packets * interval * 4 + 60 * US
     sim.run_until(horizon)
     done = finish_us[0] if finish_us[0] else horizon
-    metrics = AppMetrics(app="bulk", handovers=len(handover_times_us))
-    metrics.throughput_mbps = file_bytes * 8 / done if done else 0.0
-    metrics.retx_count = server.retx_count
-    metrics.retx_rate = server.retx_count / max(1, server.tx_count)
-    return metrics
+    return server.metrics(
+        "bulk", throughput_mbps=file_bytes * 8 / done if done else 0.0)
 
 
 DEFAULT_LADDER = [(1, 1.0e6), (2, 1.5e6), (3, 2.0e6), (4, 3.0e6), (5, 4.0e6)]
@@ -269,10 +271,8 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0,
     window), so ample bandwidth keeps the top rung throughout."""
     params = params or TransportParams()
     ladder = ladder or DEFAULT_LADDER
-    sim = Simulator(seed)
-    conn = _new_conn()
-    net = MobilityNet(conn, params)
-    server = _DownlinkServer(sim, net, conn, params, sim.rng)
+    server = _DownlinkServer(params, seed)
+    sim = server.sim
 
     state = {
         "buffer_s": initial_buffer_s,
@@ -280,9 +280,8 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0,
         "stall_us": 0,
         "qualities": [],
         "buffer_integral": 0.0,  # buffer-seconds, for the time average
-        "chunk_pkts": {},        # chunk -> set of outstanding pkt ids
-        "next_chunk": 0,
-        "pkt_counter": [0],
+        "chunk_pkts": {},  # first pkt id of a chunk -> its outstanding ids
+        "next_pkt": 0,
     }
     duration_us = round(duration_s * US)
     pace_interval = params.packet_interval_us(pace_mbps)
@@ -311,19 +310,17 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0,
             return
         level, bitrate = select_level(state["buffer_s"], ladder)
         state["qualities"].append(level)
-        chunk = state["next_chunk"]
-        state["next_chunk"] += 1
         chunk_bytes = bitrate * chunk_duration_s / 8
         n_pkts = max(1, math.ceil(chunk_bytes / params.packet_bytes))
-        base = state["pkt_counter"][0]
-        state["pkt_counter"][0] += n_pkts
-        state["chunk_pkts"][chunk] = set(range(base, base + n_pkts))
-        server.client_packet("chunk-request")
+        base = state["next_pkt"]
+        state["next_pkt"] += n_pkts
+        state["chunk_pkts"][base] = set(range(base, base + n_pkts))
+        server.client_packet()  # the chunk request
 
         def start_sending(s):
             for j in range(n_pkts):
                 s.schedule(s.now + j * pace_interval,
-                           lambda s2, p=base + j: server.send_packet(p))
+                           lambda s2, p=base + j: server.send_reliable(p))
 
         sim.schedule(sim.now + params.one_way_us, start_sending)
 
@@ -340,31 +337,20 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0,
 
     server.on_packet_delivered = on_delivered
     sim.schedule(0, request_chunk)
-    for t in handover_times_us:
-        sim.schedule(t, lambda s: net.migrate(s.now))
-
-    # a client mid-chunk is never idle: periodic window updates while a
-    # download is outstanding keep the server's path fresh
-    def keepalive(sim):
-        if sim.now < duration_us:
-            if state["chunk_pkts"]:
-                server.client_packet()
-            sim.schedule(sim.now + params.keepalive_interval_us, keepalive)
-
-    sim.schedule(sim.rng.randrange(params.keepalive_interval_us), keepalive)
+    server.schedule_handovers(handover_times_us)
+    server.keep_alive(lambda: sim.now < duration_us,
+                      lambda: bool(state["chunk_pkts"]))
     sim.run_until(duration_us)
     update_buffer(duration_us)
 
-    metrics = AppMetrics(app="buffered", handovers=len(handover_times_us))
-    metrics.stall_s = state["stall_us"] / US
-    metrics.mean_buffer_s = state["buffer_integral"] / duration_s
-    metrics.mean_quality = (sum(state["qualities"]) / len(state["qualities"])
-                            if state["qualities"] else 0.0)
-    metrics.retx_count = server.retx_count
-    metrics.retx_rate = server.retx_count / max(1, server.tx_count)
-    metrics.throughput_mbps = (len(server.delivered) * params.packet_bytes * 8
-                               / duration_us)
-    return metrics
+    return server.metrics(
+        "buffered",
+        stall_s=state["stall_us"] / US,
+        mean_buffer_s=state["buffer_integral"] / duration_s,
+        mean_quality=(sum(state["qualities"]) / len(state["qualities"])
+                      if state["qualities"] else 0.0),
+        throughput_mbps=(len(server.delivered) * params.packet_bytes * 8
+                         / duration_us))
 
 
 def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
@@ -374,47 +360,17 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     Frames are not retransmitted; loss shows up as missing frames, and a
     stale path with no recovery shows up as a deadlock."""
     params = params or TransportParams()
-    sim = Simulator(seed)
-    conn = _new_conn()
-    net = MobilityNet(conn, params)
+    server = _DownlinkServer(params, seed)
+    sim = server.sim
     duration_us = round(duration_s * US)
     idle_deadline = round(params.idle_deadline_factor * frame_interval_us)
 
-    state = {"delivered": 0, "sent": 0, "last_delivery": 0,
-             "pings": 0, "ping_muted_until": -1}
-
-    def client_receive(sim, frame_id):
-        state["delivered"] += 1
-        state["last_delivery"] = sim.now
-
-        def send_ack(s):
-            src = conn.client_addr
-
-            def arrive(s2):
-                conn.on_client_packet(conn.conn_id, src)
-
-            s.schedule(s.now + params.one_way_us, arrive)
-
-        sim.schedule(sim.now + params.ack_delay_us, send_ack)
-        if policy == Policy.PING_ON_IDLE:
-            arm_deadline(sim)
-
-    def send_frame(sim, frame_id):
-        state["sent"] += 1
-        dest = conn.server_path
-
-        def arrive(s):
-            if net.reaches_client(dest, s.now):
-                client_receive(s, frame_id)
-
-        sim.schedule(sim.now + params.one_way_us, arrive)
-
+    state = {"last_delivery": 0, "pings": 0, "ping_muted_until": -1}
     n_frames = duration_us // frame_interval_us
-    last_arrival_us = (n_frames - 1) * frame_interval_us + params.one_way_us
+    last_send_us = (n_frames - 1) * frame_interval_us
+    last_arrival_us = last_send_us + params.one_way_us
 
-    def arm_deadline(sim):
-        expected_by = sim.now + idle_deadline
-
+    def arm_deadline():
         def check(s):
             if s.now >= last_arrival_us:
                 return  # stream over; nothing left to expect
@@ -425,33 +381,32 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
             # missed deadline: one ping from the current address
             state["pings"] += 1
             state["ping_muted_until"] = s.now + idle_deadline + params.rtt_us
-            src = conn.client_addr
-            s.schedule(s.now + params.one_way_us,
-                       lambda s2: conn.on_client_packet(conn.conn_id, src))
+            server.client_packet()
             s.schedule(s.now + idle_deadline + params.rtt_us, check)
 
-        sim.schedule(expected_by, check)
+        sim.schedule(sim.now + idle_deadline, check)
 
+    def on_delivered(frame_id, now):
+        state["last_delivery"] = now
+        if policy == Policy.PING_ON_IDLE:
+            arm_deadline()
+
+    server.on_packet_delivered = on_delivered
     for i in range(n_frames):
-        sim.schedule(i * frame_interval_us, lambda s, i=i: send_frame(s, i))
-    for t in handover_times_us:
-        sim.schedule(t, lambda s: net.migrate(s.now))
+        sim.schedule(i * frame_interval_us, lambda s, i=i: server.transmit(i))
+    server.schedule_handovers(handover_times_us)
     if policy == Policy.PING_ON_IDLE:
-        arm_deadline(sim)
+        arm_deadline()
 
     sim.run_until(duration_us + params.give_up_us)
 
     # deadlocked: the stream went permanently silent mid-run, i.e. frames
     # kept being pushed for at least the give-up horizon past the last
     # delivery and none arrived
-    last_send_us = (n_frames - 1) * frame_interval_us
-    deadlocked = (state["delivered"] < state["sent"]
+    delivered = len(server.delivered)
+    deadlocked = (delivered < server.tx_count
                   and state["last_delivery"] + params.give_up_us <= last_send_us)
-
-    metrics = AppMetrics(app="live", policy=policy.value,
-                         handovers=len(handover_times_us))
-    metrics.frames_delivered = state["delivered"]
-    metrics.fps = state["delivered"] / duration_s
-    metrics.deadlocked = deadlocked
-    metrics.pings = state["pings"]
-    return metrics
+    return server.metrics("live", policy=policy.value,
+                          frames_delivered=delivered,
+                          fps=delivered / duration_s, deadlocked=deadlocked,
+                          pings=state["pings"])

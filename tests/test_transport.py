@@ -4,7 +4,7 @@ from encorsim.addressing import Addr128
 from encorsim.transport import (
     BASE_LOCATOR, BUFFER_THRESHOLDS_S, DEFAULT_LADDER, MobiConn, MobilityNet,
     Policy, TransportParams, client_migrate, run_buffered, run_bulk, run_live,
-    select_level, server_send,
+    select_level,
 )
 
 US = 1_000_000
@@ -40,9 +40,9 @@ def test_server_send_after_migration_without_forwarding_fails():
     params = TransportParams(forwarding_enabled=False)
     conn = _conn()
     net = MobilityNet(conn, params)
-    assert server_send(net, conn, arrival_us=0)
+    assert net.reaches_client(conn.server_path, 0)
     net.migrate(now_us=0)
-    assert not server_send(net, conn, arrival_us=1)
+    assert not net.reaches_client(conn.server_path, 1)
 
 
 def test_server_send_after_migration_with_forwarding_succeeds_until_ttl():
@@ -50,8 +50,8 @@ def test_server_send_after_migration_with_forwarding_succeeds_until_ttl():
     conn = _conn()
     net = MobilityNet(conn, params)
     net.migrate(now_us=0)
-    assert server_send(net, conn, arrival_us=999)
-    assert not server_send(net, conn, arrival_us=1000)
+    assert net.reaches_client(conn.server_path, 999)
+    assert not net.reaches_client(conn.server_path, 1000)
 
 
 def test_forwarding_chains_across_two_migrations():
@@ -70,7 +70,7 @@ def test_path_recovers_after_client_packet():
     net = MobilityNet(conn, params)
     net.migrate(now_us=0)
     conn.on_client_packet(1, conn.client_addr)
-    assert server_send(net, conn, arrival_us=1)
+    assert net.reaches_client(conn.server_path, 1)
 
 
 def test_select_level_thresholds():
