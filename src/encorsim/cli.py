@@ -11,7 +11,9 @@ failure.
 import argparse
 import configparser
 import csv
+import math
 import os
+import secrets
 import sys
 
 from . import datasets, experiments, mecsweep, placement, transport
@@ -20,8 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
-
-US = 1_000_000
 
 # The paper's per-handover message counts, (total, via core), and the
 # modQUIC total range. `table` checks its output against these; they are
@@ -100,13 +100,52 @@ def load_config(path):
     return config
 
 
+def _checked(parse, ok):
+    """A parser that also rejects a value for which `ok` is false."""
+    def check(raw):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+    return check
+
+
+_positive = _checked(float, lambda v: 0 < v < math.inf)
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf)
+_count = _checked(int, lambda v: v >= 1)
+DATASET_SIZES = {"n_counties": _count, "n_pops": _count, "n_cdns": _count}
+
+
+def read_section(config, section, parsers):
+    """Parse the given keys of one config section. A value that does not
+    parse is a usage error naming the section and the key."""
+    values = {}
+    for key, parse in parsers.items():
+        raw = config[section][key]
+        try:
+            values[key] = parse(raw)
+        except (ValueError, KeyError):
+            raise UsageError(f"[{section}] {key}: bad value {raw!r}")
+    return values
+
+
 def write_csv_atomic(path, header, rows):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-    os.replace(tmp, path)
+    """Write to a fresh temp file beside `path`, fsync it and rename it
+    over `path`. On any error the old file stays and the temp file goes."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -141,17 +180,11 @@ def cmd_table(args, config):
 
 
 def cmd_load(args, config):
-    section = config["load"]
-    params = {}
-    for key, parse in (
-            ("rates_per_s", lambda v: tuple(float(r) for r in v.split(","))),
-            ("core_service_rate", float), ("duration_s", float),
-            ("link_latency_us", int)):
-        try:
-            params[key] = parse(section[key])
-        except ValueError:
-            raise UsageError(f"[load] {key}: bad value {section[key]!r}")
-    try:
+    params = read_section(config, "load", {
+        "rates_per_s": lambda v: tuple(float(r) for r in v.split(",")),
+        "core_service_rate": float, "duration_s": float,
+        "link_latency_us": int})
+    try:  # the model's message names the key it rejects
         scenario = experiments.LoadScenario(**params, seed=args.seed)
     except ValueError as exc:
         raise UsageError(f"[load] {exc}")
@@ -165,40 +198,46 @@ def cmd_load(args, config):
 
 
 def cmd_mec(args, config):
-    section = config["mec"]
-    grid_spec = args.grid or section["grid"]
+    grid_spec = args.grid or config["mec"]["grid"]
     try:
         w, h = (int(v) for v in grid_spec.lower().split("x"))
     except ValueError:
-        raise UsageError(f"bad grid spec: {grid_spec}")
-    grid = mecsweep.GridNetwork(
-        width=w, height=h, ue_count=int(section["ue_count"]),
-        handover_rate_per_min=float(section["handover_rate_per_min"]))
-    points, ratios = mecsweep.sweep(
-        grid, duration_min=float(section["duration_min"]), seed=args.seed,
-        c_intra=float(section["c_intra"]), c_inter=float(section["c_inter"]))
+        raise UsageError(f"[mec] grid: bad value {grid_spec!r}")
+    values = read_section(config, "mec", {
+        "ue_count": int, "handover_rate_per_min": float,
+        "duration_min": _positive, "c_intra": _positive,
+        "c_inter": _positive})
+    try:
+        grid = mecsweep.GridNetwork(
+            width=w, height=h, ue_count=values["ue_count"],
+            handover_rate_per_min=values["handover_rate_per_min"])
+    except ValueError as exc:
+        raise UsageError(f"[mec] {exc}")
+    try:
+        points, ratios = mecsweep.sweep(
+            grid, duration_min=values["duration_min"], seed=args.seed,
+            c_intra=values["c_intra"], c_inter=values["c_inter"])
+    except mecsweep.EmptyTraceError as exc:
+        raise UsageError(f"[mec] {exc}")
     header = ("k", "anchors_per_station", "handovers", "inter",
               "messages", "ratio_vs_k1")
     _emit(args, header, mecsweep.to_csv_rows(points, ratios), "mec.csv")
     return EXIT_OK
 
 
-def _load_place_datasets(args, section):
-    if args.synthetic or not section["counties"]:
-        return datasets.generate_synthetic(
-            args.seed, n_counties=int(section["n_counties"]),
-            n_pops=int(section["n_pops"]), n_cdns=int(section["n_cdns"]))
-    counties = datasets.load_counties(section["counties"])
-    pops = datasets.load_sites(section["pops"], placement.SiteKind.PEERING_POP)
-    cdns = datasets.load_sites(section["cdns"], placement.SiteKind.CDN_POP)
-    return counties, pops, cdns
-
-
 def cmd_place(args, config):
     section = config["place"]
-    counties, pops, cdns = _load_place_datasets(args, section)
-    budget_km = float(section["budget_km"])
-    core_budget = int(section["core_budget"])
+    values = read_section(config, "place", {"budget_km": _positive,
+                                            "core_budget": _count})
+    budget_km, core_budget = values["budget_km"], values["core_budget"]
+    if args.synthetic or not section["counties"]:
+        counties, pops, cdns = datasets.generate_synthetic(
+            args.seed, **read_section(config, "place", DATASET_SIZES))
+    else:
+        counties = datasets.load_counties(section["counties"])
+        pops = datasets.load_sites(section["pops"],
+                                   placement.SiteKind.PEERING_POP)
+        cdns = datasets.load_sites(section["cdns"], placement.SiteKind.CDN_POP)
 
     deployment = placement.greedy_place(counties, pops, cdns,
                                         core_budget, budget_km)
@@ -229,23 +268,22 @@ def cmd_place(args, config):
 
 
 def cmd_apps(args, config):
-    section = config["apps"]
-    ho_us = round(float(section["handover_at_s"]) * US)
-    forwarding = section["forwarding"].lower() in ("1", "true", "yes")
-    params = transport.TransportParams(forwarding_enabled=forwarding)
-    file_bytes = round(float(section["file_mb"]) * 1_000_000)
-
-    rows = []
-    bulk = transport.run_bulk(file_bytes, [ho_us], params, seed=args.seed)
-    rows.append(bulk.to_csv_row())
-    buffered = transport.run_buffered(float(section["video_s"]), [ho_us],
-                                      params, seed=args.seed)
-    rows.append(buffered.to_csv_row())
-    for policy in (transport.Policy.PASSIVE_ONLY, transport.Policy.PING_ON_IDLE):
-        live = transport.run_live(float(section["live_s"]),
-                                  [round(float(section["live_s"]) * US / 3)],
-                                  policy, params, seed=args.seed)
-        rows.append(live.to_csv_row())
+    values = read_section(config, "apps", {
+        "file_mb": _positive, "video_s": _positive, "live_s": _positive,
+        "handover_at_s": _nonnegative,
+        "forwarding": lambda v: configparser.ConfigParser.BOOLEAN_STATES[
+            v.lower()]})
+    params = transport.TransportParams(forwarding_enabled=values["forwarding"])
+    file_bytes = round(values["file_mb"] * 1_000_000)
+    ho_us = round(values["handover_at_s"] * transport.US)
+    live_ho_us = round(values["live_s"] * transport.US / 3)
+    runs = [transport.run_bulk(file_bytes, [ho_us], params, seed=args.seed),
+            transport.run_buffered(values["video_s"], [ho_us], params,
+                                   seed=args.seed)]
+    runs += [transport.run_live(values["live_s"], [live_ho_us], policy,
+                                params, seed=args.seed)
+             for policy in transport.Policy]
+    rows = [m.to_csv_row() for m in runs]
     header = ("app", "policy", "handovers", "throughput_mbps", "retx_rate",
               "stall_s", "buffer_s", "quality", "fps", "deadlocked")
     _emit(args, header, rows, "apps.csv")
@@ -253,10 +291,8 @@ def cmd_apps(args, config):
 
 
 def cmd_gen(args, config):
-    section = config["gen"]
     counties, pops, cdns = datasets.generate_synthetic(
-        args.seed, n_counties=int(section["n_counties"]),
-        n_pops=int(section["n_pops"]), n_cdns=int(section["n_cdns"]))
+        args.seed, **read_section(config, "gen", DATASET_SIZES))
     out_dir = args.out or "."
     paths = datasets.write_dataset(out_dir, counties, pops, cdns)
     for path in paths.values():

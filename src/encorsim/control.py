@@ -41,7 +41,6 @@ class RelayError(Exception):
 class UeState(str, enum.Enum):
     DETACHED = "Detached"
     CONNECTED = "Connected"
-    HANDING_OVER = "HandingOver"
 
 
 @dataclass
@@ -49,7 +48,6 @@ class UeContext:
     imsi: int
     state: UeState = UeState.DETACHED
     serving_inb: str = None
-    target_inb: str = None
     private_addr: Addr128 = None
     keys: security.SessionKeys = None
     qci: int = 9
@@ -213,8 +211,6 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
         trace.end_us = now_us
         return trace
 
-    ctx.state = UeState.HANDING_OVER
-    ctx.target_inb = tgt.id
     # opaque blob, forwarded to the device unmodified
     radio_config = f"radio:{tgt.id}:{ctx.imsi}:{ctx.qci}".encode()
     ack, command, confirm, notify, release = messages.EDGE_TAIL
@@ -228,8 +224,6 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
     src.moved.record_move(ident, tgt.locator, now_us)
     ctx.keys = ue.keys = new_keys
     ctx.serving_inb = tgt.id
-    ctx.target_inb = None
-    ctx.state = UeState.CONNECTED
     emit(*release, {"imsi": ctx.imsi})
     trace.end_us = now_us
     return trace

@@ -29,6 +29,8 @@ def _read_rows(path, header):
         rows = list(reader)
     if not rows or rows[0] != header:
         raise IngestError(f"{path}: expected header {','.join(header)}")
+    if len(rows) == 1:
+        raise IngestError(f"{path}: no data rows")
     return rows[1:]
 
 

@@ -22,12 +22,28 @@ class TilingError(ValueError):
     pass
 
 
+class EmptyTraceError(ValueError):
+    """The mobility trace has no handovers, so no ratio is defined."""
+
+
 @dataclass
 class GridNetwork:
     width: int
     height: int
     ue_count: int
     handover_rate_per_min: float = 5.0
+
+    def __post_init__(self):
+        # a handover needs a neighbour station to move to
+        if min(self.width, self.height) < 1 or self.width * self.height < 2:
+            raise ValueError("grid must have at least two stations,"
+                             f" got {self.width}x{self.height}")
+        if self.ue_count < 1:
+            raise ValueError(
+                f"ue_count must be at least 1, got {self.ue_count}")
+        if not 0 < self.handover_rate_per_min < math.inf:
+            raise ValueError("handover_rate_per_min must be positive and"
+                             f" finite, got {self.handover_rate_per_min}")
 
 
 @dataclass
@@ -162,6 +178,9 @@ def sweep(grid, densities=None, duration_min=10, seed=0,
     if densities is None:
         densities = default_densities(grid)
     moves = generate_moves(grid, duration_min, seed)
+    if not moves:
+        raise EmptyTraceError("no handovers in the trace; raise ue_count,"
+                              " handover_rate_per_min or duration_min")
     points = [simulate_density(grid, k, duration_min, seed, c_intra, c_inter,
                                moves=moves)
               for k in densities]

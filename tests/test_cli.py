@@ -69,8 +69,45 @@ def test_load_bad_value_is_usage_error_naming_the_key(tmp_path, capsys, line,
     config = tmp_path / "bad.ini"
     config.write_text(f"[load]\n{line}\n")
     assert main(["--config", str(config), "load"]) == EXIT_USAGE
+    assert_one_error_line_naming(capsys, "[load]", key)
+
+
+def assert_one_error_line_naming(capsys, section, key):
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert section in err[0] and key in err[0]
+
+
+@pytest.mark.parametrize("argv,line,key", [
+    (["mec"], "ue_count = 0", "ue_count"),
+    (["mec"], "ue_count = -5", "ue_count"),
+    (["mec"], "duration_min = 0", "duration_min"),
+    (["mec"], "handover_rate_per_min = nan", "handover_rate_per_min"),
+    (["mec"], "c_intra = 0", "c_intra"),
+    (["mec", "--grid", "0x0"], "ue_count = 10", "grid"),
+    (["mec", "--grid", "1x1"], "ue_count = 10", "grid"),
+    (["mec", "--grid", "4x4"], "ue_count = 1\nduration_min = 0.0001",
+     "duration_min"),
+    (["apps"], "file_mb = x", "file_mb"),
+    (["apps"], "video_s = 0", "video_s"),
+    (["apps"], "handover_at_s = -1", "handover_at_s"),
+    (["apps"], "forwarding = maybe", "forwarding"),
+    (["place", "--synthetic"], "budget_km = abc", "budget_km"),
+    (["place", "--synthetic"], "budget_km = -5", "budget_km"),
+    (["place", "--synthetic"], "core_budget = 0", "core_budget"),
+    (["place", "--synthetic"], "n_pops = 0", "n_pops"),
+    (["gen"], "n_counties = -1", "n_counties"),
+])
+def test_bad_config_value_is_usage_error_naming_the_key(tmp_path, capsys,
+                                                        argv, line, key):
+    section = f"[{argv[0]}]"
+    config = tmp_path / "bad.ini"
+    config.write_text(f"{section}\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out)]
+                + argv) == EXIT_USAGE
+    assert_one_error_line_naming(capsys, section, key)
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_mec_grid_flag_and_csv(tmp_path, capsys):
@@ -105,6 +142,17 @@ def test_place_missing_dataset_is_data_error(tmp_path, capsys):
     config = tmp_path / "place.ini"
     config.write_text(f"[place]\ncounties = {tmp_path}/nope.csv\n"
                       f"pops = {tmp_path}/nope.csv\ncdns = {tmp_path}/nope.csv\n")
+    assert main(["--config", str(config), "place"]) == EXIT_DATA
+
+
+def test_place_header_only_dataset_is_data_error(tmp_path, capsys):
+    gen_dir = tmp_path / "data"
+    assert main(["--out", str(gen_dir), "gen"]) == EXIT_OK
+    (gen_dir / "pops.csv").write_text("id,lat,lon\n")
+    config = tmp_path / "place.ini"
+    config.write_text(f"[place]\ncounties = {gen_dir}/counties.csv\n"
+                      f"pops = {gen_dir}/pops.csv\n"
+                      f"cdns = {gen_dir}/cdns.csv\n")
     assert main(["--config", str(config), "place"]) == EXIT_DATA
 
 
@@ -167,4 +215,18 @@ def test_write_csv_atomic_leaves_no_tmp(tmp_path):
     path = str(tmp_path / "x.csv")
     write_csv_atomic(path, ("a", "b"), [(1, 2)])
     assert read_csv(path) == [["a", "b"], ["1", "2"]]
-    assert not os.path.exists(path + ".tmp")
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_write_csv_atomic_failure_keeps_old_file(tmp_path):
+    path = str(tmp_path / "x.csv")
+    write_csv_atomic(path, ("a", "b"), [(1, 2)])
+
+    def rows():
+        yield (3, 4)
+        raise RuntimeError("disk on fire")
+
+    with pytest.raises(RuntimeError):
+        write_csv_atomic(path, ("a", "b"), rows())
+    assert read_csv(path) == [["a", "b"], ["1", "2"]]
+    assert os.listdir(tmp_path) == ["x.csv"]

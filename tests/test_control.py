@@ -129,7 +129,7 @@ def test_misconfigured_hop_leaves_ue_at_source(mode):
         else:
             handover_direct(ctx, ue, inb_a, inb_b, lonely_hop)
     assert ctx.state is UeState.CONNECTED
-    assert ctx.serving_inb == inb_a.id and ctx.target_inb is None
+    assert ctx.serving_inb == inb_a.id
     assert ctx.keys.ncc == 0
     assert 1 in inb_a.attached and 1 not in inb_b.attached
     trace = handover_core_assisted(ctx, ue, inb_a, inb_b, sme, hop)

@@ -74,3 +74,10 @@ def test_out_of_range_coordinate_reports_line_number(tmp_path):
     path.write_text("id,lat,lon\npop1,95.0,-100.0\n")
     with pytest.raises(IngestError, match="line 2"):
         load_sites(str(path), SiteKind.PEERING_POP)
+
+
+def test_header_only_file_rejected(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text("id,lat,lon\n")
+    with pytest.raises(IngestError, match="no data rows"):
+        load_sites(str(path), SiteKind.PEERING_POP)

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from encorsim.mecsweep import (
-    DEFAULT_C_INTER, DEFAULT_C_INTRA, GridNetwork, TilingError, block_size,
-    classify_moves, default_densities, generate_moves, inter_fraction_exhaustive,
+    DEFAULT_C_INTER, DEFAULT_C_INTRA, EmptyTraceError, GridNetwork,
+    TilingError, block_size, classify_moves, default_densities,
+    generate_moves, inter_fraction_exhaustive,
     simulate_density, sweep, to_csv_rows,
 )
 
@@ -122,3 +123,18 @@ def test_csv_rows_shape():
     assert len(rows) == len(points)
     assert all(len(r) == 6 for r in rows)
     assert rows[0][0] == 1 and rows[0][5] == 1.0
+
+
+@pytest.mark.parametrize("w,h,ues,rate", [
+    (0, 0, 10, 5.0), (1, 1, 10, 5.0), (-2, 4, 10, 5.0), (4, 4, 0, 5.0),
+    (4, 4, -5, 5.0), (4, 4, 10, 0.0), (4, 4, 10, math.nan),
+    (4, 4, 10, math.inf),
+])
+def test_grid_rejects_degenerate_values(w, h, ues, rate):
+    with pytest.raises(ValueError):
+        grid(w, h, ues, rate)
+
+
+def test_sweep_rejects_trace_without_handovers():
+    with pytest.raises(EmptyTraceError):
+        sweep(grid(4, 4, ues=1), duration_min=1e-6, seed=0)
