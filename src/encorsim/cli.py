@@ -124,7 +124,7 @@ def read_section(config, section, parsers):
         raw = config[section][key]
         try:
             values[key] = parse(raw)
-        except (ValueError, KeyError):
+        except (ValueError, KeyError):  # KeyError: not a flag word
             raise UsageError(f"[{section}] {key}: bad value {raw!r}")
     return values
 
