@@ -67,6 +67,10 @@ class ChargingProxy:
     DEFAULT_BATCH = 10 * 1024 * 1024
 
     def __init__(self, cp_id, ocs, batch_bytes=DEFAULT_BATCH, log=None):
+        # a batch below one byte would return quota to the OCS
+        if batch_bytes < 1:
+            raise ValueError(
+                f"batch_bytes must be at least 1, got {batch_bytes}")
         self.id = cp_id
         self.ocs = ocs
         self.batch_bytes = batch_bytes

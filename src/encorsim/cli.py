@@ -248,9 +248,10 @@ def cmd_place(args, config):
     _emit(args, ("rank", "pop_id", "marginal_population"), place_rows,
           "placement.csv")
 
+    # greedy is prefix-stable: its first n picks are the n-core placement
     curve_rows = []
     for n in range(1, core_budget + 1):
-        d = placement.greedy_place(counties, pops, cdns, n, budget_km)
+        d = placement.Deployment(core_sites=deployment.core_sites[:n])
         cov = placement.coverage(counties, budget_km, deployment=d,
                                  pops=pops, cdns=cdns)
         curve_rows.append((budget_km, n, "3gpp", round(cov, 6)))

@@ -10,6 +10,7 @@ count over the same seed isolates the boundary-crossing effect.
 """
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 # per-handover message costs: a plain handover vs one that also
@@ -88,23 +89,32 @@ def _neighbors(x, y, w, h):
     return out
 
 
-def generate_moves(grid, duration_min, seed):
-    """The mobility trace: per-UE Poisson handover counts, uniform
-    random neighbor moves, reflecting boundaries. Independent of any
-    anchor layout, so one trace serves every density."""
+def _walk(grid, duration_min, seed):
+    """Yield the mobility trace move by move: per-UE Poisson handover
+    counts, uniform random neighbor moves, reflecting boundaries."""
     rng = random.Random(seed)
     w, h = grid.width, grid.height
     mean = grid.handover_rate_per_min * duration_min
-    moves = []
+    neighbors = {(x, y): _neighbors(x, y, w, h)
+                 for x in range(w) for y in range(h)}
     for _ in range(grid.ue_count):
-        x = rng.randrange(w)
-        y = rng.randrange(h)
-        n_ho = _poisson(rng, mean)
-        for _ in range(n_ho):
-            nxt = rng.choice(_neighbors(x, y, w, h))
-            moves.append(((x, y), nxt))
-            x, y = nxt
-    return moves
+        here = (rng.randrange(w), rng.randrange(h))
+        for _ in range(_poisson(rng, mean)):
+            nxt = rng.choice(neighbors[here])
+            yield here, nxt
+            here = nxt
+
+
+def generate_moves(grid, duration_min, seed):
+    """The mobility trace as a list of (from, to) station moves.
+    Independent of any anchor layout, so one trace serves every density."""
+    return list(_walk(grid, duration_min, seed))
+
+
+def move_counts(grid, duration_min, seed):
+    """The same trace folded into a directed-edge histogram
+    {(from, to): count}: at most 4*W*H entries, whatever the UE count."""
+    return Counter(_walk(grid, duration_min, seed))
 
 
 def _poisson(rng, mean):
@@ -122,23 +132,35 @@ def _poisson(rng, mean):
         k += 1
 
 
+def _histogram(moves):
+    return moves if isinstance(moves, dict) else Counter(moves)
+
+
+def _check_costs(c_intra, c_inter):
+    for name, cost in (("c_intra", c_intra), ("c_inter", c_inter)):
+        if not 0 < cost < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {cost}")
+
+
 def classify_moves(moves, grid, k):
-    """Count boundary-crossing handovers for an anchor count k."""
+    """Count boundary-crossing handovers for an anchor count k. `moves` is
+    a move list or a `move_counts` histogram."""
     bw, bh = block_size(grid, k)
     inter = 0
-    for (x0, y0), (x1, y1) in moves:
+    for ((x0, y0), (x1, y1)), n in _histogram(moves).items():
         if anchor_of(x0, y0, bw, bh) != anchor_of(x1, y1, bw, bh):
-            inter += 1
+            inter += n
     return inter
 
 
 def simulate_density(grid, k, duration_min=10, seed=0,
                      c_intra=DEFAULT_C_INTRA, c_inter=DEFAULT_C_INTER,
                      moves=None):
-    if moves is None:
-        moves = generate_moves(grid, duration_min, seed)
+    _check_costs(c_intra, c_inter)
+    moves = move_counts(grid, duration_min, seed) if moves is None \
+        else _histogram(moves)
     inter = classify_moves(moves, grid, k)
-    total = len(moves)
+    total = sum(moves.values())
     messages = (total - inter) * c_intra + inter * c_inter
     return SweepPoint(k=k, anchors_per_station=k / (grid.width * grid.height),
                       total_handovers=total, inter_anchor=inter,
@@ -175,14 +197,15 @@ def sweep(grid, densities=None, duration_min=10, seed=0,
           c_intra=DEFAULT_C_INTRA, c_inter=DEFAULT_C_INTER):
     """Run every density on the same mobility trace; returns the points
     and the message ratio normalized to the single-anchor deployment."""
+    _check_costs(c_intra, c_inter)
     if densities is None:
         densities = default_densities(grid)
-    moves = generate_moves(grid, duration_min, seed)
-    if not moves:
+    counts = move_counts(grid, duration_min, seed)
+    if not counts:
         raise EmptyTraceError("no handovers in the trace; raise ue_count,"
                               " handover_rate_per_min or duration_min")
     points = [simulate_density(grid, k, duration_min, seed, c_intra, c_inter,
-                               moves=moves)
+                               moves=counts)
               for k in densities]
     base = points[0].total_messages if points else 1
     ratios = [p.total_messages / base for p in points]

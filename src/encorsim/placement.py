@@ -85,25 +85,43 @@ def _coords(p):
     return (p.lat, p.lon)
 
 
+def _cores(deployment):
+    return deployment.core_sites if isinstance(deployment, Deployment) \
+        else list(deployment)
+
+
+def _legs(pops, cdns):
+    """[(PoP point, shortest PoP -> CDN leg)], computed once per call."""
+    if not pops or not cdns:
+        raise ValueError("pops and cdns must be nonempty")
+    return [(_coords(pop),
+             min(haversine_km(_coords(pop), _coords(cdn)) for cdn in cdns))
+            for pop in pops]
+
+
+def _nearest(point, hops):
+    """Shortest chain from point through one of hops, a list of (site,
+    shortest rest of the chain from that site) pairs."""
+    return min(haversine_km(point, site) + rest for site, rest in hops)
+
+
+def _core_tails(cores, legs):
+    """[(core point, shortest core -> PoP -> CDN tail)]."""
+    return [(_coords(core), _nearest(_coords(core), legs)) for core in cores]
+
+
 def best_tail_km(core, pops, cdns):
     """Shortest core -> PoP -> CDN continuation from a given core site, or
     from a county where there is no core leg."""
-    if not pops or not cdns:
-        raise ValueError("pops and cdns must be nonempty")
-    return min(haversine_km(_coords(core), _coords(pop))
-               + min(haversine_km(_coords(pop), _coords(cdn)) for cdn in cdns)
-               for pop in pops)
+    return _nearest(_coords(core), _legs(pops, cdns))
 
 
 def county_distance_3gpp(county, deployment, pops, cdns):
     """Shortest county -> core -> PoP -> CDN chain over a deployment."""
-    cores = deployment.core_sites if isinstance(deployment, Deployment) \
-        else list(deployment)
+    cores = _cores(deployment)
     if not cores:
         raise ValueError("deployment must be nonempty")
-    return min(haversine_km(_coords(county), _coords(core))
-               + best_tail_km(core, pops, cdns)
-               for core in cores)
+    return _nearest(_coords(county), _core_tails(cores, _legs(pops, cdns)))
 
 
 def county_distance_encor(county, pops, cdns):
@@ -120,18 +138,15 @@ def coverage(counties, budget_km, deployment=None, pops=None, cdns=None):
     total = sum(c.population for c in counties)
     if total == 0:
         return 0.0
-    covered = 0
-    for county in counties:
-        if deployment is not None:
-            cores = deployment.core_sites \
-                if isinstance(deployment, Deployment) else list(deployment)
-            if not cores:
-                return 0.0
-            d = county_distance_3gpp(county, deployment, pops, cdns)
-        else:
-            d = county_distance_encor(county, pops, cdns)
-        if d <= budget_km:
-            covered += county.population
+    if deployment is None:
+        hops = _legs(pops, cdns)
+    else:
+        cores = _cores(deployment)
+        if not cores:
+            return 0.0
+        hops = _core_tails(cores, _legs(pops, cdns))
+    covered = sum(county.population for county in counties
+                  if _nearest(_coords(county), hops) <= budget_km)
     return covered / total
 
 
@@ -143,15 +158,14 @@ def greedy_place(counties, pops, cdns, core_budget, budget_km):
     """
     if core_budget < 1:
         raise ValueError("core budget must be >= 1")
-    # county i is coverable by core p iff d(county, p) + tail(p) <= budget
-    tails = {p.id: best_tail_km(p, pops, cdns) for p in pops}
+    # county i is coverable by core p iff d(county, p) + tail(p) <= budget;
+    # no PoPs means nothing to place, not an error
+    tails = _core_tails(pops, _legs(pops, cdns)) if pops else []
+    points = [_coords(county) for county in counties]
     coverable = {}
-    for p in pops:
-        ids = set()
-        for i, county in enumerate(counties):
-            if haversine_km(_coords(county), _coords(p)) + tails[p.id] <= budget_km:
-                ids.add(i)
-        coverable[p.id] = ids
+    for p, (site, tail) in zip(pops, tails):
+        coverable[p.id] = {i for i, point in enumerate(points)
+                           if haversine_km(point, site) + tail <= budget_km}
 
     chosen = []
     marginals = []

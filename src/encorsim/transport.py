@@ -40,6 +40,19 @@ class TransportParams:
     give_up_us: int = 5_000_000
     idle_deadline_factor: float = 1.5
 
+    def __post_init__(self):
+        for name in ("one_way_us", "bandwidth_mbps", "packet_bytes",
+                     "keepalive_interval_us", "forwarding_ttl_us",
+                     "give_up_us", "idle_deadline_factor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        # an ack may leave at once
+        if not 0 <= self.ack_delay_us < math.inf:
+            raise ValueError("ack_delay_us must be nonnegative and finite,"
+                             f" got {self.ack_delay_us}")
+
     @property
     def rtt_us(self):
         return 2 * self.one_way_us + self.ack_delay_us

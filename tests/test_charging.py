@@ -136,3 +136,13 @@ def test_log_rows_are_csv_shaped():
     rows = [e.to_csv_row() for e in log.events]
     assert all(len(r) == 5 for r in rows)
     assert rows[-1][1] == "inb"
+
+
+@pytest.mark.parametrize("batch_bytes", [0, -500])
+def test_proxy_rejects_batch_below_one_byte(batch_bytes):
+    # a batch of -500 would make subquota return -500 and raise the OCS
+    # balance to 1500
+    ocs = Ocs([Account(1, 1000)])
+    with pytest.raises(ValueError, match="batch_bytes"):
+        ChargingProxy("cp", ocs, batch_bytes=batch_bytes)
+    assert ocs.accounts[1].balance == 1000

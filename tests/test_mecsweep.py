@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 
 from encorsim.mecsweep import (
     DEFAULT_C_INTER, DEFAULT_C_INTRA, EmptyTraceError, GridNetwork,
     TilingError, block_size, classify_moves, default_densities,
-    generate_moves, inter_fraction_exhaustive,
+    generate_moves, inter_fraction_exhaustive, move_counts,
     simulate_density, sweep, to_csv_rows,
 )
 
@@ -138,3 +140,50 @@ def test_grid_rejects_degenerate_values(w, h, ues, rate):
 def test_sweep_rejects_trace_without_handovers():
     with pytest.raises(EmptyTraceError):
         sweep(grid(4, 4, ues=1), duration_min=1e-6, seed=0)
+
+
+@pytest.mark.parametrize("w,h,ues,seed", [
+    (1, 5, 30, 0), (5, 1, 30, 1), (2, 2, 40, 2), (6, 4, 50, 3),
+])
+def test_move_counts_is_histogram_of_the_trace(w, h, ues, seed):
+    g = grid(w, h, ues=ues)
+    moves = generate_moves(g, 5, seed)
+    counts = move_counts(g, 5, seed)
+    assert counts == Counter(moves)
+    assert len(counts) <= 4 * w * h
+
+
+def test_classify_moves_same_on_list_and_histogram():
+    g = grid(12, 12, ues=60)
+    moves = generate_moves(g, 10, seed=6)
+    counts = move_counts(g, 10, seed=6)
+    for k in default_densities(g):
+        assert classify_moves(counts, g, k) == classify_moves(moves, g, k)
+        assert simulate_density(g, k, moves=counts) == \
+            simulate_density(g, k, moves=moves)
+
+
+def test_sweep_memory_does_not_grow_with_ue_count():
+    # the trace is about 200k moves (35 MB as a list); folded on the fly
+    # it never exists as one
+    g = grid(4, 4, ues=20_000)
+    tracemalloc.start()
+    try:
+        sweep(g, duration_min=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("costs", [
+    {"c_intra": 0}, {"c_intra": -15}, {"c_inter": 0}, {"c_inter": -50},
+    {"c_intra": math.nan}, {"c_inter": math.inf},
+])
+def test_sweep_rejects_nonpositive_costs(costs):
+    name, = costs
+    g = grid(4, 4, ues=50)
+    with pytest.raises(ValueError, match=name):
+        sweep(g, **costs)
+    with pytest.raises(ValueError, match=name):
+        simulate_density(g, 4, **costs)

@@ -172,6 +172,12 @@ def test_greedy_tie_break_is_by_pop_id():
     assert dep.core_sites[0].id == "pop1"
 
 
+def test_greedy_with_no_pops_places_nothing():
+    counties, _, cdns = _random_instance(7)
+    dep = greedy_place(counties, [], cdns, 2, 500)
+    assert dep.core_sites == [] and dep.marginal_populations == []
+
+
 def test_greedy_rejects_zero_budget():
     counties, pops, cdns = _random_instance(7)
     with pytest.raises(ValueError):
@@ -199,3 +205,59 @@ def test_cost_compare_with_router_costs_on_both_sides():
 def test_cost_model_rejects_nonpositive():
     with pytest.raises(ValueError):
         CostModel(core_site_cost=0)
+
+
+def _h(a, b):
+    return haversine_km((a.lat, a.lon), (b.lat, b.lon))
+
+
+def _oracle_chain(start, cores, pops, cdns):
+    # every full chain, summed start leg + (core leg + CDN leg) so the
+    # float result is the one the nested minima give
+    if cores is None:
+        return min(_h(start, p) + _h(p, c) for p in pops for c in cdns)
+    return min(_h(start, core) + (_h(core, p) + _h(p, c))
+               for core in cores for p in pops for c in cdns)
+
+
+def _oracle_greedy(counties, pops, cdns, core_budget, budget_km):
+    coverable = {p.id: {i for i, county in enumerate(counties)
+                        if _oracle_chain(county, [p], pops, cdns) <= budget_km}
+                 for p in pops}
+    chosen, marginals, covered = [], [], set()
+    for _ in range(core_budget):
+        gains = {pid: sum(counties[i].population for i in ids - covered)
+                 for pid, ids in coverable.items() if pid not in chosen}
+        best = max(sorted(gains), key=lambda pid: gains[pid], default=None)
+        if best is None or gains[best] == 0:
+            break
+        chosen.append(best)
+        marginals.append(gains[best])
+        covered |= coverable[best]
+    return chosen, marginals
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chain_values_equal_brute_force_exactly(seed):
+    counties, pops, cdns = _random_instance(seed, n_counties=12, n_pops=6)
+    total = sum(c.population for c in counties)
+    # cores at PoPs, and off-PoP cores whose core leg is never zero, so a
+    # different summation order would show in the last bits
+    deployments = (pops[seed % 3:seed % 3 + 3], counties[:3])
+    for site in pops + counties:
+        assert best_tail_km(site, pops, cdns) == \
+            _oracle_chain(site, None, pops, cdns)
+    for cores in deployments:
+        for county in counties:
+            assert county_distance_3gpp(county, cores, pops, cdns) == \
+                _oracle_chain(county, cores, pops, cdns)
+    for budget_km in (600.0, 1200.0, 2400.0):
+        for dep in (None,) + deployments:
+            expect = sum(c.population for c in counties
+                         if _oracle_chain(c, dep, pops, cdns) <= budget_km)
+            assert coverage(counties, budget_km, dep, pops, cdns) == \
+                expect / total
+        dep = greedy_place(counties, pops, cdns, 4, budget_km)
+        assert ([site.id for site in dep.core_sites],
+                dep.marginal_populations) == \
+            _oracle_greedy(counties, pops, cdns, 4, budget_km)

@@ -175,3 +175,20 @@ def test_metrics_csv_row_shape():
     row = m.to_csv_row()
     assert len(row) == 10
     assert row[0] == "live" and row[1] == "PassiveOnly"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("bandwidth_mbps", 0), ("bandwidth_mbps", -40.0),
+    ("bandwidth_mbps", float("nan")), ("bandwidth_mbps", float("inf")),
+    ("packet_bytes", 0), ("one_way_us", 0), ("ack_delay_us", -1),
+    ("ack_delay_us", float("inf")), ("keepalive_interval_us", 0),
+    ("forwarding_ttl_us", -1), ("give_up_us", 0),
+    ("idle_deadline_factor", 0.0), ("idle_deadline_factor", float("nan")),
+])
+def test_params_reject_nonpositive_or_infinite(field, value):
+    with pytest.raises(ValueError, match=field):
+        TransportParams(**{field: value})
+
+
+def test_params_allow_immediate_ack():
+    assert TransportParams(ack_delay_us=0).rtt_us == 40_000
