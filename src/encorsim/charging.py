@@ -50,6 +50,8 @@ class Ocs:
 
     def grant(self, subscriber, requested, now_us=0):
         """Grant min(requested, balance); zero balance signals cutoff."""
+        if requested < 0:  # would hand quota back to the account
+            raise ValueError(f"requested must be nonnegative, got {requested}")
         self.request_count += 1
         account = self.accounts.get(subscriber)
         if account is None:
@@ -80,6 +82,8 @@ class ChargingProxy:
     def subquota(self, subscriber, amount, now_us=0):
         """Serve a sub-quota from cache, refilling in batch units first
         if the cache cannot cover the request."""
+        if amount < 0:  # would leave more remaining than was granted
+            raise ValueError(f"amount must be nonnegative, got {amount}")
         granted, remaining = self.cache.get(subscriber, (0, 0))
         if remaining < amount:
             got = self.ocs.grant(subscriber, self.batch_bytes, now_us)

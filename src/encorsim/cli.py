@@ -30,45 +30,6 @@ PAPER_MESSAGE_COUNTS = {"LTE": (15, 15), "core-assisted": (7, 2),
                         "direct": (6, 0)}
 PAPER_MODQUIC_TOTAL = (8, 10)
 
-DEFAULTS = {
-    "load": {
-        "rates_per_s": "2,4,8,16,24,30",
-        "core_service_rate": "500",
-        "duration_s": "20",
-        "link_latency_us": "1000",
-    },
-    "mec": {
-        "grid": "20x20",
-        "ue_count": "8000",
-        "handover_rate_per_min": "5",
-        "duration_min": "10",
-        "c_intra": "15",
-        "c_inter": "50",
-    },
-    "place": {
-        "budget_km": "300",
-        "core_budget": "10",
-        "counties": "",
-        "pops": "",
-        "cdns": "",
-        "n_counties": "40",
-        "n_pops": "8",
-        "n_cdns": "4",
-    },
-    "apps": {
-        "file_mb": "100",
-        "video_s": "60",
-        "live_s": "10",
-        "handover_at_s": "5",
-        "forwarding": "false",
-    },
-    "gen": {
-        "n_counties": "40",
-        "n_pops": "8",
-        "n_cdns": "4",
-    },
-}
-
 
 class UsageError(Exception):
     pass
@@ -82,8 +43,10 @@ class Parser(argparse.ArgumentParser):
 
 
 def load_config(path):
-    """Flat key=value config with section headers; unknown keys rejected."""
-    config = {s: dict(kv) for s, kv in DEFAULTS.items()}
+    """Flat key=value config with section headers; unknown keys rejected.
+    Returns the raw strings, defaults filled in from `CONFIG`."""
+    config = {section: {key: default for key, (default, _) in keys.items()}
+              for section, keys in CONFIG.items()}
     if path is None:
         return config
     if not os.path.exists(path):
@@ -110,17 +73,66 @@ def _checked(parse, ok):
     return check
 
 
+def _grid(raw):
+    width, height = (int(v) for v in raw.lower().split("x"))
+    return width, height
+
+
+def _flag(raw):
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
 _positive = _checked(float, lambda v: 0 < v < math.inf)
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf)
 _count = _checked(int, lambda v: v >= 1)
-DATASET_SIZES = {"n_counties": _count, "n_pops": _count, "n_cdns": _count}
+# simulated time is whole microseconds
+_duration_s = _checked(float, lambda v: 1 / transport.US <= v < math.inf)
+_dataset_sizes = {"n_counties": ("40", _count), "n_pops": ("8", _count),
+                  "n_cdns": ("4", _count)}
+
+# Every config key: {section: {key: (default, parser)}}. A parser raises
+# ValueError or KeyError on a value it rejects; the models check the
+# ranges that only they know.
+CONFIG = {
+    "load": {
+        "rates_per_s": ("2,4,8,16,24,30",
+                        lambda v: tuple(float(r) for r in v.split(","))),
+        "core_service_rate": ("500", float),
+        "duration_s": ("20", float),
+        "link_latency_us": ("1000", int),
+    },
+    "mec": {
+        "grid": ("20x20", _grid),
+        "ue_count": ("8000", int),
+        "handover_rate_per_min": ("5", float),
+        "duration_min": ("10", _positive),
+        "c_intra": ("15", _positive),
+        "c_inter": ("50", _positive),
+    },
+    "place": {
+        "budget_km": ("300", _positive),
+        "core_budget": ("10", _count),
+        "counties": ("", str),
+        "pops": ("", str),
+        "cdns": ("", str),
+        **_dataset_sizes,
+    },
+    "apps": {
+        "file_mb": ("100", _positive),
+        "video_s": ("60", _duration_s),
+        "live_s": ("10", _duration_s),
+        "handover_at_s": ("5", _nonnegative),
+        "forwarding": ("false", _flag),
+    },
+    "gen": _dataset_sizes,
+}
 
 
-def read_section(config, section, parsers):
-    """Parse the given keys of one config section. A value that does not
-    parse is a usage error naming the section and the key."""
+def read_section(config, section):
+    """Parse every key of one config section, used or not. A value that
+    does not parse is a usage error naming the section and the key."""
     values = {}
-    for key, parse in parsers.items():
+    for key, (_, parse) in CONFIG[section].items():
         raw = config[section][key]
         try:
             values[key] = parse(raw)
@@ -180,10 +192,7 @@ def cmd_table(args, config):
 
 
 def cmd_load(args, config):
-    params = read_section(config, "load", {
-        "rates_per_s": lambda v: tuple(float(r) for r in v.split(",")),
-        "core_service_rate": float, "duration_s": float,
-        "link_latency_us": int})
+    params = read_section(config, "load")
     try:  # the model's message names the key it rejects
         scenario = experiments.LoadScenario(**params, seed=args.seed)
     except ValueError as exc:
@@ -198,15 +207,10 @@ def cmd_load(args, config):
 
 
 def cmd_mec(args, config):
-    grid_spec = args.grid or config["mec"]["grid"]
-    try:
-        w, h = (int(v) for v in grid_spec.lower().split("x"))
-    except ValueError:
-        raise UsageError(f"[mec] grid: bad value {grid_spec!r}")
-    values = read_section(config, "mec", {
-        "ue_count": int, "handover_rate_per_min": float,
-        "duration_min": _positive, "c_intra": _positive,
-        "c_inter": _positive})
+    if args.grid:
+        config["mec"]["grid"] = args.grid
+    values = read_section(config, "mec")
+    w, h = values["grid"]
     try:
         grid = mecsweep.GridNetwork(
             width=w, height=h, ue_count=values["ue_count"],
@@ -226,18 +230,16 @@ def cmd_mec(args, config):
 
 
 def cmd_place(args, config):
-    section = config["place"]
-    values = read_section(config, "place", {"budget_km": _positive,
-                                            "core_budget": _count})
+    values = read_section(config, "place")
     budget_km, core_budget = values["budget_km"], values["core_budget"]
-    if args.synthetic or not section["counties"]:
+    if args.synthetic or not values["counties"]:
         counties, pops, cdns = datasets.generate_synthetic(
-            args.seed, **read_section(config, "place", DATASET_SIZES))
+            args.seed, **{key: values[key] for key in _dataset_sizes})
     else:
-        counties = datasets.load_counties(section["counties"])
-        pops = datasets.load_sites(section["pops"],
+        counties = datasets.load_counties(values["counties"])
+        pops = datasets.load_sites(values["pops"],
                                    placement.SiteKind.PEERING_POP)
-        cdns = datasets.load_sites(section["cdns"], placement.SiteKind.CDN_POP)
+        cdns = datasets.load_sites(values["cdns"], placement.SiteKind.CDN_POP)
 
     deployment = placement.greedy_place(counties, pops, cdns,
                                         core_budget, budget_km)
@@ -269,11 +271,7 @@ def cmd_place(args, config):
 
 
 def cmd_apps(args, config):
-    values = read_section(config, "apps", {
-        "file_mb": _positive, "video_s": _positive, "live_s": _positive,
-        "handover_at_s": _nonnegative,
-        "forwarding": lambda v: configparser.ConfigParser.BOOLEAN_STATES[
-            v.lower()]})
+    values = read_section(config, "apps")
     params = transport.TransportParams(forwarding_enabled=values["forwarding"])
     file_bytes = round(values["file_mb"] * 1_000_000)
     ho_us = round(values["handover_at_s"] * transport.US)
@@ -293,7 +291,7 @@ def cmd_apps(args, config):
 
 def cmd_gen(args, config):
     counties, pops, cdns = datasets.generate_synthetic(
-        args.seed, **read_section(config, "gen", DATASET_SIZES))
+        args.seed, **read_section(config, "gen"))
     out_dir = args.out or "."
     paths = datasets.write_dataset(out_dir, counties, pops, cdns)
     for path in paths.values():

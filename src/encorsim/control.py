@@ -51,7 +51,6 @@ class UeContext:
     private_addr: Addr128 = None
     keys: security.SessionKeys = None
     qci: int = 9
-    quota = None
 
 
 @dataclass
@@ -71,15 +70,12 @@ class Inb:
     contexts of its currently attached devices plus the recently-moved
     forwarding table. No downlink buffering exists here by design."""
 
-    def __init__(self, inb_id, locator, ue_cap=None, moved_ttl_us=None):
+    def __init__(self, inb_id, locator, ue_cap=None):
         self.id = inb_id
         self.locator = locator
         self.ue_cap = ue_cap
         self.attached = {}  # identifier -> UeContext
-        if moved_ttl_us is None:
-            self.moved = RecentlyMovedTable()
-        else:
-            self.moved = RecentlyMovedTable(default_ttl_us=moved_ttl_us)
+        self.moved = RecentlyMovedTable()
 
     def has_room(self):
         return self.ue_cap is None or len(self.attached) < self.ue_cap
@@ -130,7 +126,7 @@ def attach(ue, inb, sme, now_us=0):
     """
     if ue.state != UeState.DETACHED:
         raise AttachError("ue not detached")
-    trace = HandoverTrace(mode=None, start_us=now_us)
+    trace = HandoverTrace(mode=None)
     trace.append(_msg(Kind.ATTACH_REQUEST, "ue", sme.id, now_us,
                       {"imsi": ue.imsi, "inb": inb.id}))
     rec = sme.subdb.get(ue.imsi)
@@ -158,7 +154,6 @@ def attach(ue, inb, sme, now_us=0):
     ue.keys = keys
     ue.addr = addr
     ue.attach_failure = None
-    trace.end_us = now_us
     return ctx, trace
 
 
@@ -187,7 +182,7 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
             f"{src.id} and {tgt.id} do not share hop {hop.id}")
     ids = {messages.SRC: src.id, messages.TGT: tgt.id, messages.UE: "ue",
            messages.SME: sme_id, messages.HOP: hop.id}
-    trace = HandoverTrace(mode=mode, start_us=now_us)
+    trace = HandoverTrace(mode=mode)
 
     def emit(kind, a, b, via_core, via_hop, payload=None):
         msg = ControlMessage(kind, ids[a], ids[b], via_core, payload or {},
@@ -208,7 +203,6 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
         emit(kind, a, b, via_core, via_hop, payload)
     if not tgt.has_room():
         trace.failed = True
-        trace.end_us = now_us
         return trace
 
     # opaque blob, forwarded to the device unmodified
@@ -225,5 +219,4 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
     ctx.keys = ue.keys = new_keys
     ctx.serving_inb = tgt.id
     emit(*release, {"imsi": ctx.imsi})
-    trace.end_us = now_us
     return trace

@@ -59,11 +59,11 @@ def load_sites(path, kind):
 
 
 def generate_synthetic(seed, n_counties=40, n_pops=8, n_cdns=4,
-                       n_clusters=5, bbox=DEFAULT_BBOX):
+                       n_clusters=5):
     """Clustered synthetic instance: population centers with counties
     scattered around them, PoPs and CDNs biased toward the centers."""
     rng = random.Random(seed)
-    lat_min, lon_min, lat_max, lon_max = bbox
+    lat_min, lon_min, lat_max, lon_max = DEFAULT_BBOX
     centers = [(rng.uniform(lat_min, lat_max), rng.uniform(lon_min, lon_max))
                for _ in range(n_clusters)]
     weights = [rng.uniform(0.5, 2.0) for _ in range(n_clusters)]

@@ -91,8 +91,6 @@ def run_message_table(mode="core-assisted", seed=0):
 
 @dataclass
 class LoadScenario:
-    ue_count: int = 32
-    bs_count: int = 64
     rates_per_s: tuple = (2, 4, 8, 16, 24, 30)
     core_service_rate: float = 500.0    # the CPU throttle
     edge_service_rate: float = 100_000.0

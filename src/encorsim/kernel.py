@@ -15,7 +15,7 @@ US_PER_S = 1_000_000
 
 
 class SchedulingError(Exception):
-    """Raised when an event is scheduled in the past."""
+    """Raised when an event is scheduled in the past or at NaN."""
 
 
 class RoutingError(Exception):
@@ -72,8 +72,9 @@ class Node:
     """Capacity-limited processing node with a FIFO service discipline."""
 
     def __init__(self, node_id, service_rate, exponential_service=False):
-        if service_rate <= 0:
-            raise ValueError("service_rate must be positive")
+        if not 0 < service_rate < math.inf:
+            raise ValueError(
+                f"service_rate must be positive and finite, got {service_rate}")
         self.id = node_id
         self.service_rate = service_rate
         self.exponential_service = exponential_service
@@ -99,8 +100,9 @@ class Simulator:
         return node
 
     def add_link(self, a, b, latency_us, loss_probability=0.0, bidirectional=True):
-        if latency_us < 0:
-            raise ValueError("latency must be nonnegative")
+        if not 0 <= latency_us < math.inf:
+            raise ValueError(
+                f"latency must be nonnegative and finite, got {latency_us}")
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
         self.links[(a, b)] = (latency_us, loss_probability)
@@ -111,7 +113,7 @@ class Simulator:
 
     def schedule(self, at, action):
         """Schedule `action(sim)` at absolute time `at`. Returns a handle."""
-        if at < self.now:
+        if not at >= self.now:  # also rejects NaN, which never fires
             raise SchedulingError(f"cannot schedule at t={at}, now is t={self.now}")
         handle = EventHandle()
         heapq.heappush(self._queue, (at, self._seq, action, handle))

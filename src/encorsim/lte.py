@@ -20,8 +20,6 @@ class GtpTunnel:
     teid_up: int
     teid_down: int
     enb: str
-    sgw: str
-    pgw: str
 
 
 @dataclass
@@ -32,7 +30,6 @@ class AnchorState:
     tunnel: GtpTunnel
     downlink_buffer: list = field(default_factory=list)
     buffering: bool = False
-    buffer_cap: int = None  # None = unbounded
     buffer_drops: int = 0
 
 
@@ -47,12 +44,12 @@ class LteCore:
         self.serving_enb = {}  # imsi -> enb id
         self._teids = itertools.count(1)
         self._ips = itertools.count(0x0A00_0001)  # 10.0.0.x pool
-        self.buffer_cap = buffer_cap
+        self.buffer_cap = buffer_cap  # None = unbounded
         self.rng = random.Random(seed)
 
     def new_tunnel(self, enb):
         return GtpTunnel(teid_up=next(self._teids), teid_down=next(self._teids),
-                         enb=enb, sgw="sgw", pgw="pgw")
+                         enb=enb)
 
 
 def attach_lte(ue, enb, core, now_us=0):
@@ -65,7 +62,7 @@ def attach_lte(ue, enb, core, now_us=0):
     except security.AuthError as exc:
         raise LteAttachError(str(exc)) from exc
     anchor = AnchorState(imsi=ue.imsi, public_ip=next(core._ips),
-                         tunnel=core.new_tunnel(enb), buffer_cap=core.buffer_cap)
+                         tunnel=core.new_tunnel(enb))
     core.anchors[ue.imsi] = anchor
     core.serving_enb[ue.imsi] = enb
     ue.keys = keys
@@ -85,7 +82,7 @@ def s1_handover(ue, src_enb, tgt_enb, core, now_us=0,
         raise LteAttachError(f"ue {ue.imsi} not connected at {src_enb}")
 
     anchor.buffering = True
-    trace = HandoverTrace(mode=HandoverMode.LTE_S1, start_us=now_us)
+    trace = HandoverTrace(mode=HandoverMode.LTE_S1)
     ids = {messages.SRC: src_enb, messages.TGT: tgt_enb}
     for kind, src, dst, via_core, _ in messages.S1_SEQUENCE:
         trace.append(ControlMessage(kind, ids.get(src, src), ids.get(dst, dst),
@@ -103,7 +100,6 @@ def s1_handover(ue, src_enb, tgt_enb, core, now_us=0,
     flushed = list(anchor.downlink_buffer)
     anchor.downlink_buffer.clear()
     anchor.buffering = False
-    trace.end_us = now_us
     return trace, flushed
 
 
@@ -116,8 +112,8 @@ def deliver_downlink(core, imsi, pkt):
     if anchor is None:
         return "dropped"
     if anchor.buffering:
-        if anchor.buffer_cap is not None and \
-                len(anchor.downlink_buffer) >= anchor.buffer_cap:
+        if core.buffer_cap is not None and \
+                len(anchor.downlink_buffer) >= core.buffer_cap:
             anchor.buffer_drops += 1
             return "dropped"
         anchor.downlink_buffer.append(pkt)

@@ -136,10 +136,12 @@ def _histogram(moves):
     return moves if isinstance(moves, dict) else Counter(moves)
 
 
-def _check_costs(c_intra, c_inter):
-    for name, cost in (("c_intra", c_intra), ("c_inter", c_inter)):
-        if not 0 < cost < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {cost}")
+def _check_positive(duration_min, c_intra, c_inter):
+    # a NaN duration would never end the Poisson draw
+    for name, value in (("duration_min", duration_min), ("c_intra", c_intra),
+                        ("c_inter", c_inter)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def classify_moves(moves, grid, k):
@@ -156,7 +158,7 @@ def classify_moves(moves, grid, k):
 def simulate_density(grid, k, duration_min=10, seed=0,
                      c_intra=DEFAULT_C_INTRA, c_inter=DEFAULT_C_INTER,
                      moves=None):
-    _check_costs(c_intra, c_inter)
+    _check_positive(duration_min, c_intra, c_inter)
     moves = move_counts(grid, duration_min, seed) if moves is None \
         else _histogram(moves)
     inter = classify_moves(moves, grid, k)
@@ -197,7 +199,7 @@ def sweep(grid, densities=None, duration_min=10, seed=0,
           c_intra=DEFAULT_C_INTRA, c_inter=DEFAULT_C_INTER):
     """Run every density on the same mobility trace; returns the points
     and the message ratio normalized to the single-anchor deployment."""
-    _check_costs(c_intra, c_inter)
+    _check_positive(duration_min, c_intra, c_inter)
     if densities is None:
         densities = default_densities(grid)
     counts = move_counts(grid, duration_min, seed)

@@ -55,8 +55,6 @@ class HandoverMode(str, enum.Enum):
 class HandoverTrace:
     mode: HandoverMode
     messages: list = field(default_factory=list)
-    start_us: int = 0
-    end_us: int = 0
     failed: bool = False
 
     def append(self, msg):

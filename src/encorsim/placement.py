@@ -58,8 +58,6 @@ class CostModel:
 @dataclass
 class Deployment:
     core_sites: list
-    latency_budget_km: float = None
-    core_budget: int = None
     marginal_populations: list = field(default_factory=list)
 
 
@@ -183,8 +181,7 @@ def greedy_place(counties, pops, cdns, core_budget, budget_km):
         chosen.append(remaining.pop(best_id))
         covered |= coverable[best_id]
         marginals.append(best_gain)
-    return Deployment(core_sites=chosen, latency_budget_km=budget_km,
-                      core_budget=core_budget, marginal_populations=marginals)
+    return Deployment(core_sites=chosen, marginal_populations=marginals)
 
 
 def cost_compare(model, n_cores, n_pops, include_router_costs=False):

@@ -38,26 +38,17 @@ def prf(key, label, *parts):
 
 
 @dataclass
-class QuotaPolicy:
-    volume_bytes: int | None = None      # None = unlimited
-    throughput_cap_bps: int | None = None
-
-
-@dataclass
 class SubscriberRecord:
     imsi: int
     k: bytes
     sqn: int = 0
     qci_profile: int = 9
-    quota_policy: QuotaPolicy = None
 
     def __post_init__(self):
         if len(self.k) != KEY_BYTES:
             raise ValueError("K must be 128 bits")
         if not 1 <= self.qci_profile <= 9:
             raise ValueError("QCI must be in 1..9")
-        if self.quota_policy is None:
-            self.quota_policy = QuotaPolicy()
 
 
 @dataclass(frozen=True)
@@ -122,9 +113,9 @@ def authenticate(rec, ue, rng):
     return vector, res, derive_k_enb(vector.k_asme)
 
 
-def derive_k_enb(k_asme, initial_counter=0):
+def derive_k_enb(k_asme):
     """Initial per-base-station session key; chaining counter starts at 0."""
-    return SessionKeys(k_enb=prf(k_asme, "enb", initial_counter), ncc=0)
+    return SessionKeys(k_enb=prf(k_asme, "enb", 0), ncc=0)
 
 
 def chain_k_enb(keys):

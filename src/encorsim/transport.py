@@ -265,30 +265,37 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
         "bulk", throughput_mbps=file_bytes * 8 / done if done else 0.0)
 
 
+# (level, bitrate bps): one rung more than BUFFER_THRESHOLDS_S has entries
 DEFAULT_LADDER = [(1, 1.0e6), (2, 1.5e6), (3, 2.0e6), (4, 3.0e6), (5, 4.0e6)]
 BUFFER_THRESHOLDS_S = (5.0, 10.0, 15.0, 20.0)
+CHUNK_DURATION_S = 2.0
+BUFFER_CAP_S = 40.0
+INITIAL_BUFFER_S = 25.0
+PACE_MBPS = 8.0
 
 
-def select_level(buffer_s, ladder=None, thresholds=BUFFER_THRESHOLDS_S):
+def _check_duration(duration_s):
+    # simulated time is whole microseconds, so a shorter run has no time
+    if not 1 / US <= duration_s < math.inf:
+        raise ValueError("duration_s must be at least 1 us and finite,"
+                         f" got {duration_s}")
+
+
+def select_level(buffer_s):
     """Buffer-based rung selection: more buffer, higher quality."""
-    ladder = ladder or DEFAULT_LADDER
-    idx = sum(1 for t in thresholds if buffer_s >= t)
-    idx = min(idx, len(ladder) - 1)
-    return ladder[idx]
+    return DEFAULT_LADDER[sum(1 for t in BUFFER_THRESHOLDS_S if buffer_s >= t)]
 
 
-def run_buffered(duration_s, handover_times_us, params=None, seed=0,
-                 ladder=None, chunk_duration_s=2.0, buffer_cap_s=40.0,
-                 initial_buffer_s=25.0, pace_mbps=8.0):
+def run_buffered(duration_s, handover_times_us, params=None, seed=0):
     """Buffered ABR playback. The buffer starts primed (steady-state
     window), so ample bandwidth keeps the top rung throughout."""
+    _check_duration(duration_s)
     params = params or TransportParams()
-    ladder = ladder or DEFAULT_LADDER
     server = _DownlinkServer(params, seed)
     sim = server.sim
 
     state = {
-        "buffer_s": initial_buffer_s,
+        "buffer_s": INITIAL_BUFFER_S,
         "last_update": 0,
         "stall_us": 0,
         "qualities": [],
@@ -297,7 +304,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0,
         "next_pkt": 0,
     }
     duration_us = round(duration_s * US)
-    pace_interval = params.packet_interval_us(pace_mbps)
+    pace_interval = params.packet_interval_us(PACE_MBPS)
 
     def update_buffer(now):
         dt = (now - state["last_update"]) / US
@@ -317,13 +324,14 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0,
         if sim.now >= duration_us:
             return
         update_buffer(sim.now)
-        if state["buffer_s"] > buffer_cap_s - chunk_duration_s:
-            wait = round((state["buffer_s"] - (buffer_cap_s - chunk_duration_s)) * US)
+        if state["buffer_s"] > BUFFER_CAP_S - CHUNK_DURATION_S:
+            wait = round((state["buffer_s"] - (BUFFER_CAP_S - CHUNK_DURATION_S))
+                         * US)
             sim.schedule(sim.now + wait, request_chunk)
             return
-        level, bitrate = select_level(state["buffer_s"], ladder)
+        level, bitrate = select_level(state["buffer_s"])
         state["qualities"].append(level)
-        chunk_bytes = bitrate * chunk_duration_s / 8
+        chunk_bytes = bitrate * CHUNK_DURATION_S / 8
         n_pkts = max(1, math.ceil(chunk_bytes / params.packet_bytes))
         base = state["next_pkt"]
         state["next_pkt"] += n_pkts
@@ -344,7 +352,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0,
                 if not pkts:
                     del state["chunk_pkts"][chunk]
                     update_buffer(now)
-                    state["buffer_s"] += chunk_duration_s
+                    state["buffer_s"] += CHUNK_DURATION_S
                     sim.schedule(now, request_chunk)
                 break
 
@@ -372,6 +380,7 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     client sends nothing but acks (and pings, under the idle policy).
     Frames are not retransmitted; loss shows up as missing frames, and a
     stale path with no recovery shows up as a deadlock."""
+    _check_duration(duration_s)
     params = params or TransportParams()
     server = _DownlinkServer(params, seed)
     sim = server.sim

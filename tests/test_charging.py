@@ -146,3 +146,20 @@ def test_proxy_rejects_batch_below_one_byte(batch_bytes):
     with pytest.raises(ValueError, match="batch_bytes"):
         ChargingProxy("cp", ocs, batch_bytes=batch_bytes)
     assert ocs.accounts[1].balance == 1000
+
+
+def test_ocs_rejects_negative_grant():
+    # a grant of -500 would return -500 and raise the balance to 1500
+    ocs = Ocs([Account(1, 1000)])
+    with pytest.raises(ValueError, match="requested"):
+        ocs.grant(1, -500)
+    assert ocs.accounts[1].balance == 1000
+
+
+def test_proxy_rejects_negative_subquota():
+    # a subquota of -100 would leave more remaining than was granted
+    ocs, cp, _, _ = make_tier(balance=1000, batch_bytes=100)
+    assert cp.subquota(1, 50) == 50
+    with pytest.raises(ValueError, match="amount"):
+        cp.subquota(1, -100)
+    assert cp.cache[1] == (100, 50)

@@ -2,9 +2,11 @@ import csv
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from encorsim.cli import (
-    EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, main, write_csv_atomic,
+    CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, main,
+    write_csv_atomic,
 )
 
 
@@ -230,3 +232,54 @@ def test_write_csv_atomic_failure_keeps_old_file(tmp_path):
         write_csv_atomic(path, ("a", "b"), rows())
     assert read_csv(path) == [["a", "b"], ["1", "2"]]
     assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_place_checks_dataset_sizes_with_real_paths(tmp_path, capsys):
+    # every key of the section is parsed, even one the command ignores
+    gen_dir = tmp_path / "data"
+    assert main(["--out", str(gen_dir), "gen"]) == EXIT_OK
+    capsys.readouterr()
+    config = tmp_path / "real.ini"
+    config.write_text(f"[place]\ncounties = {gen_dir}/counties.csv\n"
+                      f"pops = {gen_dir}/pops.csv\ncdns = {gen_dir}/cdns.csv\n"
+                      "n_pops = 0\n")
+    assert main(["--config", str(config), "place"]) == EXIT_USAGE
+    assert_one_error_line_naming(capsys, "[place]", "n_pops")
+
+
+# small values keep every run short; "2x2" is the one good grid
+FUZZ_TOKENS = ["", "x", "0", "-1", "nan", "inf", "0.5", "1e-9", "2", "1,2",
+               "2x2", "yes"]
+
+
+def _parses(parse, token):
+    try:
+        parse(token)
+    except (ValueError, KeyError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("section", sorted(CONFIG))
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_config_section(tmp_path, monkeypatch, capsys, section, data):
+    """Any values for a command's section give a documented exit code and,
+    on failure, exactly one error line. At most one key may take any token;
+    the rest take tokens their own parser accepts, so that many runs get
+    past parsing into the models and the command."""
+    wild = data.draw(st.sampled_from([None, *CONFIG[section]]))
+    values = {key: data.draw(st.sampled_from(
+        [t for t in FUZZ_TOKENS if key == wild or _parses(parse, t)]),
+        label=key) for key, (_, parse) in CONFIG[section].items()}
+    monkeypatch.chdir(tmp_path)  # dataset paths such as "x" resolve here
+    config = tmp_path / "fuzz.ini"
+    config.write_text(f"[{section}]\n" + "".join(
+        f"{key} = {value}\n" for key, value in values.items()))
+    code = main(["--config", str(config), "--out", str(tmp_path / "out"),
+                 section])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert len(err) == 1 and "error:" in err[0]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -155,3 +156,28 @@ def test_runstats_csv_shape():
     rows = sim.stats.to_csv_rows()
     assert all(len(r) == 3 for r in rows)
     assert ("delivered", "ho", 1) in rows
+
+
+def test_schedule_at_nan_rejected():
+    # a NaN time compares false both ways: at the heap top it would stop
+    # the drain loop before any event behind it
+    sim = Simulator()
+    with pytest.raises(SchedulingError):
+        sim.schedule(math.nan, lambda s: None)
+    sim.schedule(5, lambda s: None)
+    assert sim.run().events_processed == 1
+
+
+@pytest.mark.parametrize("latency", [math.nan, math.inf])
+def test_link_rejects_non_finite_latency(latency):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="latency"):
+        sim.add_link("a", "b", latency)
+    assert sim.links == {}
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_node_rejects_non_finite_service_rate(rate):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="service_rate"):
+        sim.add_node("n", rate)

@@ -187,3 +187,13 @@ def test_sweep_rejects_nonpositive_costs(costs):
         sweep(g, **costs)
     with pytest.raises(ValueError, match=name):
         simulate_density(g, 4, **costs)
+
+
+@pytest.mark.parametrize("duration_min", [0, -1, math.nan, math.inf])
+def test_sweep_rejects_bad_duration(duration_min):
+    # a NaN mean never ends the Poisson draw
+    g = grid(4, 4, ues=5)
+    with pytest.raises(ValueError, match="duration_min"):
+        sweep(g, duration_min=duration_min)
+    with pytest.raises(ValueError, match="duration_min"):
+        simulate_density(g, 4, duration_min=duration_min)

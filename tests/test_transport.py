@@ -192,3 +192,12 @@ def test_params_reject_nonpositive_or_infinite(field, value):
 
 def test_params_allow_immediate_ack():
     assert TransportParams(ack_delay_us=0).rtt_us == 40_000
+
+
+@pytest.mark.parametrize("duration_s", [0, -1, 1e-9, float("nan"),
+                                        float("inf")])
+def test_buffered_and_live_reject_bad_duration(duration_s):
+    with pytest.raises(ValueError, match="duration_s"):
+        run_buffered(duration_s, [])
+    with pytest.raises(ValueError, match="duration_s"):
+        run_live(duration_s, [])
