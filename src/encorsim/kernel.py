@@ -3,19 +3,24 @@ Deterministic discrete-event simulation kernel.
 
 Time is an integer count of simulated microseconds. Events are totally
 ordered by (time, insertion sequence), so runs with the same seed and
-scenario produce identical results. Nodes are capacity-limited FIFO
-servers; links add latency and may drop messages probabilistically.
+scenario produce identical results; a scheduled event cannot be
+cancelled. Events scheduled in time order can go through a `Lane`,
+which keeps only its earliest event in the heap. Nodes are
+capacity-limited FIFO servers; links add latency and may drop messages
+probabilistically.
 """
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 US_PER_S = 1_000_000
 
 
 class SchedulingError(Exception):
-    """Raised when an event is scheduled in the past or at NaN."""
+    """Raised when an event is scheduled in the past, at a time that is not
+    finite, or earlier than the last event of its lane."""
 
 
 class RoutingError(Exception):
@@ -56,18 +61,6 @@ class RunStats:
         return rows
 
 
-class EventHandle:
-    """Permits cancelling a scheduled event before it fires."""
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-
 class Node:
     """Capacity-limited processing node with a FIFO service discipline."""
 
@@ -80,6 +73,47 @@ class Node:
         self.exponential_service = exponential_service
         self.busy_until = 0
         self.processed = 0
+
+
+class Lane:
+    """A FIFO of events whose times never decrease in the order they are
+    scheduled, such as every event a fixed delay after `now`.
+
+    Only the lane's earliest pending event sits in the simulator's heap;
+    when it fires, the next one moves in. The heap stays as small as the
+    number of busy lanes plus the events scheduled directly.
+
+    Order: each event takes its key (time, seq) from the simulator's
+    counter when it is scheduled, exactly as `Simulator.schedule` would
+    give it, so the keys within a lane strictly increase. An event that
+    is not in the heap has an earlier event of its own lane there, with a
+    smaller key. The heap's minimum is therefore the minimum over every
+    pending event, and events fire in the same (time, insertion) order as
+    if each had been scheduled on the simulator directly.
+    """
+
+    __slots__ = ("_sim", "_pending", "_last")
+
+    def __init__(self, sim):
+        self._sim = sim
+        self._pending = deque()  # heap entries; the first one is in the heap
+        self._last = 0
+
+    def schedule(self, at, action):
+        """Schedule `action(sim)` at absolute time `at`, no earlier than
+        the lane's last event."""
+        sim = self._sim
+        if not sim.now <= at < math.inf or at < self._last:
+            raise SchedulingError(
+                f"cannot schedule at t={at} in a lane: now is t={sim.now},"
+                f" the lane's last event is at t={self._last}")
+        entry = (at, sim._seq, action, self)
+        sim._seq += 1
+        self._last = at
+        pending = self._pending
+        pending.append(entry)
+        if len(pending) == 1:
+            heapq.heappush(sim._queue, entry)
 
 
 class Simulator:
@@ -112,13 +146,17 @@ class Simulator:
     # -- event queue ------------------------------------------------------
 
     def schedule(self, at, action):
-        """Schedule `action(sim)` at absolute time `at`. Returns a handle."""
-        if not at >= self.now:  # also rejects NaN, which never fires
+        """Schedule `action(sim)` at absolute time `at`. Events fire in
+        (time, insertion) order; a scheduled event cannot be cancelled."""
+        # also rejects NaN, which compares false both ways
+        if not self.now <= at < math.inf:
             raise SchedulingError(f"cannot schedule at t={at}, now is t={self.now}")
-        handle = EventHandle()
-        heapq.heappush(self._queue, (at, self._seq, action, handle))
+        heapq.heappush(self._queue, (at, self._seq, action, None))
         self._seq += 1
-        return handle
+
+    def lane(self):
+        """A new FIFO lane for events scheduled in nondecreasing time."""
+        return Lane(self)
 
     def send(self, src, dst, msg, on_delivered=None, category=None):
         """Send msg over the (src, dst) link into dst's service queue.
@@ -157,22 +195,34 @@ class Simulator:
 
             sim.schedule(done, complete)
 
-        return self.schedule(self.now + latency_us, arrive)
+        self.schedule(self.now + latency_us, arrive)
 
     def _drain(self, t_end):
         """Execute every event with time <= t_end, in (time, insertion)
-        order, skipping cancelled ones."""
+        order."""
         queue = self._queue
-        while queue and queue[0][0] <= t_end:
-            at, _, action, handle = heapq.heappop(queue)
-            if handle.cancelled:
-                continue
-            self.now = at
-            self.stats.events_processed += 1
-            action(self)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        events = 0
+        try:
+            while queue and queue[0][0] <= t_end:
+                at, _, action, lane = heappop(queue)
+                if lane is not None:
+                    pending = lane._pending
+                    pending.popleft()
+                    if pending:
+                        heappush(queue, pending[0])
+                self.now = at
+                events += 1
+                action(self)
+        finally:
+            self.stats.events_processed += events
 
     def run_until(self, t_end):
-        """Execute every event with time <= t_end; returns the stats so far."""
+        """Execute every event with time <= t_end; returns the stats so
+        far. The horizon must be finite: `run` drains the queue."""
+        if not -math.inf < t_end < math.inf:
+            raise SchedulingError(f"run_until needs a finite horizon, got {t_end}")
         self._drain(t_end)
         self.now = max(self.now, t_end)
         return self.stats

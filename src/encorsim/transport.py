@@ -149,10 +149,17 @@ class _DownlinkServer:
     """One server carries every app's downlink over one connection to a
     mobile client: unreliable sends to the last-known path, reliable sends
     with a doubling retransmission timer, and path learning from every
-    client packet (acks, requests, keepalives, pings)."""
+    client packet (acks, requests, keepalives, pings).
+
+    Every event a fixed delay after `now` goes into the lane for that
+    delay (see `kernel.Lane`), so each delay keeps one heap entry."""
 
     def __init__(self, params, seed):
         self.sim = Simulator(seed)
+        # transmit's and client_packet's arrivals are both one_way_us away
+        self.one_way = self.sim.lane()
+        self.ack_delay = self.sim.lane()
+        self.first_rto = self.sim.lane()
         addr = Addr128(BASE_LOCATOR, 0x42)
         self.conn = MobiConn(conn_id=1, client_addr=addr, server_path=addr)
         self.net = MobilityNet(self.conn, params)
@@ -164,11 +171,16 @@ class _DownlinkServer:
         self.tx_count = 0
         self.on_packet_delivered = None  # callback(pkt_id, now)
 
-    def schedule_handovers(self, times_us):
-        """The client moves at each time; the server is not told."""
-        self.handovers = len(times_us)
+    def schedule_handovers(self, times_us, active):
+        """The client moves at each time; the server is not told. A move
+        counts as a handover of the app while `active()` holds."""
+        def migrate(sim):
+            if active():
+                self.handovers += 1
+            self.net.migrate(sim.now)
+
         for t in times_us:
-            self.sim.schedule(t, lambda s: self.net.migrate(s.now))
+            self.sim.schedule(t, migrate)
 
     def transmit(self, pkt_id):
         """One unreliable send to the last-known path."""
@@ -179,7 +191,7 @@ class _DownlinkServer:
             if self.net.reaches_client(dest, sim.now):
                 self._client_receive(pkt_id, sim.now)
 
-        self.sim.schedule(self.sim.now + self.params.one_way_us, arrive)
+        self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
 
     def send_reliable(self, pkt_id, rto_us=None):
         """Transmit until acked, doubling the timeout after each loss."""
@@ -191,13 +203,17 @@ class _DownlinkServer:
                 self.retx_count += 1
                 self.send_reliable(pkt_id, rto_us=rto * 2)
 
-        self.sim.schedule(self.sim.now + rto, timeout)
+        # the first timeout is a fixed delay; a doubled one is not
+        if rto_us is None:
+            self.first_rto.schedule(self.sim.now + rto, timeout)
+        else:
+            self.sim.schedule(self.sim.now + rto, timeout)
 
     def _client_receive(self, pkt_id, now):
         first = pkt_id not in self.delivered
         self.delivered.add(pkt_id)
-        self.sim.schedule(now + self.params.ack_delay_us,
-                          lambda sim: self.client_packet(ack=pkt_id))
+        self.ack_delay.schedule(now + self.params.ack_delay_us,
+                                lambda sim: self.client_packet(ack=pkt_id))
         if first and self.on_packet_delivered is not None:
             self.on_packet_delivered(pkt_id, now)
 
@@ -212,7 +228,7 @@ class _DownlinkServer:
             if ack is not None:
                 self.acked.add(ack)
 
-        self.sim.schedule(self.sim.now + self.params.one_way_us, arrive)
+        self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
 
     def keep_alive(self, running, busy):
         """A client mid-download is never idle: a window update every
@@ -253,9 +269,10 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
         return len(server.delivered) < n_packets
 
     server.on_packet_delivered = on_delivered
+    sends = sim.lane()
     for i in range(n_packets):
-        sim.schedule(i * interval, lambda s, i=i: server.send_reliable(i))
-    server.schedule_handovers(handover_times_us)
+        sends.schedule(i * interval, lambda s, i=i: server.send_reliable(i))
+    server.schedule_handovers(handover_times_us, downloading)
     server.keep_alive(downloading, downloading)
 
     horizon = n_packets * interval * 4 + 60 * US
@@ -300,7 +317,10 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         "stall_us": 0,
         "qualities": [],
         "buffer_integral": 0.0,  # buffer-seconds, for the time average
-        "chunk_pkts": {},  # first pkt id of a chunk -> its outstanding ids
+        # ids of the requested chunk not yet delivered: request_chunk runs
+        # as one chain, re-armed once per completed chunk, so at most one
+        # chunk is outstanding and every first delivery belongs to it
+        "outstanding": set(),
         "next_pkt": 0,
     }
     duration_us = round(duration_s * US)
@@ -335,32 +355,32 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         n_pkts = max(1, math.ceil(chunk_bytes / params.packet_bytes))
         base = state["next_pkt"]
         state["next_pkt"] += n_pkts
-        state["chunk_pkts"][base] = set(range(base, base + n_pkts))
+        state["outstanding"].update(range(base, base + n_pkts))
         server.client_packet()  # the chunk request
 
         def start_sending(s):
+            paced = s.lane()
             for j in range(n_pkts):
-                s.schedule(s.now + j * pace_interval,
-                           lambda s2, p=base + j: server.send_reliable(p))
+                paced.schedule(s.now + j * pace_interval,
+                               lambda s2, p=base + j: server.send_reliable(p))
 
         sim.schedule(sim.now + params.one_way_us, start_sending)
 
     def on_delivered(pkt_id, now):
-        for chunk, pkts in list(state["chunk_pkts"].items()):
-            if pkt_id in pkts:
-                pkts.discard(pkt_id)
-                if not pkts:
-                    del state["chunk_pkts"][chunk]
-                    update_buffer(now)
-                    state["buffer_s"] += CHUNK_DURATION_S
-                    sim.schedule(now, request_chunk)
-                break
+        outstanding = state["outstanding"]
+        outstanding.remove(pkt_id)
+        if not outstanding:
+            update_buffer(now)
+            state["buffer_s"] += CHUNK_DURATION_S
+            sim.schedule(now, request_chunk)
+
+    def playing():
+        return sim.now < duration_us
 
     server.on_packet_delivered = on_delivered
     sim.schedule(0, request_chunk)
-    server.schedule_handovers(handover_times_us)
-    server.keep_alive(lambda: sim.now < duration_us,
-                      lambda: bool(state["chunk_pkts"]))
+    server.schedule_handovers(handover_times_us, playing)
+    server.keep_alive(playing, lambda: bool(state["outstanding"]))
     sim.run_until(duration_us)
     update_buffer(duration_us)
 
@@ -414,9 +434,11 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
             arm_deadline()
 
     server.on_packet_delivered = on_delivered
+    frames = sim.lane()
     for i in range(n_frames):
-        sim.schedule(i * frame_interval_us, lambda s, i=i: server.transmit(i))
-    server.schedule_handovers(handover_times_us)
+        frames.schedule(i * frame_interval_us,
+                        lambda s, i=i: server.transmit(i))
+    server.schedule_handovers(handover_times_us, lambda: sim.now < duration_us)
     if policy == Policy.PING_ON_IDLE:
         arm_deadline()
 

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from encorsim.kernel import RoutingError, SchedulingError, Simulator, US_PER_S
 
@@ -42,15 +43,6 @@ def test_total_order_under_shuffled_insertion():
         sim.schedule(t, lambda s, t=t: executed.append(t))
     sim.run_until(100)
     assert executed == sorted(times)
-
-
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(5, lambda s: fired.append(1))
-    handle.cancel()
-    sim.run_until(10)
-    assert fired == []
 
 
 def test_single_message_queueing_arithmetic():
@@ -181,3 +173,101 @@ def test_node_rejects_non_finite_service_rate(rate):
     sim = Simulator()
     with pytest.raises(ValueError, match="service_rate"):
         sim.add_node("n", rate)
+
+
+@pytest.mark.parametrize("at", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_rejected_by_schedule_and_lane(at):
+    # an infinite time would drain to now == inf, after which no finite
+    # time could be scheduled again
+    sim = Simulator()
+    lane = sim.lane()
+    with pytest.raises(SchedulingError):
+        sim.schedule(at, lambda s: None)
+    with pytest.raises(SchedulingError):
+        lane.schedule(at, lambda s: None)
+    lane.schedule(5, lambda s: None)
+    assert sim.run().events_processed == 1
+    assert sim.now == 5
+
+
+@pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan])
+def test_run_until_rejects_non_finite_horizon(t_end):
+    sim = Simulator()
+    sim.schedule(5, lambda s: None)
+    with pytest.raises(SchedulingError):
+        sim.run_until(t_end)
+    assert sim.now == 0
+    assert sim.run().events_processed == 1
+
+
+def test_lane_rejects_earlier_time_and_changes_nothing():
+    sim = Simulator()
+    lane = sim.lane()
+    fired = []
+    lane.schedule(5, lambda s: fired.append("lane@5"))
+    sim.schedule(7, lambda s: fired.append("direct@7"))
+    before = (list(sim._queue), list(lane._pending), sim._seq)
+    with pytest.raises(SchedulingError):
+        lane.schedule(4, lambda s: fired.append("lane@4"))
+    assert (list(sim._queue), list(lane._pending), sim._seq) == before
+    lane.schedule(5, lambda s: fired.append("lane@5 again"))
+    sim.run()
+    assert fired == ["lane@5", "lane@5 again", "direct@7"]
+
+
+def test_lane_accepts_now_after_its_events_fired():
+    sim = Simulator()
+    lane = sim.lane()
+    lane.schedule(5, lambda s: None)
+    sim.run_until(20)
+    with pytest.raises(SchedulingError):
+        lane.schedule(10, lambda s: None)  # in the past
+    lane.schedule(20, lambda s: None)
+    assert sim.run().events_processed == 2
+
+
+N_LANES = 3
+# An event: (target, delay, children it schedules when it fires). Targets
+# 0..N_LANES-1 are lanes, N_LANES is Simulator.schedule. Delays are small
+# so that many events share a time.
+EVENT = st.recursive(
+    st.tuples(st.integers(0, N_LANES), st.integers(0, 3), st.just(())),
+    lambda children: st.tuples(st.integers(0, N_LANES), st.integers(0, 3),
+                               st.lists(children, max_size=4).map(tuple)),
+    max_leaves=30)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(EVENT, max_size=8))
+def test_lanes_fire_in_time_insertion_order(roots):
+    sim = Simulator()
+    lanes = [sim.lane() for _ in range(N_LANES)]
+    lane_last = [0] * N_LANES
+    scheduled = []  # key (time, insertion counter) of every event
+    fired = []
+
+    def put(spec):
+        target, delay, children = spec
+        at = sim.now + delay
+        if target < N_LANES:
+            at = max(at, lane_last[target])
+            lane_last[target] = at
+        key = (at, len(scheduled))
+        scheduled.append(key)
+
+        def action(s):
+            assert s.now == at
+            fired.append(key)
+            for child in children:
+                put(child)
+
+        if target < N_LANES:
+            lanes[target].schedule(at, action)
+        else:
+            sim.schedule(at, action)
+
+    for spec in roots:
+        put(spec)
+    stats = sim.run()
+    assert all(a < b for a, b in zip(fired, fired[1:]))
+    assert len(fired) == len(scheduled) == stats.events_processed

@@ -164,6 +164,20 @@ def test_live_pings_bounded_by_migrations():
     assert m.pings <= len(ho)
 
 
+@pytest.mark.parametrize("run, expected", [
+    # each move falls after the app has ended: no handover happened
+    (lambda: run_buffered(2.0, [5 * US]), 0),
+    (lambda: run_bulk(1200, [50 * US]), 0),
+    (lambda: run_live(1.0, [9 * US]), 0),
+    # a move while the app runs still counts
+    (lambda: run_buffered(2.0, [1 * US]), 1),
+    (lambda: run_bulk(1200, [5_000]), 1),
+    (lambda: run_live(1.0, [500_000]), 1),
+])
+def test_handovers_count_only_moves_during_the_app(run, expected):
+    assert run().handovers == expected
+
+
 def test_app_runs_deterministic():
     a = run_buffered(20.0, [5 * US], seed=7)
     b = run_buffered(20.0, [5 * US], seed=7)
