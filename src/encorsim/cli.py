@@ -10,13 +10,12 @@ failure.
 """
 import argparse
 import configparser
-import csv
 import math
 import os
-import secrets
 import sys
 
 from . import datasets, experiments, mecsweep, placement, transport
+from .datasets import write_csv_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,26 +138,6 @@ def read_section(config, section):
         except (ValueError, KeyError):  # KeyError: not a flag word
             raise UsageError(f"[{section}] {key}: bad value {raw!r}")
     return values
-
-
-def write_csv_atomic(path, header, rows):
-    """Write to a fresh temp file beside `path`, fsync it and rename it
-    over `path`. On any error the old file stays and the temp file goes."""
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
 
 
 def _emit(args, header, rows, filename):

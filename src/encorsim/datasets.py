@@ -2,7 +2,8 @@
 Dataset ingestion and seeded synthetic generation for the placement
 analysis. Real county/PoP/CDN data is ingested from CSV; the synthetic
 generator builds population-weighted clustered instances inside a
-bounding box so tests and demos never need downloads.
+bounding box so tests and demos never need downloads. Every CSV the
+package writes goes through `write_csv_atomic`.
 """
 import csv
 import os
@@ -95,23 +96,39 @@ def generate_synthetic(seed, n_counties=40, n_pops=8, n_cdns=4,
     return counties, pops, cdns
 
 
+def write_csv_atomic(path, header, rows, preamble=""):
+    """Write `preamble` (raw text, such as a `#` comment line), then the
+    CSV header and rows, to a fresh temp file beside `path`, fsync it and
+    rename it over `path`. On any error the old file stays and the temp
+    file goes."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", newline="") as f:
+            f.write(preamble)
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
 def write_dataset(out_dir, counties, pops, cdns):
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
     total_pop = sum(c.population for c in counties)
-    paths["counties"] = os.path.join(out_dir, "counties.csv")
-    with open(paths["counties"], "w", newline="") as f:
-        f.write(f"# total_population={total_pop}\n")
-        w = csv.writer(f)
-        w.writerow(COUNTY_HEADER)
-        for c in counties:
-            w.writerow([c.fips, c.name, f"{c.lat:.6f}", f"{c.lon:.6f}",
-                        c.population])
+    paths = {"counties": write_csv_atomic(
+        os.path.join(out_dir, "counties.csv"), COUNTY_HEADER,
+        ([c.fips, c.name, f"{c.lat:.6f}", f"{c.lon:.6f}", c.population]
+         for c in counties),
+        preamble=f"# total_population={total_pop}\n")}
     for key, sites in (("pops", pops), ("cdns", cdns)):
-        paths[key] = os.path.join(out_dir, f"{key}.csv")
-        with open(paths[key], "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(SITE_HEADER)
-            for s in sites:
-                w.writerow([s.id, f"{s.lat:.6f}", f"{s.lon:.6f}"])
+        paths[key] = write_csv_atomic(
+            os.path.join(out_dir, f"{key}.csv"), SITE_HEADER,
+            ([s.id, f"{s.lat:.6f}", f"{s.lon:.6f}"] for s in sites))
     return paths

@@ -64,6 +64,8 @@ class SweepPoint:
 
 def block_size(grid, k):
     """Side length of each anchor's square block; k must tile the grid."""
+    if k < 1:
+        raise TilingError(f"k={k} must be at least 1")
     side = math.isqrt(k)
     if side * side != k:
         raise TilingError(f"k={k} is not a perfect square")
@@ -91,30 +93,63 @@ def _neighbors(x, y, w, h):
 
 def _walk(grid, duration_min, seed):
     """Yield the mobility trace move by move: per-UE Poisson handover
-    counts, uniform random neighbor moves, reflecting boundaries."""
+    counts, uniform random neighbor moves, reflecting boundaries.
+
+    Station (x, y) is numbered i = x*height + y, and a move from i to its
+    r-th neighbor in `_neighbors` order is yielded as the edge slot
+    4*i + r. The neighbor index is drawn as `Random.choice` draws it
+    (`_randbelow_with_getrandbits`: n.bit_length() bits, redrawn while
+    >= n), so the trace is the one `rng.choice(neighbors)` would give."""
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     w, h = grid.width, grid.height
     mean = grid.handover_rate_per_min * duration_min
-    neighbors = {(x, y): _neighbors(x, y, w, h)
-                 for x in range(w) for y in range(h)}
+    steps = []
+    for x in range(w):
+        for y in range(h):
+            ids = tuple(nx * h + ny for nx, ny in _neighbors(x, y, w, h))
+            steps.append((ids, len(ids), len(ids).bit_length()))
     for _ in range(grid.ue_count):
-        here = (rng.randrange(w), rng.randrange(h))
+        here = rng.randrange(w) * h + rng.randrange(h)
         for _ in range(_poisson(rng, mean)):
-            nxt = rng.choice(neighbors[here])
-            yield here, nxt
-            here = nxt
+            ids, n, k = steps[here]
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            yield 4 * here + r
+            here = ids[r]
+
+
+def _edges(grid):
+    """The (from, to) station pair of every edge slot `_walk` yields;
+    slots past a station's last neighbor hold None."""
+    w, h = grid.width, grid.height
+    stations = [(x, y) for x in range(w) for y in range(h)]
+    edges = [None] * (4 * w * h)
+    for i, here in enumerate(stations):
+        for r, (nx, ny) in enumerate(_neighbors(*here, w, h)):
+            edges[4 * i + r] = (here, stations[nx * h + ny])
+    return edges
 
 
 def generate_moves(grid, duration_min, seed):
     """The mobility trace as a list of (from, to) station moves.
     Independent of any anchor layout, so one trace serves every density."""
-    return list(_walk(grid, duration_min, seed))
+    edges = _edges(grid)
+    return [edges[slot] for slot in _walk(grid, duration_min, seed)]
 
 
 def move_counts(grid, duration_min, seed):
     """The same trace folded into a directed-edge histogram
     {(from, to): count}: at most 4*W*H entries, whatever the UE count."""
-    return Counter(_walk(grid, duration_min, seed))
+    slots = [0] * (4 * grid.width * grid.height)
+    for slot in _walk(grid, duration_min, seed):
+        slots[slot] += 1
+    counts = Counter()
+    for edge, n in zip(_edges(grid), slots):
+        if n:
+            counts[edge] = n
+    return counts
 
 
 def _poisson(rng, mean):
@@ -209,7 +244,7 @@ def sweep(grid, densities=None, duration_min=10, seed=0,
     points = [simulate_density(grid, k, duration_min, seed, c_intra, c_inter,
                                moves=counts)
               for k in densities]
-    base = points[0].total_messages if points else 1
+    base = sum(counts.values()) * c_intra  # one anchor: no move crosses
     ratios = [p.total_messages / base for p in points]
     return points, ratios
 

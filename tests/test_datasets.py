@@ -1,7 +1,11 @@
+import os
+from types import SimpleNamespace
+
 import pytest
 
 from encorsim.datasets import (
-    IngestError, generate_synthetic, load_counties, load_sites, write_dataset,
+    IngestError, generate_synthetic, load_counties, load_sites,
+    write_csv_atomic, write_dataset,
 )
 from encorsim.placement import SiteKind
 
@@ -46,6 +50,28 @@ def test_counties_file_carries_total_population_comment(tmp_path):
     assert first == f"# total_population={sum(c.population for c in counties)}\n"
     # and the loader skips it
     assert len(load_counties(paths["counties"])) == 5
+
+
+def test_write_dataset_failure_keeps_old_files(tmp_path):
+    counties, pops, cdns = generate_synthetic(seed=1, n_counties=5)
+    write_dataset(str(tmp_path), counties, pops, cdns)
+    before = (tmp_path / "counties.csv").read_bytes()
+    # a row that fails to format after two rows were written
+    unformattable = SimpleNamespace(fips="x", name="x", lat=None, lon=0.0,
+                                    population=1000)
+    bad = counties[:2] + [unformattable]
+    with pytest.raises(TypeError):
+        write_dataset(str(tmp_path), bad, pops, cdns)
+    assert (tmp_path / "counties.csv").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["cdns.csv", "counties.csv",
+                                            "pops.csv"]
+
+
+def test_write_csv_atomic_writes_preamble_raw(tmp_path):
+    path = str(tmp_path / "x.csv")
+    write_csv_atomic(path, ("a", "b"), [(1, 2)], preamble="# note\n")
+    with open(path, "rb") as f:
+        assert f.read() == b"# note\na,b\r\n1,2\r\n"
 
 
 def test_missing_file_is_ingest_error(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -10,6 +11,7 @@ from encorsim.mecsweep import (
     generate_moves, inter_fraction_exhaustive, move_counts,
     simulate_density, sweep, to_csv_rows,
 )
+from encorsim.mecsweep import _neighbors, _poisson
 
 
 def grid(w=20, h=20, ues=200, handover_rate_per_min=5.0):
@@ -30,6 +32,10 @@ def test_block_size_rejects_bad_k():
         block_size(g, 2)  # not a perfect square
     with pytest.raises(TilingError):
         block_size(g, 9)  # 3 does not divide 20
+    with pytest.raises(TilingError, match="k=0"):
+        block_size(g, 0)
+    with pytest.raises(TilingError, match="k=-4"):
+        block_size(g, -4)
 
 
 def test_default_densities_cover_extremes():
@@ -43,6 +49,36 @@ def test_moves_stay_on_grid_and_adjacent():
     for (x0, y0), (x1, y1) in generate_moves(g, 5, seed=3):
         assert 0 <= x1 < 8 and 0 <= y1 < 8
         assert abs(x1 - x0) + abs(y1 - y0) == 1
+
+
+def reference_moves(grid, duration_min, seed):
+    """The trace drawn with `rng.choice` over neighbor tuples: the walk
+    that `generate_moves` must reproduce draw for draw."""
+    rng = random.Random(seed)
+    w, h = grid.width, grid.height
+    mean = grid.handover_rate_per_min * duration_min
+    neighbors = {(x, y): _neighbors(x, y, w, h)
+                 for x in range(w) for y in range(h)}
+    moves = []
+    for _ in range(grid.ue_count):
+        here = (rng.randrange(w), rng.randrange(h))
+        for _ in range(_poisson(rng, mean)):
+            nxt = rng.choice(neighbors[here])
+            moves.append((here, nxt))
+            here = nxt
+    return moves
+
+
+# duration 5 gives a Poisson mean of 25 (sequential search); duration 10
+# gives 50, which takes the normal approximation through rng.gauss
+@pytest.mark.parametrize("duration_min", [5, 10])
+@pytest.mark.parametrize("w,h", [(1, 2), (2, 1), (1, 5), (3, 3), (6, 4)])
+def test_trace_draws_as_random_choice(w, h, duration_min):
+    g = grid(w, h, ues=12)
+    for seed in range(4):
+        moves = reference_moves(g, duration_min, seed)
+        assert generate_moves(g, duration_min, seed) == moves
+        assert move_counts(g, duration_min, seed) == Counter(moves)
 
 
 def test_trace_deterministic_per_seed():
@@ -104,6 +140,18 @@ def test_sweep_ratios_normalized_and_monotone():
     # densest deployment: every handover crosses, ratio = c_inter/c_intra
     assert ratios[-1] == pytest.approx(DEFAULT_C_INTER / DEFAULT_C_INTRA)
     assert ratios[-1] == pytest.approx(50 / 15)
+
+
+def test_sweep_normalizes_to_single_anchor_in_any_density_order():
+    g = grid(4, 4, ues=50)
+    points, ratios = sweep(g, densities=[4, 1])
+    assert [p.k for p in points] == [4, 1]
+    assert ratios[1] == 1.0
+    assert ratios[0] == points[0].total_messages / points[1].total_messages
+    assert ratios[0] > 1.0
+    # without k=1 in the list the base is still the single-anchor total
+    points, ratios = sweep(g, densities=[16])
+    assert ratios == [pytest.approx(DEFAULT_C_INTER / DEFAULT_C_INTRA)]
 
 
 def test_sweep_reuses_one_trace_across_densities():
