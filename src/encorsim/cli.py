@@ -48,10 +48,16 @@ def load_config(path):
               for section, keys in CONFIG.items()}
     if path is None:
         return config
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
+    if not os.path.isfile(path):
+        raise UsageError(f"no config file at {path}")
+    # values are taken raw: a "%" in a path is not an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        detail = " ".join(str(exc).splitlines())
+        raise UsageError(f"bad config file {path}: {detail}") from exc
     for section in parser.sections():
         if section not in config:
             raise UsageError(f"unknown config section [{section}]")

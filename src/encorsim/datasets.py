@@ -48,15 +48,19 @@ def load_counties(path):
 
 
 def load_sites(path, kind):
-    sites = []
+    """Sites in file order; ids must be unique, since placement keys its
+    candidate sites by id."""
+    sites = {}
     for lineno, row in enumerate(_read_rows(path, SITE_HEADER), start=2):
         try:
             sid, lat, lon = row
-            sites.append(SitePoint(id=sid, kind=kind,
-                                   lat=float(lat), lon=float(lon)))
+            site = SitePoint(id=sid, kind=kind, lat=float(lat), lon=float(lon))
         except (ValueError, TypeError) as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from exc
-    return sites
+        if sid in sites:
+            raise IngestError(f"{path}: line {lineno}: duplicate site id {sid}")
+        sites[sid] = site
+    return list(sites.values())
 
 
 def generate_synthetic(seed, n_counties=40, n_pops=8, n_cdns=4,

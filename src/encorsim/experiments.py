@@ -211,7 +211,7 @@ DEFAULT_TOPOLOGY = {
 def run_path_latency(topology=None):
     """One-way user-plane latency: anchored detour vs edge egress."""
     topo = DEFAULT_TOPOLOGY if topology is None else topology
-    paths = {"lte": ["ue", "enb", "sgw", "pgw", "internet"],
+    paths = {"lte": lte.anchored_path("enb"),
              "encor": ["ue", "inb", "internet"]}
     return {arch: {"path": path, "one_way_us": lte.path_latency_us(topo, path)}
             for arch, path in paths.items()}

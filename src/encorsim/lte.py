@@ -121,6 +121,11 @@ def deliver_downlink(core, imsi, pkt):
     return "delivered"
 
 
+def anchored_path(enb):
+    """User-plane node path from a UE at `enb` through the anchor chain."""
+    return ["ue", enb, "sgw", "pgw", "internet"]
+
+
 def route_user_packet(core, imsi, topology):
     """User-plane path via the anchor chain; returns (path, latency_us).
 
@@ -129,8 +134,7 @@ def route_user_packet(core, imsi, topology):
     anchor = core.anchors.get(imsi)
     if anchor is None:
         return None, None
-    enb = anchor.tunnel.enb
-    path = ["ue", enb, "sgw", "pgw", "internet"]
+    path = anchored_path(anchor.tunnel.enb)
     return path, path_latency_us(topology, path)
 
 

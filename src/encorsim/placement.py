@@ -88,64 +88,59 @@ def _cores(deployment):
         else list(deployment)
 
 
-def _legs(pops, cdns):
-    """[(PoP point, shortest PoP -> CDN leg)], computed once per call."""
+def _hops(pops, cdns, cores=None):
+    """[(site point, shortest rest of the chain from that site)]: each PoP
+    with its PoP -> CDN leg or, given cores, each core with its
+    core -> PoP -> CDN tail. Each leg is computed once per call."""
     if not pops or not cdns:
         raise ValueError("pops and cdns must be nonempty")
-    return [(_coords(pop),
+    if cores is not None and not cores:
+        raise ValueError("cores must be nonempty")
+    legs = [(_coords(pop),
              min(haversine_km(_coords(pop), _coords(cdn)) for cdn in cdns))
             for pop in pops]
-
-
-def _nearest(point, hops):
-    """Shortest chain from point through one of hops, a list of (site,
-    shortest rest of the chain from that site) pairs."""
-    return min(haversine_km(point, site) + rest for site, rest in hops)
-
-
-def _core_tails(cores, legs):
-    """[(core point, shortest core -> PoP -> CDN tail)]."""
+    if cores is None:
+        return legs
     return [(_coords(core), _nearest(_coords(core), legs)) for core in cores]
 
 
-def best_tail_km(core, pops, cdns):
-    """Shortest core -> PoP -> CDN continuation from a given core site, or
-    from a county where there is no core leg."""
-    return _nearest(_coords(core), _legs(pops, cdns))
+def _nearest(point, hops):
+    """Shortest chain from point through one of hops."""
+    return min(haversine_km(point, site) + rest for site, rest in hops)
 
 
-def county_distance_3gpp(county, deployment, pops, cdns):
-    """Shortest county -> core -> PoP -> CDN chain over a deployment."""
-    cores = _cores(deployment)
-    if not cores:
-        raise ValueError("deployment must be nonempty")
-    return _nearest(_coords(county), _core_tails(cores, _legs(pops, cdns)))
+def _reach(points, site, rest, budget_km):
+    """Indices of the points whose chain through site, with rest beyond
+    it, fits the budget."""
+    return {i for i, point in enumerate(points)
+            if haversine_km(point, site) + rest <= budget_km}
 
 
-def county_distance_encor(county, pops, cdns):
-    """Shortest county -> PoP -> CDN chain; no core leg."""
-    return best_tail_km(county, pops, cdns)
+def chain_km(start, pops, cdns, cores=None):
+    """Shortest start -> core -> PoP -> CDN chain over the given cores, or
+    start -> PoP -> CDN without cores (no core leg)."""
+    return _nearest(_coords(start), _hops(pops, cdns, cores))
 
 
 def coverage(counties, budget_km, deployment=None, pops=None, cdns=None):
     """Fraction of population whose chain fits the distance budget.
 
     With a deployment: anchored-architecture coverage. Without one:
-    edge-routed coverage (every PoP is an egress).
+    edge-routed coverage (every PoP is an egress). The shortest chain fits
+    iff some hop's chain fits, so the covered set is the union of the
+    hops' coverable sets.
     """
     total = sum(c.population for c in counties)
     if total == 0:
         return 0.0
-    if deployment is None:
-        hops = _legs(pops, cdns)
-    else:
-        cores = _cores(deployment)
-        if not cores:
-            return 0.0
-        hops = _core_tails(cores, _legs(pops, cdns))
-    covered = sum(county.population for county in counties
-                  if _nearest(_coords(county), hops) <= budget_km)
-    return covered / total
+    cores = None if deployment is None else _cores(deployment)
+    if cores is not None and not cores:
+        return 0.0
+    points = [_coords(county) for county in counties]
+    covered = set().union(*(_reach(points, site, rest, budget_km)
+                            for site, rest in _hops(pops, cdns, cores)))
+    return sum(county.population for i, county in enumerate(counties)
+               if i in covered) / total
 
 
 def greedy_place(counties, pops, cdns, core_budget, budget_km):
@@ -156,14 +151,11 @@ def greedy_place(counties, pops, cdns, core_budget, budget_km):
     """
     if core_budget < 1:
         raise ValueError("core budget must be >= 1")
-    # county i is coverable by core p iff d(county, p) + tail(p) <= budget;
     # no PoPs means nothing to place, not an error
-    tails = _core_tails(pops, _legs(pops, cdns)) if pops else []
+    hops = _hops(pops, cdns, pops) if pops else []
     points = [_coords(county) for county in counties]
-    coverable = {}
-    for p, (site, tail) in zip(pops, tails):
-        coverable[p.id] = {i for i, point in enumerate(points)
-                           if haversine_km(point, site) + tail <= budget_km}
+    coverable = {p.id: _reach(points, site, rest, budget_km)
+                 for p, (site, rest) in zip(pops, hops)}
 
     chosen = []
     marginals = []

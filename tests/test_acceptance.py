@@ -132,6 +132,7 @@ def test_criterion_6_transport_behaviors():
                " buffered stall 0 / quality 5", ok)
 
 
+@pytest.mark.slow
 def test_criterion_7_loss_ordering():
     ok = True
     params = TransportParams(forwarding_enabled=False)

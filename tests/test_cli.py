@@ -169,6 +169,19 @@ def test_gen_then_place_on_generated_data(tmp_path, capsys):
                  "place"]) == EXIT_OK
 
 
+def test_place_duplicate_site_id_is_data_error(tmp_path, capsys):
+    gen_dir = tmp_path / "data"
+    assert main(["--out", str(gen_dir), "gen"]) == EXIT_OK
+    pops = gen_dir / "pops.csv"
+    pops.write_text(pops.read_text().replace("pop001", "pop000"))
+    config = tmp_path / "dup.ini"
+    config.write_text(f"[place]\ncounties = {gen_dir}/counties.csv\n"
+                      f"pops = {pops}\ncdns = {gen_dir}/cdns.csv\n")
+    assert main(["--config", str(config), "place"]) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "duplicate site id pop000" in err[0]
+
+
 def test_apps_emits_four_rows(tmp_path, capsys):
     config = tmp_path / "apps.ini"
     config.write_text("[apps]\nfile_mb = 2\nvideo_s = 12\nlive_s = 6\n"
@@ -205,6 +218,32 @@ def test_config_unknown_section_rejected(tmp_path, capsys):
 
 def test_config_missing_file_rejected(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.ini"), "load"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("content,code,names", [
+    (b"grid = 4x4\n", EXIT_USAGE, "no section headers"),
+    (b"[mec]\ngrid = 4x4\ngrid = 5x5\n", EXIT_USAGE, "already exists"),
+    (b"[mec]\ngrid = 4x4\n[mec]\nue_count = 9\n", EXIT_USAGE,
+     "already exists"),
+    (b"[mec]\ngrid = 4x4 \xff\xfe\n", EXIT_USAGE, "utf-8"),
+    # read raw, "%" reaches the loader as part of the path
+    (b"[place]\ncounties = nope/100%.csv\n", EXIT_DATA, "nope/100%.csv"),
+    (None, EXIT_USAGE, "no config file"),  # --config names a directory
+], ids=["no-section", "repeated-key", "repeated-section", "not-utf8",
+        "percent", "directory"])
+def test_malformed_config_file_gives_one_error_line(tmp_path, monkeypatch,
+                                                    capsys, content, code,
+                                                    names):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "bad.ini"
+    if content is None:
+        config.mkdir()
+    else:
+        config.write_bytes(content)
+    assert main(["--config", str(config), "--out", str(tmp_path / "out"),
+                 "place"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0] and names in err[0]
 
 
 def test_load_config_defaults_without_file():

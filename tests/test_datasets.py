@@ -1,4 +1,5 @@
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -99,6 +100,15 @@ def test_out_of_range_coordinate_reports_line_number(tmp_path):
     path = tmp_path / "sites.csv"
     path.write_text("id,lat,lon\npop1,95.0,-100.0\n")
     with pytest.raises(IngestError, match="line 2"):
+        load_sites(str(path), SiteKind.PEERING_POP)
+
+
+def test_duplicate_site_id_names_path_line_and_id(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text("id,lat,lon\npop000,40.0,-100.0\npop001,41.0,-101.0\n"
+                    "pop000,42.0,-102.0\n")
+    with pytest.raises(IngestError,
+                       match=re.escape(f"{path}: line 4: duplicate site id pop000")):
         load_sites(str(path), SiteKind.PEERING_POP)
 
 

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from encorsim.placement import (
-    CostModel, County, Deployment, SiteKind, SitePoint, best_tail_km,
-    cost_compare, county_distance_3gpp, county_distance_encor, coverage,
-    greedy_place, haversine_km,
+    CostModel, County, Deployment, SiteKind, SitePoint, chain_km,
+    cost_compare, coverage, greedy_place, haversine_km,
 )
 
 
@@ -73,13 +72,13 @@ def test_chain_distances_match_brute_force_oracle():
             + haversine_km((core.lat, core.lon), (p.lat, p.lon))
             + haversine_km((p.lat, p.lon), (c.lat, c.lon))
             for core in cores for p in pops for c in cdns)
-        assert county_distance_3gpp(county, cores, pops, cdns) == \
+        assert chain_km(county, pops, cdns, cores) == \
             pytest.approx(expect_3gpp)
         expect_encor = min(
             haversine_km((county.lat, county.lon), (p.lat, p.lon))
             + haversine_km((p.lat, p.lon), (c.lat, c.lon))
             for p in pops for c in cdns)
-        assert county_distance_encor(county, pops, cdns) == \
+        assert chain_km(county, pops, cdns) == \
             pytest.approx(expect_encor)
 
 
@@ -87,8 +86,8 @@ def test_edge_routed_chain_never_longer_than_anchored():
     for seed in range(5):
         counties, pops, cdns = _random_instance(seed)
         for county in counties:
-            assert county_distance_encor(county, pops, cdns) <= \
-                county_distance_3gpp(county, pops, pops, cdns) + 1e-9
+            assert chain_km(county, pops, cdns) <= \
+                chain_km(county, pops, cdns, pops) + 1e-9
 
 
 def test_core_at_every_pop_matches_edge_routed_coverage():
@@ -122,7 +121,13 @@ def test_best_tail_brute_force():
         haversine_km((core.lat, core.lon), (p.lat, p.lon))
         + haversine_km((p.lat, p.lon), (c.lat, c.lon))
         for p in pops for c in cdns)
-    assert best_tail_km(core, pops, cdns) == pytest.approx(expect)
+    assert chain_km(core, pops, cdns) == pytest.approx(expect)
+
+
+def test_chain_km_rejects_empty_cores():
+    counties, pops, cdns = _random_instance(0)
+    with pytest.raises(ValueError, match="cores must be nonempty"):
+        chain_km(counties[0], pops, cdns, cores=[])
 
 
 def _exhaustive_best(counties, pops, cdns, core_budget, budget_km):
@@ -245,11 +250,11 @@ def test_chain_values_equal_brute_force_exactly(seed):
     # different summation order would show in the last bits
     deployments = (pops[seed % 3:seed % 3 + 3], counties[:3])
     for site in pops + counties:
-        assert best_tail_km(site, pops, cdns) == \
+        assert chain_km(site, pops, cdns) == \
             _oracle_chain(site, None, pops, cdns)
     for cores in deployments:
         for county in counties:
-            assert county_distance_3gpp(county, cores, pops, cdns) == \
+            assert chain_km(county, pops, cdns, cores) == \
                 _oracle_chain(county, cores, pops, cdns)
     for budget_km in (600.0, 1200.0, 2400.0):
         for dep in (None,) + deployments:
