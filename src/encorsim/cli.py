@@ -16,6 +16,7 @@ import sys
 
 from . import datasets, experiments, mecsweep, placement, transport
 from .datasets import write_csv_atomic
+from .kernel import US_PER_S
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,7 +92,7 @@ _positive = _checked(float, lambda v: 0 < v < math.inf)
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf)
 _count = _checked(int, lambda v: v >= 1)
 # simulated time is whole microseconds
-_duration_s = _checked(float, lambda v: 1 / transport.US <= v < math.inf)
+_duration_s = _checked(float, lambda v: 1 / US_PER_S <= v < math.inf)
 _dataset_sizes = {"n_counties": ("40", _count), "n_pops": ("8", _count),
                   "n_cdns": ("4", _count)}
 
@@ -167,13 +168,21 @@ def cmd_table(args, config):
     _emit(args, header, [r.to_csv_row() for r in rows], "table.csv")
 
     counts = {r.arch: (r.network_total, r.network_via_core) for r in rows}
-    checks = [counts["LTE"] == PAPER_MESSAGE_COUNTS["LTE"],
-              counts["EnCoR"] == PAPER_MESSAGE_COUNTS[args.mode]]
+    for arch, paper in (("LTE", PAPER_MESSAGE_COUNTS["LTE"]),
+                        ("EnCoR", PAPER_MESSAGE_COUNTS[args.mode])):
+        if counts[arch] != paper:
+            print(f"error: {arch} row (total, via core) is {counts[arch]}, "
+                  f"the paper's is {paper}", file=sys.stderr)
+            return EXIT_CHECK
     if args.mode == "core-assisted":
         lo, hi = PAPER_MODQUIC_TOTAL
         quic = next(r for r in rows if r.arch == "EnCoR+modQUIC")
-        checks.append(lo <= quic.total_min and quic.total_max <= hi)
-    return EXIT_OK if all(checks) else EXIT_CHECK
+        if not (lo <= quic.total_min and quic.total_max <= hi):
+            print(f"error: EnCoR+modQUIC total {quic.total_min}-"
+                  f"{quic.total_max} is outside the paper's {lo}-{hi}",
+                  file=sys.stderr)
+            return EXIT_CHECK
+    return EXIT_OK
 
 
 def cmd_load(args, config):
@@ -259,8 +268,8 @@ def cmd_apps(args, config):
     values = read_section(config, "apps")
     params = transport.TransportParams(forwarding_enabled=values["forwarding"])
     file_bytes = round(values["file_mb"] * 1_000_000)
-    ho_us = round(values["handover_at_s"] * transport.US)
-    live_ho_us = round(values["live_s"] * transport.US / 3)
+    ho_us = round(values["handover_at_s"] * US_PER_S)
+    live_ho_us = round(values["live_s"] * US_PER_S / 3)
     runs = [transport.run_bulk(file_bytes, [ho_us], params, seed=args.seed),
             transport.run_buffered(values["video_s"], [ho_us], params,
                                    seed=args.seed)]

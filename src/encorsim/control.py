@@ -15,9 +15,7 @@ import random
 
 from . import messages, security
 from .addressing import Addr128, RecentlyMovedTable, assign_private_addr
-from .messages import ControlMessage, HandoverMode, HandoverTrace, Kind
-
-SME_ID = messages.SME
+from .messages import HandoverMode, HandoverTrace
 
 
 class AttachError(Exception):
@@ -106,16 +104,10 @@ class Sme:
     """Minimal stateful core: subscriber DB front end, auth, key escrow."""
 
     def __init__(self, subdb, seed=0):
-        self.id = SME_ID
+        self.id = messages.SME
         self.subdb = subdb  # imsi -> SubscriberRecord
         self.rng = random.Random(seed)
         self.contexts = {}  # imsi -> UeContext
-
-
-def _msg(kind, src, dst, now_us, payload=None):
-    return ControlMessage(kind=kind, src=src, dst=dst,
-                          via_core=SME_ID in (src, dst),
-                          payload=dict(payload or {}), time_us=now_us)
 
 
 def attach(ue, inb, sme, now_us=0):
@@ -126,9 +118,9 @@ def attach(ue, inb, sme, now_us=0):
     """
     if ue.state != UeState.DETACHED:
         raise AttachError("ue not detached")
-    trace = HandoverTrace(mode=None)
-    trace.append(_msg(Kind.ATTACH_REQUEST, "ue", sme.id, now_us,
-                      {"imsi": ue.imsi, "inb": inb.id}))
+    trace = HandoverTrace(mode=HandoverMode.ATTACH)
+    request, challenge, response, accept = messages.ATTACH_SEQUENCE
+    trace.emit(request, {}, now_us, {"imsi": ue.imsi, "inb": inb.id})
     rec = sme.subdb.get(ue.imsi)
     if rec is None:
         ue.attach_failure = "unknown subscriber"
@@ -139,17 +131,17 @@ def attach(ue, inb, sme, now_us=0):
     except security.AuthError as exc:
         ue.attach_failure = str(exc)
         raise AttachError(str(exc)) from exc
-    trace.append(_msg(Kind.AUTH_CHALLENGE, sme.id, "ue", now_us,
-                      {"rand": vector.rand, "autn": vector.autn}))
-    trace.append(_msg(Kind.AUTH_RESPONSE, "ue", sme.id, now_us, {"res": res}))
+    trace.emit(challenge, {}, now_us,
+               {"rand": vector.rand, "autn": vector.autn})
+    trace.emit(response, {}, now_us, {"res": res})
 
     addr = assign_private_addr(ue.imsi)
     ctx = UeContext(imsi=ue.imsi, state=UeState.CONNECTED, serving_inb=inb.id,
                     private_addr=addr, keys=keys, qci=rec.qci_profile)
     sme.contexts[ue.imsi] = ctx
     inb.attached[addr.identifier] = ctx
-    trace.append(_msg(Kind.ATTACH_ACCEPT, sme.id, "ue", now_us,
-                      {"k_enb": keys.k_enb, "addr": addr, "qci": rec.qci_profile}))
+    trace.emit(accept, {}, now_us,
+               {"k_enb": keys.k_enb, "addr": addr, "qci": rec.qci_profile})
     ue.state = UeState.CONNECTED
     ue.keys = keys
     ue.addr = addr
@@ -161,7 +153,7 @@ def handover_core_assisted(ctx, ue, src, tgt, sme, hop, now_us=0):
     """Canonical 7-message handover through the SME, which cycles the
     session key (NCC += 1). Exactly two messages traverse the core."""
     return _handover(HandoverMode.CORE_ASSISTED, ctx, ue, src, tgt, hop,
-                     now_us, sme.id)
+                     now_us)
 
 
 def handover_direct(ctx, ue, src, tgt, hop, now_us=0):
@@ -171,7 +163,7 @@ def handover_direct(ctx, ue, src, tgt, hop, now_us=0):
     return _handover(HandoverMode.DIRECT, ctx, ue, src, tgt, hop, now_us)
 
 
-def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
+def _handover(mode, ctx, ue, src, tgt, hop, now_us):
     """Run the mode's prefix, the target's admission check and the shared
     tail. Every precondition is checked before any state changes, so a
     refused or misconfigured handover leaves the device at the source."""
@@ -180,27 +172,24 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
     if src.id not in hop.connected or tgt.id not in hop.connected:
         raise ConfigurationError(
             f"{src.id} and {tgt.id} do not share hop {hop.id}")
-    ids = {messages.SRC: src.id, messages.TGT: tgt.id, messages.UE: "ue",
-           messages.SME: sme_id, messages.HOP: hop.id}
+    ids = {messages.SRC: src.id, messages.TGT: tgt.id, messages.HOP: hop.id}
     trace = HandoverTrace(mode=mode)
 
-    def emit(kind, a, b, via_core, via_hop, payload=None):
-        msg = ControlMessage(kind, ids[a], ids[b], via_core, payload or {},
-                             now_us)
-        if via_hop:
+    def emit(step, payload=None):
+        msg = trace.emit(step, ids, now_us, payload)
+        if step[4]:  # via_hop
             msg.payload["via_hop"] = hop.id
             hop.relay(msg, msg.dst)
-        trace.append(msg)
 
     new_keys = (security.chain_k_enb(ctx.keys)
                 if mode is HandoverMode.CORE_ASSISTED else ctx.keys)
-    for kind, a, b, via_core, via_hop in messages.EDGE_PREFIX[mode]:
-        if b == messages.TGT:  # the target learns the session key
+    for step in messages.EDGE_PREFIX[mode]:
+        if step[2] == messages.TGT:  # the target learns the session key
             payload = {"imsi": ctx.imsi, "k_enb": new_keys.k_enb,
                        "ncc": new_keys.ncc, "qci": ctx.qci}
         else:
             payload = {"imsi": ctx.imsi, "target": tgt.id, "qci": ctx.qci}
-        emit(kind, a, b, via_core, via_hop, payload)
+        emit(step, payload)
     if not tgt.has_room():
         trace.failed = True
         return trace
@@ -208,15 +197,15 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us, sme_id=None):
     # opaque blob, forwarded to the device unmodified
     radio_config = f"radio:{tgt.id}:{ctx.imsi}:{ctx.qci}".encode()
     ack, command, confirm, notify, release = messages.EDGE_TAIL
-    emit(*ack, {"radio_config": radio_config})
-    emit(*command, {"radio_config": radio_config})
-    emit(*confirm)
-    emit(*notify)
+    emit(ack, {"radio_config": radio_config})
+    emit(command, {"radio_config": radio_config})
+    emit(confirm)
+    emit(notify)
     ident = ctx.private_addr.identifier
     del src.attached[ident]
     tgt.attached[ident] = ctx
     src.moved.record_move(ident, tgt.locator, now_us)
     ctx.keys = ue.keys = new_keys
     ctx.serving_inb = tgt.id
-    emit(*release, {"imsi": ctx.imsi})
+    emit(release, {"imsi": ctx.imsi})
     return trace

@@ -23,12 +23,17 @@ class IngestError(Exception):
 
 
 def _read_rows(path, header):
+    """(physical line number, row) pairs after the header. A line that
+    starts with '#' is a comment and is dropped before CSV parsing, so a
+    quote in a comment cannot open a field."""
     if not os.path.exists(path):
         raise IngestError(f"missing dataset file: {path}")
     with open(path, newline="") as f:
-        reader = csv.reader(row for row in f if not row.startswith("#"))
-        rows = list(reader)
-    if not rows or rows[0] != header:
+        kept = [(n, line) for n, line in enumerate(f, start=1)
+                if not line.startswith("#")]
+    reader = csv.reader(line for _, line in kept)
+    rows = [(kept[reader.line_num - 1][0], row) for row in reader]
+    if not rows or rows[0][1] != header:
         raise IngestError(f"{path}: expected header {','.join(header)}")
     if len(rows) == 1:
         raise IngestError(f"{path}: no data rows")
@@ -37,7 +42,7 @@ def _read_rows(path, header):
 
 def load_counties(path):
     counties = []
-    for lineno, row in enumerate(_read_rows(path, COUNTY_HEADER), start=2):
+    for lineno, row in _read_rows(path, COUNTY_HEADER):
         try:
             fips, name, lat, lon, pop = row
             counties.append(County(fips=fips, name=name, lat=float(lat),
@@ -51,7 +56,7 @@ def load_sites(path, kind):
     """Sites in file order; ids must be unique, since placement keys its
     candidate sites by id."""
     sites = {}
-    for lineno, row in enumerate(_read_rows(path, SITE_HEADER), start=2):
+    for lineno, row in _read_rows(path, SITE_HEADER):
         try:
             sid, lat, lon = row
             site = SitePoint(id=sid, kind=kind, lat=float(lat), lon=float(lon))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import messages, security
 from .control import UeState
-from .messages import ControlMessage, HandoverMode, HandoverTrace, Kind
+from .messages import HandoverMode, HandoverTrace, Kind
 
 @dataclass
 class GtpTunnel:
@@ -41,7 +41,6 @@ class LteCore:
     def __init__(self, subdb, seed=0, buffer_cap=None):
         self.subdb = subdb
         self.anchors = {}  # imsi -> AnchorState
-        self.serving_enb = {}  # imsi -> enb id
         self._teids = itertools.count(1)
         self._ips = itertools.count(0x0A00_0001)  # 10.0.0.x pool
         self.buffer_cap = buffer_cap  # None = unbounded
@@ -64,7 +63,6 @@ def attach_lte(ue, enb, core, now_us=0):
     anchor = AnchorState(imsi=ue.imsi, public_ip=next(core._ips),
                          tunnel=core.new_tunnel(enb))
     core.anchors[ue.imsi] = anchor
-    core.serving_enb[ue.imsi] = enb
     ue.keys = keys
     ue.state = UeState.CONNECTED
     return anchor
@@ -78,23 +76,21 @@ def s1_handover(ue, src_enb, tgt_enb, core, now_us=0,
     Returns (trace, flushed_packets).
     """
     anchor = core.anchors.get(ue.imsi)
-    if anchor is None or core.serving_enb.get(ue.imsi) != src_enb:
+    if anchor is None or anchor.tunnel.enb != src_enb:
         raise LteAttachError(f"ue {ue.imsi} not connected at {src_enb}")
 
     anchor.buffering = True
     trace = HandoverTrace(mode=HandoverMode.LTE_S1)
     ids = {messages.SRC: src_enb, messages.TGT: tgt_enb}
-    for kind, src, dst, via_core, _ in messages.S1_SEQUENCE:
-        trace.append(ControlMessage(kind, ids.get(src, src), ids.get(dst, dst),
-                                    via_core, time_us=now_us))
-        if kind == Kind.HO_COMMAND and dst == messages.UE:
+    for step in messages.S1_SEQUENCE:
+        msg = trace.emit(step, ids, now_us)
+        if msg.kind == Kind.HO_COMMAND and msg.dst == messages.UE:
             # UE detaches from src radio here; any downlink now buffers
             for pkt in downlink_mid_handover:
                 deliver_downlink(core, ue.imsi, pkt)
 
     # re-anchor: fresh tunnel toward the target, public IP untouched
     anchor.tunnel = core.new_tunnel(tgt_enb)
-    core.serving_enb[ue.imsi] = tgt_enb
     ue.keys = security.chain_k_enb(ue.keys)
 
     flushed = list(anchor.downlink_buffer)

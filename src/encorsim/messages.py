@@ -1,8 +1,9 @@
 """
 Control-plane message and trace types shared by both architectures, and
-every handover sequence as a table of (kind, src role, dst role, via_core,
-via_hop) steps. ``control`` (edge-routed) and ``lte`` (S1) run the tables,
-and the load experiment takes its per-message core flags from them.
+attach and every handover sequence as a table of (kind, src role, dst
+role, via_core, via_hop) steps. ``control`` (edge-routed) and ``lte`` (S1)
+run the tables through ``HandoverTrace.emit``, and the load experiment
+takes its per-message core flags from them.
 """
 import enum
 from collections import Counter
@@ -46,6 +47,7 @@ class ControlMessage:
 
 
 class HandoverMode(str, enum.Enum):
+    ATTACH = "Attach"
     CORE_ASSISTED = "CoreAssisted"
     DIRECT = "Direct"
     LTE_S1 = "LteS1"
@@ -57,8 +59,14 @@ class HandoverTrace:
     messages: list = field(default_factory=list)
     failed: bool = False
 
-    def append(self, msg):
+    def emit(self, step, ids, now_us, payload=None):
+        """Append the message of one table step and return it. `ids` binds
+        roles to element ids; an unbound role names the element itself."""
+        kind, src, dst, via_core, _ = step
+        msg = ControlMessage(kind, ids.get(src, src), ids.get(dst, dst),
+                             via_core, payload or {}, now_us)
         self.messages.append(msg)
+        return msg
 
     def __len__(self):
         return len(self.messages)
@@ -72,8 +80,7 @@ class HandoverTrace:
 
     def sequence_chart(self):
         """Plain-text message sequence chart, one arrow per line."""
-        lines = [f"# {self.mode.value} handover"
-                 + (" (FAILED)" if self.failed else "")]
+        lines = [f"# {self.mode.value}" + (" (FAILED)" if self.failed else "")]
         for i, m in enumerate(self.messages):
             core = " [core]" if m.via_core else ""
             lines.append(f"{i + 1:2d}. {m.src} -> {m.dst}: {m.kind.value}{core}")
@@ -95,6 +102,13 @@ def _steps(rows, anchored=False):
     return tuple((kind, a, b, anchored or SME in (a, b), {a, b} == {SRC, TGT})
                  for kind, a, b in rows)
 
+
+ATTACH_SEQUENCE = _steps((
+    (Kind.ATTACH_REQUEST, UE, SME),
+    (Kind.AUTH_CHALLENGE, SME, UE),
+    (Kind.AUTH_RESPONSE, UE, SME),
+    (Kind.ATTACH_ACCEPT, SME, UE),
+))
 
 # Reconstructed S1 handover: 15 messages, all core-side.
 S1_SEQUENCE = _steps((

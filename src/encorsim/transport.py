@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .addressing import Addr128, RecentlyMovedTable
-from .kernel import Simulator
+from .kernel import Simulator, US_PER_S
 
-US = 1_000_000
 BASE_LOCATOR = 0x2001_0000_0000_0000
 
 
@@ -275,7 +274,7 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
     server.schedule_handovers(handover_times_us, downloading)
     server.keep_alive(downloading, downloading)
 
-    horizon = n_packets * interval * 4 + 60 * US
+    horizon = n_packets * interval * 4 + 60 * US_PER_S
     sim.run_until(horizon)
     done = finish_us[0] if finish_us[0] else horizon
     return server.metrics(
@@ -293,7 +292,7 @@ PACE_MBPS = 8.0
 
 def _check_duration(duration_s):
     # simulated time is whole microseconds, so a shorter run has no time
-    if not 1 / US <= duration_s < math.inf:
+    if not 1 / US_PER_S <= duration_s < math.inf:
         raise ValueError("duration_s must be at least 1 us and finite,"
                          f" got {duration_s}")
 
@@ -323,11 +322,11 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         "outstanding": set(),
         "next_pkt": 0,
     }
-    duration_us = round(duration_s * US)
+    duration_us = round(duration_s * US_PER_S)
     pace_interval = params.packet_interval_us(PACE_MBPS)
 
     def update_buffer(now):
-        dt = (now - state["last_update"]) / US
+        dt = (now - state["last_update"]) / US_PER_S
         if dt <= 0:
             return
         buf = state["buffer_s"]
@@ -336,7 +335,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
             state["buffer_s"] = buf - dt
         else:
             state["buffer_integral"] += buf * buf / 2
-            state["stall_us"] += round((dt - buf) * US)
+            state["stall_us"] += round((dt - buf) * US_PER_S)
             state["buffer_s"] = 0.0
         state["last_update"] = now
 
@@ -346,7 +345,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         update_buffer(sim.now)
         if state["buffer_s"] > BUFFER_CAP_S - CHUNK_DURATION_S:
             wait = round((state["buffer_s"] - (BUFFER_CAP_S - CHUNK_DURATION_S))
-                         * US)
+                         * US_PER_S)
             sim.schedule(sim.now + wait, request_chunk)
             return
         level, bitrate = select_level(state["buffer_s"])
@@ -386,7 +385,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
 
     return server.metrics(
         "buffered",
-        stall_s=state["stall_us"] / US,
+        stall_s=state["stall_us"] / US_PER_S,
         mean_buffer_s=state["buffer_integral"] / duration_s,
         mean_quality=(sum(state["qualities"]) / len(state["qualities"])
                       if state["qualities"] else 0.0),
@@ -404,7 +403,7 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     params = params or TransportParams()
     server = _DownlinkServer(params, seed)
     sim = server.sim
-    duration_us = round(duration_s * US)
+    duration_us = round(duration_s * US_PER_S)
     idle_deadline = round(params.idle_deadline_factor * frame_interval_us)
 
     state = {"last_delivery": 0, "pings": 0, "ping_muted_until": -1}

@@ -4,8 +4,9 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from encorsim import cli
 from encorsim.cli import (
-    CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, main,
+    CONFIG, EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, main,
     write_csv_atomic,
 )
 
@@ -40,6 +41,21 @@ def test_table_direct_mode(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "table", "--mode", "direct"]) == EXIT_OK
     by_arch = {r[0]: r for r in read_csv(tmp_path / "table.csv")[1:]}
     assert by_arch["EnCoR"][3:5] == ["6", "0"]
+
+
+@pytest.mark.parametrize("patch, names", [
+    (lambda mp: mp.setitem(cli.PAPER_MESSAGE_COUNTS, "LTE", (14, 14)),
+     ("LTE", "(15, 15)", "(14, 14)")),
+    (lambda mp: mp.setattr(cli, "PAPER_MODQUIC_TOTAL", (1, 2)),
+     ("modQUIC", "1-2")),
+])
+def test_table_check_failure_is_one_error_line(monkeypatch, capsys, patch,
+                                               names):
+    patch(monkeypatch)
+    assert main(["table"]) == EXIT_CHECK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0]
+    assert all(name in err[0] for name in names)
 
 
 def test_pretty_format_prints_table(capsys):

@@ -212,3 +212,15 @@ def test_trace_csv_and_chart():
     assert rows[0][2] == "HoRequired"
     chart = trace.sequence_chart()
     assert "HoCommand" in chart and "[core]" in chart
+
+
+def test_attach_trace_chart():
+    ue, inb_a, _, sme, _ = make_world()
+    _, trace = attach(ue, inb_a, sme)
+    assert trace.sequence_chart().splitlines() == [
+        "# Attach",
+        " 1. ue -> sme: AttachRequest [core]",
+        " 2. sme -> ue: AuthChallenge [core]",
+        " 3. ue -> sme: AuthResponse [core]",
+        " 4. sme -> ue: AttachAccept [core]",
+    ]

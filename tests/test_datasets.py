@@ -112,6 +112,28 @@ def test_duplicate_site_id_names_path_line_and_id(tmp_path):
         load_sites(str(path), SiteKind.PEERING_POP)
 
 
+def test_bad_row_after_comment_reports_physical_line(tmp_path):
+    counties, pops, cdns = generate_synthetic(seed=3, n_counties=5)
+    path = write_dataset(str(tmp_path), counties, pops, cdns)["counties"]
+    lines = open(path).read().splitlines()
+    assert lines[0].startswith("#")  # the total_population comment
+    fields = lines[2].split(",")
+    lines[2] = ",".join(fields[:-1] + ["abc"])
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: ")):
+        load_counties(path)
+
+
+def test_duplicate_site_id_after_comment_reports_physical_line(tmp_path):
+    path = tmp_path / "sites.csv"
+    # a quote in a comment must not open a field that swallows the rows
+    path.write_text("id,lat,lon\npop000,40.0,-100.0\n# a comment,\"x\n"
+                    "pop000,42.0,-102.0\n")
+    with pytest.raises(IngestError,
+                       match=re.escape(f"{path}: line 4: duplicate site id")):
+        load_sites(str(path), SiteKind.PEERING_POP)
+
+
 def test_header_only_file_rejected(tmp_path):
     path = tmp_path / "sites.csv"
     path.write_text("id,lat,lon\n")

@@ -29,7 +29,7 @@ def test_attach_builds_anchor_and_tunnel():
     assert ue.state is UeState.CONNECTED
     assert anchor.tunnel.enb == "enb_a"
     assert anchor.tunnel.teid_up != anchor.tunnel.teid_down
-    assert core.serving_enb[1] == "enb_a"
+    assert core.anchors[1].tunnel.enb == "enb_a"
 
 
 def test_attach_unknown_subscriber_rejected():
@@ -46,7 +46,7 @@ def test_s1_handover_is_fifteen_messages_all_via_core():
     assert len(trace) == 15
     assert via_core == 15
     assert flushed == []
-    assert core.serving_enb[1] == "enb_b"
+    assert core.anchors[1].tunnel.enb == "enb_b"
 
 
 def test_public_ip_stable_while_tunnel_teids_change():
