@@ -5,15 +5,17 @@ Time is an integer count of simulated microseconds. Events are totally
 ordered by (time, insertion sequence), so runs with the same seed and
 scenario produce identical results; a scheduled event cannot be
 cancelled. Events scheduled in time order can go through a `Lane`,
-which keeps only its earliest event in the heap. Nodes are
+which keeps only its earliest event in the heap. A timer whose outcome
+is known before it is due can reserve its key with `Simulator.reserve`
+and be placed in a lane only if it is needed. Nodes are
 capacity-limited FIFO servers; links add latency and may drop messages
 probabilistically.
 """
-import heapq
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf
 
 US_PER_S = 1_000_000
 
@@ -65,7 +67,7 @@ class Node:
     """Capacity-limited processing node with a FIFO service discipline."""
 
     def __init__(self, node_id, service_rate, exponential_service=False):
-        if not 0 < service_rate < math.inf:
+        if not 0 < service_rate < inf:
             raise ValueError(
                 f"service_rate must be positive and finite, got {service_rate}")
         self.id = node_id
@@ -81,7 +83,8 @@ class Lane:
 
     Only the lane's earliest pending event sits in the simulator's heap;
     when it fires, the next one moves in. The heap stays as small as the
-    number of busy lanes plus the events scheduled directly.
+    number of busy lanes plus the events scheduled directly. A heap entry
+    carries its lane's FIFO, so the drain loop needs no lane lookup.
 
     Order: each event takes its key (time, seq) from the simulator's
     counter when it is scheduled, exactly as `Simulator.schedule` would
@@ -90,6 +93,13 @@ class Lane:
     smaller key. The heap's minimum is therefore the minimum over every
     pending event, and events fire in the same (time, insertion) order as
     if each had been scheduled on the simulator directly.
+
+    A placed event (see `place`) keeps the key it reserved earlier and
+    enters the lane before its own time. Every event that has fired by
+    then fired no later than `now`, so its key is smaller, and no event
+    with a larger key can have fired: the heap's minimum is still the
+    global minimum, and the placed event fires where it would have fired
+    had it been scheduled when its key was reserved.
     """
 
     __slots__ = ("_sim", "_pending", "_last")
@@ -103,17 +113,35 @@ class Lane:
         """Schedule `action(sim)` at absolute time `at`, no earlier than
         the lane's last event."""
         sim = self._sim
-        if not sim.now <= at < math.inf or at < self._last:
+        if not sim.now <= at < inf or at < self._last:
             raise SchedulingError(
                 f"cannot schedule at t={at} in a lane: now is t={sim.now},"
                 f" the lane's last event is at t={self._last}")
-        entry = (at, sim._seq, action, self)
+        pending = self._pending
+        entry = (at, sim._seq, action, pending)
         sim._seq += 1
         self._last = at
-        pending = self._pending
         pending.append(entry)
         if len(pending) == 1:
-            heapq.heappush(sim._queue, entry)
+            heappush(sim._queue, entry)
+
+    def place(self, key, action):
+        """Put `action(sim)` in the lane under `key`, a (time, seq) key
+        from `Simulator.reserve`. The key's time must still lie ahead of
+        `now`, and the key must follow the lane's last one."""
+        sim = self._sim
+        at, seq = key
+        pending = self._pending
+        if not sim.now < at < inf or (pending and key <= pending[-1][:2]):
+            raise SchedulingError(
+                f"cannot place key {key} in a lane: now is t={sim.now},"
+                " the lane's last key is"
+                f" {pending[-1][:2] if pending else None}")
+        entry = (at, seq, action, pending)
+        self._last = at
+        pending.append(entry)
+        if len(pending) == 1:
+            heappush(sim._queue, entry)
 
 
 class Simulator:
@@ -134,7 +162,7 @@ class Simulator:
         return node
 
     def add_link(self, a, b, latency_us, loss_probability=0.0, bidirectional=True):
-        if not 0 <= latency_us < math.inf:
+        if not 0 <= latency_us < inf:
             raise ValueError(
                 f"latency must be nonnegative and finite, got {latency_us}")
         if not 0.0 <= loss_probability <= 1.0:
@@ -149,10 +177,20 @@ class Simulator:
         """Schedule `action(sim)` at absolute time `at`. Events fire in
         (time, insertion) order; a scheduled event cannot be cancelled."""
         # also rejects NaN, which compares false both ways
-        if not self.now <= at < math.inf:
+        if not self.now <= at < inf:
             raise SchedulingError(f"cannot schedule at t={at}, now is t={self.now}")
-        heapq.heappush(self._queue, (at, self._seq, action, None))
+        heappush(self._queue, (at, self._seq, action, None))
         self._seq += 1
+
+    def reserve(self, at):
+        """Take the (time, seq) key that `schedule(at, ...)` would give an
+        event now, without scheduling anything. `Lane.place` can later put
+        an action under the key; a key never placed costs no event."""
+        if not self.now <= at < inf:
+            raise SchedulingError(f"cannot reserve t={at}, now is t={self.now}")
+        key = (at, self._seq)
+        self._seq += 1
+        return key
 
     def lane(self):
         """A new FIFO lane for events scheduled in nondecreasing time."""
@@ -201,17 +239,16 @@ class Simulator:
         """Execute every event with time <= t_end, in (time, insertion)
         order."""
         queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        pop = heappop
+        push = heappush
         events = 0
         try:
             while queue and queue[0][0] <= t_end:
-                at, _, action, lane = heappop(queue)
-                if lane is not None:
-                    pending = lane._pending
+                at, _, action, pending = pop(queue)
+                if pending is not None:
                     pending.popleft()
                     if pending:
-                        heappush(queue, pending[0])
+                        push(queue, pending[0])
                 self.now = at
                 events += 1
                 action(self)
@@ -221,7 +258,7 @@ class Simulator:
     def run_until(self, t_end):
         """Execute every event with time <= t_end; returns the stats so
         far. The horizon must be finite: `run` drains the queue."""
-        if not -math.inf < t_end < math.inf:
+        if not -inf < t_end < inf:
             raise SchedulingError(f"run_until needs a finite horizon, got {t_end}")
         self._drain(t_end)
         self.now = max(self.now, t_end)
@@ -229,5 +266,5 @@ class Simulator:
 
     def run(self):
         """Run until the event queue drains."""
-        self._drain(math.inf)
+        self._drain(inf)
         return self.stats

@@ -132,15 +132,18 @@ class MobilityNet:
         """Can a packet addressed to dest_addr reach the client at this
         time? Follows live forwarding entries hop by hop."""
         loc = dest_addr.locator
+        current = self.conn.client_addr.locator
+        if loc == current:
+            return True
         ident = dest_addr.identifier
-        for _ in range(len(self.tables) + 1):
-            if loc == self.conn.client_addr.locator:
-                return True
+        # locators only grow, so a chain visits each table at most once
+        for _ in range(len(self.tables)):
             table = self.tables.get(loc)
-            nxt = table.lookup(ident, arrival_us) if table else None
-            if nxt is None:
+            loc = table.lookup(ident, arrival_us) if table else None
+            if loc is None:
                 return False
-            loc = nxt
+            if loc == current:
+                return True
         return False
 
 
@@ -163,6 +166,7 @@ class _DownlinkServer:
         self.conn = MobiConn(conn_id=1, client_addr=addr, server_path=addr)
         self.net = MobilityNet(self.conn, params)
         self.params = params
+        self.rto_us = params.rto_us
         self.handovers = 0
         self.acked = set()
         self.delivered = set()
@@ -181,32 +185,50 @@ class _DownlinkServer:
         for t in times_us:
             self.sim.schedule(t, migrate)
 
-    def transmit(self, pkt_id):
-        """One unreliable send to the last-known path."""
+    def transmit(self, pkt_id, lost=None):
+        """One unreliable send to the last-known path. `lost()` runs if
+        the packet arrives where the client cannot be reached."""
         self.tx_count += 1
         dest = self.conn.server_path
 
         def arrive(sim):
             if self.net.reaches_client(dest, sim.now):
                 self._client_receive(pkt_id, sim.now)
+            elif lost is not None:
+                lost()
 
         self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
 
     def send_reliable(self, pkt_id, rto_us=None):
-        """Transmit until acked, doubling the timeout after each loss."""
-        rto = self.params.rto_us if rto_us is None else rto_us
-        self.transmit(pkt_id)
+        """Transmit until acked, doubling the timeout after each loss.
 
+        A delivered transmission is acked rtt_us after it was sent, and
+        client packets are never lost, so a first timeout, due at
+        rto_us = 2 * rtt_us, would find it acked and do nothing. The first
+        timeout therefore reserves its key at the send and is placed in
+        its lane only when the transmission is lost; it fires exactly
+        where a timer scheduled at the send would have."""
+        if rto_us is not None:
+            self.transmit(pkt_id)
+            self.sim.schedule(self.sim.now + rto_us,
+                              self._timeout(pkt_id, rto_us))
+            return
+
+        def lost():
+            self.first_rto.place(key, self._timeout(pkt_id, self.rto_us))
+
+        self.transmit(pkt_id, lost)
+        # after the transmit, where the timer's own key was taken; the
+        # arrival, and so `lost`, runs only after this call returns
+        key = self.sim.reserve(self.sim.now + self.rto_us)
+
+    def _timeout(self, pkt_id, rto_us):
         def timeout(sim):
             if pkt_id not in self.acked:
                 self.retx_count += 1
-                self.send_reliable(pkt_id, rto_us=rto * 2)
+                self.send_reliable(pkt_id, rto_us=rto_us * 2)
 
-        # the first timeout is a fixed delay; a doubled one is not
-        if rto_us is None:
-            self.first_rto.schedule(self.sim.now + rto, timeout)
-        else:
-            self.sim.schedule(self.sim.now + rto, timeout)
+        return timeout
 
     def _client_receive(self, pkt_id, now):
         first = pkt_id not in self.delivered

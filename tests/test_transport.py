@@ -2,9 +2,9 @@ import pytest
 
 from encorsim.addressing import Addr128
 from encorsim.transport import (
-    BASE_LOCATOR, BUFFER_THRESHOLDS_S, DEFAULT_LADDER, MobiConn, MobilityNet,
-    Policy, TransportParams, client_migrate, run_buffered, run_bulk, run_live,
-    select_level,
+    BASE_LOCATOR, BUFFER_THRESHOLDS_S, DEFAULT_LADDER, AppMetrics, MobiConn,
+    MobilityNet, Policy, TransportParams, _DownlinkServer, client_migrate,
+    run_buffered, run_bulk, run_live, select_level,
 )
 
 US = 1_000_000
@@ -206,6 +206,62 @@ def test_params_reject_nonpositive_or_infinite(field, value):
 
 def test_params_allow_immediate_ack():
     assert TransportParams(ack_delay_us=0).rtt_us == 40_000
+
+
+def _recording_server(params, send_at, move_at=None):
+    """A server that sends packet 7 reliably at `send_at`, with the
+    client moving at `move_at`; returns it and its list of send times."""
+    server = _DownlinkServer(params, seed=0)
+    sent = []
+    transmit = server.transmit
+
+    def recording(pkt_id, lost=None):
+        sent.append(server.sim.now)
+        transmit(pkt_id, lost)
+
+    server.transmit = recording
+    server.sim.schedule(send_at, lambda s: server.send_reliable(7))
+    if move_at is not None:
+        server.schedule_handovers([move_at], lambda: True)
+    return server, sent
+
+
+def test_lost_first_transmission_is_retransmitted_one_rto_after_the_send():
+    params = TransportParams(forwarding_enabled=False)
+    server, sent = _recording_server(params, send_at=1_000, move_at=1_001)
+    server.sim.run_until(1_000 + params.one_way_us)
+    assert len(server.first_rto._pending) == 1  # placed on the loss
+    server.sim.run_until(1_000 + params.rto_us)
+    assert sent == [1_000, 1_000 + params.rto_us]
+    assert server.retx_count == 1
+
+
+def test_delivered_transmission_leaves_first_rto_lane_empty():
+    params = TransportParams()
+    server, sent = _recording_server(params, send_at=1_000)
+    stats = server.sim.run_until(1_000 + 2 * params.rto_us)
+    assert sent == [1_000]
+    assert server.acked == {7}
+    assert not server.first_rto._pending
+    # the send, the arrival, the ack leaving and the ack arriving
+    assert stats.events_processed == 4
+
+
+# Pinned from the model that scheduled every first timeout as an event:
+# with no ack delay the ack still returns (after 2 * one_way_us) before
+# the first timeout (4 * one_way_us), so skipping the no-op timeouts
+# changes nothing.
+@pytest.mark.parametrize("run, expected", [
+    (lambda p: run_bulk(600_000, [20_000, 50_000], p, seed=3),
+     AppMetrics(app="bulk", handovers=2, throughput_mbps=27.002700270027002,
+                retx_count=325, retx_rate=0.3939393939393939)),
+    (lambda p: run_buffered(6.0, [1_000_000, 2_500_000], p, seed=3),
+     AppMetrics(app="buffered", handovers=2, throughput_mbps=7.5824,
+                retx_count=74, retx_rate=0.015320910973084885,
+                mean_buffer_s=26.668666666666667, mean_quality=5.0)),
+])
+def test_immediate_ack_metrics_unchanged(run, expected):
+    assert run(TransportParams(ack_delay_us=0)) == expected
 
 
 @pytest.mark.parametrize("duration_s", [0, -1, 1e-9, float("nan"),
