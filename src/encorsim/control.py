@@ -79,7 +79,10 @@ class Inb:
         return self.ue_cap is None or len(self.attached) < self.ue_cap
 
     def attached_ids(self):
-        return set(self.attached)
+        """The identifiers of the attached devices, as a live set-like view
+        of `attached`: it follows later attaches and handovers, and costs
+        no copy."""
+        return self.attached.keys()
 
 
 class Hop:

@@ -107,6 +107,12 @@ class LoadScenario:
             if not 0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite,"
                                  f" got {value}")
+        # a mean gap under the 1 µs clock rounds every gap to 0 µs, and the
+        # arrival loop would never reach the horizon
+        fastest = max(self.rates_per_s, default=0)
+        if fastest > US_PER_S:
+            raise ValueError(f"rates_per_s must be at most {US_PER_S} per s"
+                             f" (a mean gap of 1 µs), got {fastest}")
         if self.link_latency_us < 0:
             raise ValueError("link_latency_us must be nonnegative")
         if list(self.rates_per_s) != sorted(self.rates_per_s):
@@ -147,20 +153,22 @@ def _run_load_point(arch, rate_per_s, scenario):
     sim.add_link("edge", "edge", scenario.link_latency_us, bidirectional=False)
 
     completions = []
+    dsts = ["core" if via_core else "edge" for via_core in flags]
+    n_steps = len(dsts)
+
+    def advance(sim, msg):
+        """Send the handover's next step, or record its completion; msg is
+        (handover start, index of the next step)."""
+        start, i = msg
+        if i == n_steps:
+            completions.append(sim.now - start)
+            return
+        dst = dsts[i]
+        sim.send("edge", dst, (start, i + 1), on_delivered=advance,
+                 category=dst)
 
     def start_handover(sim):
-        start = sim.now
-
-        def step(i):
-            if i == len(flags):
-                completions.append(sim.now - start)
-                return
-            node = "core" if flags[i] else "edge"
-            sim.send("edge", node, ("ho", i),
-                     on_delivered=lambda s, m: step(i + 1),
-                     category="core" if flags[i] else "edge")
-
-        step(0)
+        advance(sim, (sim.now, 0))
 
     # Poisson handover arrivals over the run horizon
     horizon = round(scenario.duration_s * US_PER_S)

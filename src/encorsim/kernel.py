@@ -7,9 +7,16 @@ scenario produce identical results; a scheduled event cannot be
 cancelled. Events scheduled in time order can go through a `Lane`,
 which keeps only its earliest event in the heap. A timer whose outcome
 is known before it is due can reserve its key with `Simulator.reserve`
-and be placed in a lane only if it is needed. Nodes are
-capacity-limited FIFO servers; links add latency and may drop messages
-probabilistically.
+and be placed in a lane only if it is needed.
+
+Nodes are capacity-limited FIFO servers; links add latency and may drop
+messages probabilistically. Every link into a node has the same latency,
+so messages reach a node in the order they were sent to it, and `send`
+fixes a message's service slot when it is sent: its only event is its
+completion, which takes its key at send time. Completions due in the same
+microsecond at different nodes therefore fire in send order, which is
+their arrival order when every link has one latency. An exponential
+service time is drawn at send time.
 """
 import random
 from collections import deque
@@ -73,6 +80,9 @@ class Node:
         self.id = node_id
         self.service_rate = service_rate
         self.exponential_service = exponential_service
+        # a deterministic node serves every message in the same whole µs
+        self.service_us = (None if exponential_service
+                           else max(1, round(US_PER_S / service_rate)))
         self.busy_until = 0
         self.processed = 0
 
@@ -150,6 +160,9 @@ class Simulator:
         self.rng = random.Random(seed)
         self.nodes = {}
         self.links = {}  # (src, dst) -> (latency_us, loss_probability)
+        # dst -> the latency every link into dst has; a link may come
+        # before its destination node
+        self._in_latency_us = {}
         self.stats = RunStats()
         self._queue = []
         self._seq = 0
@@ -162,14 +175,24 @@ class Simulator:
         return node
 
     def add_link(self, a, b, latency_us, loss_probability=0.0, bidirectional=True):
+        """Add the link a -> b, and b -> a if bidirectional. Every link
+        into a node must have the same latency: a link that would break
+        this raises ValueError naming the node, and nothing is added."""
         if not 0 <= latency_us < inf:
             raise ValueError(
                 f"latency must be nonnegative and finite, got {latency_us}")
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
-        self.links[(a, b)] = (latency_us, loss_probability)
-        if bidirectional:
-            self.links[(b, a)] = (latency_us, loss_probability)
+        ends = ((a, b), (b, a)) if bidirectional else ((a, b),)
+        for _, dst in ends:
+            shared = self._in_latency_us.get(dst, latency_us)
+            if shared != latency_us:
+                raise ValueError(
+                    f"every link into node {dst!r} must have one latency:"
+                    f" it has {shared} µs, the new link {latency_us} µs")
+        for src, dst in ends:
+            self._in_latency_us[dst] = latency_us
+            self.links[(src, dst)] = (latency_us, loss_probability)
 
     # -- event queue ------------------------------------------------------
 
@@ -200,40 +223,41 @@ class Simulator:
         """Send msg over the (src, dst) link into dst's service queue.
 
         on_delivered(sim, msg) fires when dst finishes servicing the message.
+        Every link into dst has one latency, so no message sent later can
+        reach dst before this one: its service slot is fixed now, and its
+        completion is its only event, keyed at send time. An exponential
+        service time is drawn now.
         """
         link = self.links.get((src, dst))
         if link is None:
             raise RoutingError(f"no link {src} -> {dst}")
         latency_us, loss_probability = link
-        self.stats.sent += 1
+        stats = self.stats
+        stats.sent += 1
         if loss_probability > 0.0 and self.rng.random() < loss_probability:
-            self.stats.dropped += 1
+            stats.dropped += 1
             return None
         sent_at = self.now
         node = self.nodes[dst]
+        service = node.service_us
+        if service is None:
+            service = max(1, round(
+                self.rng.expovariate(node.service_rate) * US_PER_S))
+        done = max(node.busy_until, sent_at + latency_us) + service
+        node.busy_until = done
 
-        def arrive(sim):
-            start = max(node.busy_until, sim.now)
-            if node.exponential_service:
-                service = sim.rng.expovariate(node.service_rate) * US_PER_S
-            else:
-                service = US_PER_S / node.service_rate
-            done = start + max(1, round(service))
-            node.busy_until = done
+        def complete(sim):
+            node.processed += 1
+            stats.delivered += 1
+            cat = category if category is not None else type(msg).__name__
+            by_cat = stats.delivered_by_category
+            by_cat[cat] = by_cat.get(cat, 0) + 1
+            stats.latencies_us.append(done - sent_at)
+            if on_delivered is not None:
+                on_delivered(sim, msg)
 
-            def complete(sim):
-                node.processed += 1
-                sim.stats.delivered += 1
-                cat = category if category is not None else type(msg).__name__
-                by_cat = sim.stats.delivered_by_category
-                by_cat[cat] = by_cat.get(cat, 0) + 1
-                sim.stats.latencies_us.append(sim.now - sent_at)
-                if on_delivered is not None:
-                    on_delivered(sim, msg)
-
-            sim.schedule(done, complete)
-
-        self.schedule(self.now + latency_us, arrive)
+        heappush(self._queue, (done, self._seq, complete, None))
+        self._seq += 1
 
     def _drain(self, t_end):
         """Execute every event with time <= t_end, in (time, insertion)

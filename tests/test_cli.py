@@ -78,6 +78,7 @@ def test_load_writes_csv(tmp_path, capsys):
 @pytest.mark.parametrize("line,key", [
     ("rates_per_s = a,b", "rates_per_s"),
     ("rates_per_s = 0,2", "rates_per_s"),
+    ("rates_per_s = 1e300", "rates_per_s"),
     ("core_service_rate = 0", "core_service_rate"),
     ("duration_s = 0", "duration_s"),
     ("link_latency_us = -1", "link_latency_us"),

@@ -194,6 +194,18 @@ def test_exactly_one_inb_holds_context():
     assert len(holders) == 1
 
 
+def test_attached_ids_view_follows_attach_and_handover():
+    ue, inb_a, inb_b, sme, hop = make_world()
+    ids_a, ids_b = inb_a.attached_ids(), inb_b.attached_ids()
+    assert 1 not in ids_a and 1 not in ids_b
+    ctx, _ = attach(ue, inb_a, sme)
+    assert 1 in ids_a and 1 not in ids_b
+    handover_core_assisted(ctx, ue, inb_a, inb_b, sme, hop)
+    assert 1 not in ids_a and 1 in ids_b
+    handover_direct(ctx, ue, inb_b, inb_a, hop)
+    assert set(ids_a) == {1} and len(ids_b) == 0
+
+
 def test_inb_has_no_downlink_buffer():
     inb = Inb("inb", 0x1)
     assert not any("buffer" in name for name in vars(inb))

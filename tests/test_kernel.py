@@ -364,3 +364,153 @@ def test_reserve_rejects_past_time_and_changes_nothing():
         sim.reserve(4)
     assert sim._seq == 0
     assert sim.reserve(5) == (5, 0)
+
+
+def test_link_breaking_the_in_latency_rule_is_rejected_and_changes_nothing():
+    sim = Simulator()
+    sim.add_link("a", "n", 1_000, bidirectional=False)
+    before = dict(sim.links)
+    with pytest.raises(ValueError, match="'n'"):
+        sim.add_link("b", "n", 2_000, bidirectional=False)
+    assert sim.links == before
+    sim.add_link("b", "n", 1_000, loss_probability=0.5, bidirectional=False)
+    assert sim.links[("b", "n")] == (1_000, 0.5)
+
+
+def test_bidirectional_link_breaking_the_rule_at_its_reverse_end_adds_nothing():
+    sim = Simulator()
+    sim.add_link("b", "a", 500, bidirectional=False)
+    before = dict(sim.links)
+    # a -> n is the first link into n, but n -> a breaks a's latency
+    with pytest.raises(ValueError, match="'a'"):
+        sim.add_link("a", "n", 1_000)
+    assert sim.links == before
+    sim.add_link("a", "n", 1_000, bidirectional=False)
+    assert sim.links[("a", "n")] == (1_000, 0.0)
+
+
+def _two_event_send(sim, src, dst, msg, on_delivered=None, category=None):
+    """Oracle: `Simulator.send` as it was when an arrival event at
+    `now + latency` picked the service slot and scheduled the completion."""
+    link = sim.links.get((src, dst))
+    if link is None:
+        raise RoutingError(f"no link {src} -> {dst}")
+    latency_us, loss_probability = link
+    sim.stats.sent += 1
+    if loss_probability > 0.0 and sim.rng.random() < loss_probability:
+        sim.stats.dropped += 1
+        return None
+    sent_at = sim.now
+    node = sim.nodes[dst]
+
+    def arrive(sim):
+        start = max(node.busy_until, sim.now)
+        if node.exponential_service:
+            service = sim.rng.expovariate(node.service_rate) * US_PER_S
+        else:
+            service = US_PER_S / node.service_rate
+        done = start + max(1, round(service))
+        node.busy_until = done
+
+        def complete(sim):
+            node.processed += 1
+            sim.stats.delivered += 1
+            cat = category if category is not None else type(msg).__name__
+            by_cat = sim.stats.delivered_by_category
+            by_cat[cat] = by_cat.get(cat, 0) + 1
+            sim.stats.latencies_us.append(sim.now - sent_at)
+            if on_delivered is not None:
+                on_delivered(sim, msg)
+
+        sim.schedule(done, complete)
+
+    sim.schedule(sim.now + latency_us, arrive)
+
+
+N_NODES = 3
+# service times of 1, 2, 3 (rounded from 3.3) and 8 µs, so that many
+# completions share a time
+SERVICE_RATES = (US_PER_S, US_PER_S / 2, 300_000, 125_000)
+# (service rate per node, links as (src, dst, loss probability, category))
+TOPOLOGY = st.tuples(
+    st.lists(st.sampled_from(SERVICE_RATES), min_size=N_NODES,
+             max_size=N_NODES),
+    st.lists(st.tuples(st.sampled_from(["x", *range(N_NODES)]),
+                       st.integers(0, N_NODES - 1),
+                       st.sampled_from([0.0, 0.0, 0.3]),
+                       st.sampled_from([None, "a", "b"])),
+             min_size=1, max_size=6, unique_by=lambda link: link[:2]))
+LATENCY = st.integers(0, 4)
+
+
+def sends(max_hops):
+    """Root sends as (time, the links its message chain follows); each
+    hop after the first is sent from the previous hop's on_delivered."""
+    return st.lists(st.tuples(st.integers(0, 12),
+                              st.lists(st.integers(0, 5), min_size=1,
+                                       max_size=max_hops)),
+                    max_size=12)
+
+
+def _run_sends(topology, latencies, sends, cut, send):
+    """Run the sends through `send`, cut off at `cut`, then drain. Returns
+    (deliveries as (time, msg) in delivery order, delivered_by_category,
+    latencies_us, (sent, dropped, in_flight) at the cut-off) and the
+    count of events processed."""
+    rates, links = topology
+    sim = Simulator(seed=7)
+    for node, rate in enumerate(rates):
+        sim.add_node(node, rate)
+    for src, dst, loss, _ in links:
+        sim.add_link(src, dst, latencies[dst], loss, bidirectional=False)
+    deliveries = []
+
+    def hop(sim, msg):
+        root, k = msg
+        src, dst, _, category = links[sends[root][1][k] % len(links)]
+        send(sim, src, dst, msg, on_delivered, category)
+
+    def on_delivered(sim, msg):
+        deliveries.append((sim.now, msg))
+        root, k = msg
+        if k + 1 < len(sends[root][1]):
+            hop(sim, (root, k + 1))
+
+    for root, (at, _) in enumerate(sends):
+        sim.schedule(at, lambda s, root=root: hop(s, (root, 0)))
+    stats = sim.run_until(cut)
+    at_cut = (stats.sent, stats.dropped, stats.in_flight)
+    stats = sim.run()
+    return (deliveries, stats.delivered_by_category, stats.latencies_us,
+            at_cut), stats.events_processed
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(TOPOLOGY, LATENCY, sends(max_hops=4), st.integers(0, 40))
+def test_send_matches_the_two_event_oracle_when_links_share_a_latency(
+        topology, latency, sends, cut):
+    latencies = [latency] * N_NODES
+    result, events = _run_sends(topology, latencies, sends, cut,
+                                Simulator.send)
+    expected, _ = _run_sends(topology, latencies, sends, cut, _two_event_send)
+    assert result == expected
+    assert events == len(sends) + len(result[0])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(TOPOLOGY, st.lists(LATENCY, min_size=N_NODES, max_size=N_NODES),
+       sends(max_hops=1), st.integers(0, 40))
+def test_send_matches_the_two_event_oracle_up_to_ties_across_nodes(
+        topology, latencies, sends, cut):
+    # with a latency per node, completions due in the same µs at two
+    # nodes fire in send order, not arrival order; a message's own
+    # delivery time does not change
+    result, events = _run_sends(topology, latencies, sends, cut,
+                                Simulator.send)
+    expected, _ = _run_sends(topology, latencies, sends, cut, _two_event_send)
+    deliveries, by_category, latencies_us, at_cut = result
+    assert sorted(deliveries) == sorted(expected[0])
+    assert by_category == expected[1]
+    assert sorted(latencies_us) == sorted(expected[2])
+    assert at_cut == expected[3]
+    assert events == len(sends) + len(deliveries)
