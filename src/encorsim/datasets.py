@@ -28,9 +28,12 @@ def _read_rows(path, header):
     quote in a comment cannot open a field."""
     if not os.path.exists(path):
         raise IngestError(f"missing dataset file: {path}")
-    with open(path, newline="") as f:
-        kept = [(n, line) for n, line in enumerate(f, start=1)
-                if not line.startswith("#")]
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            kept = [(n, line) for n, line in enumerate(f, start=1)
+                    if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read dataset file {path}: {exc}") from exc
     reader = csv.reader(line for _, line in kept)
     rows = [(kept[reader.line_num - 1][0], row) for row in reader]
     if not rows or rows[0][1] != header:

@@ -1,7 +1,7 @@
 """
-The three headline experiments: per-handover message accounting for both
-architectures, handover completion time under control-plane load with a
-throttled core, and user-plane path latency with and without anchoring.
+The two headline experiments: per-handover message accounting for both
+architectures, and handover completion time under control-plane load with
+a throttled core.
 """
 import math
 import random
@@ -89,6 +89,11 @@ def run_message_table(mode="core-assisted", seed=0):
 
 # -- handover under load --------------------------------------------------
 
+# every arrival of a load point is scheduled before the run, so the
+# expected handover count max(rates_per_s) * duration_s bounds its memory
+MAX_HANDOVERS_PER_POINT = 1_000_000
+
+
 @dataclass
 class LoadScenario:
     rates_per_s: tuple = (2, 4, 8, 16, 24, 30)
@@ -113,6 +118,11 @@ class LoadScenario:
         if fastest > US_PER_S:
             raise ValueError(f"rates_per_s must be at most {US_PER_S} per s"
                              f" (a mean gap of 1 µs), got {fastest}")
+        expected = fastest * self.duration_s
+        if expected > MAX_HANDOVERS_PER_POINT:
+            raise ValueError(f"duration_s must keep max(rates_per_s) *"
+                             f" duration_s at most {MAX_HANDOVERS_PER_POINT},"
+                             f" got {fastest} * {self.duration_s}")
         if self.link_latency_us < 0:
             raise ValueError("link_latency_us must be nonnegative")
         if list(self.rates_per_s) != sorted(self.rates_per_s):
@@ -201,25 +211,3 @@ def run_load_sweep(scenario=None):
         results[arch] = [_run_load_point(arch, r, scenario)
                          for r in scenario.rates_per_s]
     return results
-
-
-# -- user-plane path latency ----------------------------------------------
-
-DEFAULT_TOPOLOGY = {
-    ("ue", "enb"): 5_000,
-    ("ue", "inb"): 5_000,
-    ("enb", "sgw"): 5_000,
-    ("sgw", "pgw"): 10_000,
-    ("pgw", "internet"): 5_000,
-    ("enb", "internet"): 5_000,
-    ("inb", "internet"): 5_000,
-}
-
-
-def run_path_latency(topology=None):
-    """One-way user-plane latency: anchored detour vs edge egress."""
-    topo = DEFAULT_TOPOLOGY if topology is None else topology
-    paths = {"lte": lte.anchored_path("enb"),
-             "encor": ["ue", "inb", "internet"]}
-    return {arch: {"path": path, "one_way_us": lte.path_latency_us(topo, path)}
-            for arch, path in paths.items()}

@@ -115,32 +115,3 @@ def deliver_downlink(core, imsi, pkt):
         anchor.downlink_buffer.append(pkt)
         return "buffered"
     return "delivered"
-
-
-def anchored_path(enb):
-    """User-plane node path from a UE at `enb` through the anchor chain."""
-    return ["ue", enb, "sgw", "pgw", "internet"]
-
-
-def route_user_packet(core, imsi, topology):
-    """User-plane path via the anchor chain; returns (path, latency_us).
-
-    topology: dict mapping (a, b) node-id pairs to one-way latency_us.
-    """
-    anchor = core.anchors.get(imsi)
-    if anchor is None:
-        return None, None
-    path = anchored_path(anchor.tunnel.enb)
-    return path, path_latency_us(topology, path)
-
-
-def path_latency_us(topology, path):
-    """One-way latency of a node path; topology maps (a, b) node-id pairs,
-    in either order, to a hop's latency_us."""
-    total = 0
-    for a, b in zip(path, path[1:]):
-        latency = topology.get((a, b), topology.get((b, a)))
-        if latency is None:
-            raise KeyError(f"no latency configured for hop {a} <-> {b}")
-        total += latency
-    return total

@@ -55,12 +55,6 @@ class SweepPoint:
     inter_anchor: int
     total_messages: int
 
-    @property
-    def inter_fraction(self):
-        if self.total_handovers == 0:
-            return 0.0
-        return self.inter_anchor / self.total_handovers
-
 
 def block_size(grid, k):
     """Side length of each anchor's square block; k must tile the grid."""
@@ -120,35 +114,21 @@ def _walk(grid, duration_min, seed):
             here = ids[r]
 
 
-def _edges(grid):
-    """The (from, to) station pair of every edge slot `_walk` yields;
-    slots past a station's last neighbor hold None."""
-    w, h = grid.width, grid.height
-    stations = [(x, y) for x in range(w) for y in range(h)]
-    edges = [None] * (4 * w * h)
-    for i, here in enumerate(stations):
-        for r, (nx, ny) in enumerate(_neighbors(*here, w, h)):
-            edges[4 * i + r] = (here, stations[nx * h + ny])
-    return edges
-
-
-def generate_moves(grid, duration_min, seed):
-    """The mobility trace as a list of (from, to) station moves.
-    Independent of any anchor layout, so one trace serves every density."""
-    edges = _edges(grid)
-    return [edges[slot] for slot in _walk(grid, duration_min, seed)]
-
-
 def move_counts(grid, duration_min, seed):
-    """The same trace folded into a directed-edge histogram
-    {(from, to): count}: at most 4*W*H entries, whatever the UE count."""
-    slots = [0] * (4 * grid.width * grid.height)
+    """The mobility trace folded into a directed-edge histogram
+    {(from, to): count}: at most 4*W*H entries, whatever the UE count.
+    Independent of any anchor layout, so one trace serves every density."""
+    w, h = grid.width, grid.height
+    slots = [0] * (4 * w * h)
     for slot in _walk(grid, duration_min, seed):
         slots[slot] += 1
+    stations = [(x, y) for x in range(w) for y in range(h)]
     counts = Counter()
-    for edge, n in zip(_edges(grid), slots):
-        if n:
-            counts[edge] = n
+    for i, here in enumerate(stations):
+        for r, (nx, ny) in enumerate(_neighbors(*here, w, h)):
+            n = slots[4 * i + r]
+            if n:
+                counts[here, stations[nx * h + ny]] = n
     return counts
 
 
@@ -167,37 +147,20 @@ def _poisson(rng, mean):
         k += 1
 
 
-def _histogram(moves):
-    return moves if isinstance(moves, dict) else Counter(moves)
-
-
-def _check_positive(duration_min, c_intra, c_inter):
-    # a NaN duration would never end the Poisson draw
-    for name, value in (("duration_min", duration_min), ("c_intra", c_intra),
-                        ("c_inter", c_inter)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def classify_moves(moves, grid, k):
-    """Count boundary-crossing handovers for an anchor count k. `moves` is
-    a move list or a `move_counts` histogram."""
+def classify_moves(counts, grid, k):
+    """Count boundary-crossing handovers in a `move_counts` histogram for
+    an anchor count k."""
     bw, bh = block_size(grid, k)
     inter = 0
-    for ((x0, y0), (x1, y1)), n in _histogram(moves).items():
+    for ((x0, y0), (x1, y1)), n in counts.items():
         if anchor_of(x0, y0, bw, bh) != anchor_of(x1, y1, bw, bh):
             inter += n
     return inter
 
 
-def simulate_density(grid, k, duration_min=10, seed=0,
-                     c_intra=DEFAULT_C_INTRA, c_inter=DEFAULT_C_INTER,
-                     moves=None):
-    _check_positive(duration_min, c_intra, c_inter)
-    moves = move_counts(grid, duration_min, seed) if moves is None \
-        else _histogram(moves)
-    inter = classify_moves(moves, grid, k)
-    total = sum(moves.values())
+def _density_point(grid, k, counts, c_intra, c_inter):
+    inter = classify_moves(counts, grid, k)
+    total = sum(counts.values())
     messages = (total - inter) * c_intra + inter * c_inter
     return SweepPoint(k=k, anchors_per_station=k / (grid.width * grid.height),
                       total_handovers=total, inter_anchor=inter,
@@ -234,15 +197,18 @@ def sweep(grid, densities=None, duration_min=10, seed=0,
           c_intra=DEFAULT_C_INTRA, c_inter=DEFAULT_C_INTER):
     """Run every density on the same mobility trace; returns the points
     and the message ratio normalized to the single-anchor deployment."""
-    _check_positive(duration_min, c_intra, c_inter)
+    # a NaN duration would never end the Poisson draw
+    for name, value in (("duration_min", duration_min), ("c_intra", c_intra),
+                        ("c_inter", c_inter)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if densities is None:
         densities = default_densities(grid)
     counts = move_counts(grid, duration_min, seed)
     if not counts:
         raise EmptyTraceError("no handovers in the trace; raise ue_count,"
                               " handover_rate_per_min or duration_min")
-    points = [simulate_density(grid, k, duration_min, seed, c_intra, c_inter,
-                               moves=counts)
+    points = [_density_point(grid, k, counts, c_intra, c_inter)
               for k in densities]
     base = sum(counts.values()) * c_intra  # one anchor: no move crosses
     ratios = [p.total_messages / base for p in points]

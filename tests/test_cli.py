@@ -81,6 +81,7 @@ def test_load_writes_csv(tmp_path, capsys):
     ("rates_per_s = 1e300", "rates_per_s"),
     ("core_service_rate = 0", "core_service_rate"),
     ("duration_s = 0", "duration_s"),
+    ("duration_s = 1e9", "duration_s"),
     ("link_latency_us = -1", "link_latency_us"),
 ])
 def test_load_bad_value_is_usage_error_naming_the_key(tmp_path, capsys, line,

@@ -80,6 +80,18 @@ def test_missing_file_is_ingest_error(tmp_path):
         load_counties(str(tmp_path / "nope.csv"))
 
 
+def test_non_utf8_file_is_ingest_error(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_bytes(b"id,lat,lon\ncaf\xe9,40.0,-100.0\n")
+    with pytest.raises(IngestError, match="utf-8"):
+        load_sites(str(path), SiteKind.PEERING_POP)
+
+
+def test_directory_path_is_ingest_error(tmp_path):
+    with pytest.raises(IngestError, match=re.escape(str(tmp_path))):
+        load_counties(str(tmp_path))
+
+
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

@@ -1,8 +1,7 @@
 import pytest
 
 from encorsim.experiments import (
-    DEFAULT_TOPOLOGY, LoadScenario, run_load_sweep, run_message_table,
-    run_path_latency,
+    LoadScenario, run_load_sweep, run_message_table,
 )
 
 
@@ -100,20 +99,3 @@ def test_load_sweep_deterministic():
     for arch in a:
         assert [p.to_csv_row() for p in a[arch]] == \
             [p.to_csv_row() for p in b[arch]]
-
-
-def test_path_latency_anchored_detour_vs_edge_egress():
-    out = run_path_latency()
-    # oracle: sum the default topology hops by hand
-    assert out["lte"]["one_way_us"] == 5_000 + 5_000 + 10_000 + 5_000
-    assert out["encor"]["one_way_us"] == 5_000 + 5_000
-    assert out["encor"]["one_way_us"] < out["lte"]["one_way_us"]
-    assert out["lte"]["path"][-1] == out["encor"]["path"][-1] == "internet"
-
-
-def test_path_latency_custom_topology():
-    topo = dict(DEFAULT_TOPOLOGY)
-    topo[("sgw", "pgw")] = 50_000
-    out = run_path_latency(topo)
-    assert out["lte"]["one_way_us"] == 65_000
-    assert out["encor"]["one_way_us"] == 10_000

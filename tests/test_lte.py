@@ -2,10 +2,8 @@ import pytest
 
 from encorsim import security
 from encorsim.control import Ue, UeState
-from encorsim.experiments import DEFAULT_TOPOLOGY
 from encorsim.lte import (
-    LteAttachError, LteCore, attach_lte, deliver_downlink, route_user_packet,
-    s1_handover,
+    LteAttachError, LteCore, attach_lte, deliver_downlink, s1_handover,
 )
 from encorsim.messages import count_messages
 
@@ -102,24 +100,6 @@ def test_deliver_downlink_outside_handover_passes_through():
     attach_one(core)
     assert deliver_downlink(core, 1, "pkt") == "delivered"
     assert deliver_downlink(core, 99, "pkt") == "dropped"
-
-
-def test_user_path_detours_through_anchor():
-    core = make_core()
-    attach_lte(Ue(imsi=1, k=K), "enb", core)
-    path, latency = route_user_packet(core, 1, DEFAULT_TOPOLOGY)
-    assert path[0] == "ue" and path[-1] == "internet"
-    assert "pgw" in path and "sgw" in path
-    # oracle: sum the topology hops of the returned path by hand
-    expected = sum(
-        DEFAULT_TOPOLOGY.get((a, b), DEFAULT_TOPOLOGY.get((b, a)))
-        for a, b in zip(path, path[1:]))
-    assert latency == expected
-
-
-def test_route_unknown_subscriber():
-    core = make_core()
-    assert route_user_packet(core, 1, DEFAULT_TOPOLOGY) == (None, None)
 
 
 def test_teids_never_reused_across_handovers():

@@ -8,10 +8,9 @@ import pytest
 from encorsim.mecsweep import (
     DEFAULT_C_INTER, DEFAULT_C_INTRA, EmptyTraceError, GridNetwork,
     TilingError, block_size, classify_moves, default_densities,
-    generate_moves, inter_fraction_exhaustive, move_counts,
-    simulate_density, sweep, to_csv_rows,
+    inter_fraction_exhaustive, move_counts, sweep, to_csv_rows,
 )
-from encorsim.mecsweep import _neighbors, _poisson
+from encorsim.mecsweep import _density_point, _neighbors, _poisson
 
 
 def grid(w=20, h=20, ues=200, handover_rate_per_min=5.0):
@@ -46,14 +45,16 @@ def test_default_densities_cover_extremes():
 
 def test_moves_stay_on_grid_and_adjacent():
     g = grid(8, 8, ues=20)
-    for (x0, y0), (x1, y1) in generate_moves(g, 5, seed=3):
+    counts = move_counts(g, 5, seed=3)
+    assert counts
+    for (x0, y0), (x1, y1) in counts:
         assert 0 <= x1 < 8 and 0 <= y1 < 8
         assert abs(x1 - x0) + abs(y1 - y0) == 1
 
 
 def reference_moves(grid, duration_min, seed):
     """The trace drawn with `rng.choice` over neighbor tuples: the walk
-    that `generate_moves` must reproduce draw for draw."""
+    that `move_counts` must fold draw for draw."""
     rng = random.Random(seed)
     w, h = grid.width, grid.height
     mean = grid.handover_rate_per_min * duration_min
@@ -77,26 +78,25 @@ def test_trace_draws_as_random_choice(w, h, duration_min):
     g = grid(w, h, ues=12)
     for seed in range(4):
         moves = reference_moves(g, duration_min, seed)
-        assert generate_moves(g, duration_min, seed) == moves
         assert move_counts(g, duration_min, seed) == Counter(moves)
 
 
 def test_trace_deterministic_per_seed():
     g = grid(8, 8, ues=20)
-    assert generate_moves(g, 5, seed=1) == generate_moves(g, 5, seed=1)
-    assert generate_moves(g, 5, seed=1) != generate_moves(g, 5, seed=2)
+    assert move_counts(g, 5, seed=1) == move_counts(g, 5, seed=1)
+    assert move_counts(g, 5, seed=1) != move_counts(g, 5, seed=2)
 
 
 def test_single_anchor_has_zero_crossings():
     g = grid(8, 8, ues=50)
-    moves = generate_moves(g, 10, seed=0)
-    assert classify_moves(moves, g, 1) == 0
+    counts = move_counts(g, 10, seed=0)
+    assert classify_moves(counts, g, 1) == 0
 
 
 def test_anchor_per_station_makes_every_move_cross():
     g = grid(8, 8, ues=50)
-    moves = generate_moves(g, 10, seed=0)
-    assert classify_moves(moves, g, 64) == len(moves)
+    counts = move_counts(g, 10, seed=0)
+    assert classify_moves(counts, g, 64) == sum(counts.values())
 
 
 def test_exhaustive_oracle_4x4_k4_by_hand():
@@ -110,26 +110,27 @@ def test_simulation_matches_stationary_oracle():
     # the reflecting random walk's stationary crossing rate equals the
     # exhaustive pair enumeration; a long trace should agree within a few %
     g = grid(10, 10, ues=400, handover_rate_per_min=5.0)
-    moves = generate_moves(g, 60, seed=11)
+    counts = move_counts(g, 60, seed=11)
+    total = sum(counts.values())
     for k in (4, 25, 100):
-        frac = classify_moves(moves, g, k) / len(moves)
+        frac = classify_moves(counts, g, k) / total
         assert frac == pytest.approx(inter_fraction_exhaustive(g, k), rel=0.06)
 
 
 def test_poisson_trace_length_within_3_sigma():
     g = grid(8, 8, ues=100, handover_rate_per_min=5.0)
-    moves = generate_moves(g, 10, seed=4)
+    total = sum(move_counts(g, 10, seed=4).values())
     mean = 100 * 5.0 * 10
-    assert abs(len(moves) - mean) <= 3 * math.sqrt(mean)
+    assert abs(total - mean) <= 3 * math.sqrt(mean)
 
 
 def test_message_cost_arithmetic():
     g = grid(4, 4, ues=10)
-    moves = [((0, 0), (0, 1)), ((1, 1), (2, 1))]  # intra, inter for k=4
-    p = simulate_density(g, 4, moves=moves)
-    assert p.total_handovers == 2 and p.inter_anchor == 1
-    assert p.total_messages == DEFAULT_C_INTRA + DEFAULT_C_INTER
-    assert p.inter_fraction == 0.5
+    # intra twice, inter once for k=4
+    counts = Counter({((0, 0), (0, 1)): 2, ((1, 1), (2, 1)): 1})
+    p = _density_point(g, 4, counts, DEFAULT_C_INTRA, DEFAULT_C_INTER)
+    assert p.total_handovers == 3 and p.inter_anchor == 1
+    assert p.total_messages == 2 * DEFAULT_C_INTRA + DEFAULT_C_INTER
 
 
 def test_sweep_ratios_normalized_and_monotone():
@@ -195,20 +196,9 @@ def test_sweep_rejects_trace_without_handovers():
 ])
 def test_move_counts_is_histogram_of_the_trace(w, h, ues, seed):
     g = grid(w, h, ues=ues)
-    moves = generate_moves(g, 5, seed)
     counts = move_counts(g, 5, seed)
-    assert counts == Counter(moves)
+    assert counts == Counter(reference_moves(g, 5, seed))
     assert len(counts) <= 4 * w * h
-
-
-def test_classify_moves_same_on_list_and_histogram():
-    g = grid(12, 12, ues=60)
-    moves = generate_moves(g, 10, seed=6)
-    counts = move_counts(g, 10, seed=6)
-    for k in default_densities(g):
-        assert classify_moves(counts, g, k) == classify_moves(moves, g, k)
-        assert simulate_density(g, k, moves=counts) == \
-            simulate_density(g, k, moves=moves)
 
 
 def test_sweep_memory_does_not_grow_with_ue_count():
@@ -233,8 +223,6 @@ def test_sweep_rejects_nonpositive_costs(costs):
     g = grid(4, 4, ues=50)
     with pytest.raises(ValueError, match=name):
         sweep(g, **costs)
-    with pytest.raises(ValueError, match=name):
-        simulate_density(g, 4, **costs)
 
 
 @pytest.mark.parametrize("duration_min", [0, -1, math.nan, math.inf])
@@ -243,5 +231,3 @@ def test_sweep_rejects_bad_duration(duration_min):
     g = grid(4, 4, ues=5)
     with pytest.raises(ValueError, match="duration_min"):
         sweep(g, duration_min=duration_min)
-    with pytest.raises(ValueError, match="duration_min"):
-        simulate_density(g, 4, duration_min=duration_min)
