@@ -89,7 +89,8 @@ def _flag(raw):
 
 
 _positive = _checked(float, lambda v: 0 < v < math.inf)
-_nonnegative = _checked(float, lambda v: 0 <= v < math.inf)
+# an instant that whole microseconds can still count
+_instant_s = _checked(float, lambda v: 0 <= v * US_PER_S < math.inf)
 _count = _checked(int, lambda v: v >= 1)
 # simulated time is whole microseconds
 _duration_s = _checked(float, lambda v: 1 / US_PER_S <= v < math.inf)
@@ -127,7 +128,7 @@ CONFIG = {
         "file_mb": ("100", _positive),
         "video_s": ("60", _duration_s),
         "live_s": ("10", _duration_s),
-        "handover_at_s": ("5", _nonnegative),
+        "handover_at_s": ("5", _instant_s),
         "forwarding": ("false", _flag),
     },
     "gen": _dataset_sizes,
@@ -211,11 +212,11 @@ def cmd_mec(args, config):
             handover_rate_per_min=values["handover_rate_per_min"])
     except ValueError as exc:
         raise UsageError(f"[mec] {exc}")
-    try:
+    try:  # an empty trace, or one too long to walk
         points, ratios = mecsweep.sweep(
             grid, duration_min=values["duration_min"], seed=args.seed,
             c_intra=values["c_intra"], c_inter=values["c_inter"])
-    except mecsweep.EmptyTraceError as exc:
+    except ValueError as exc:
         raise UsageError(f"[mec] {exc}")
     header = ("k", "anchors_per_station", "handovers", "inter",
               "messages", "ratio_vs_k1")
@@ -223,12 +224,21 @@ def cmd_mec(args, config):
     return EXIT_OK
 
 
+def _synthetic(section, seed, values):
+    """A synthetic dataset of the sizes in `values`; a size above the
+    generator's bound is a usage error naming the key."""
+    try:
+        return datasets.generate_synthetic(
+            seed, **{key: values[key] for key in _dataset_sizes})
+    except ValueError as exc:
+        raise UsageError(f"[{section}] {exc}")
+
+
 def cmd_place(args, config):
     values = read_section(config, "place")
     budget_km, core_budget = values["budget_km"], values["core_budget"]
     if args.synthetic or not values["counties"]:
-        counties, pops, cdns = datasets.generate_synthetic(
-            args.seed, **{key: values[key] for key in _dataset_sizes})
+        counties, pops, cdns = _synthetic("place", args.seed, values)
     else:
         counties = datasets.load_counties(values["counties"])
         pops = datasets.load_sites(values["pops"],
@@ -267,10 +277,21 @@ def cmd_place(args, config):
 def cmd_apps(args, config):
     values = read_section(config, "apps")
     params = transport.TransportParams(forwarding_enabled=values["forwarding"])
-    file_bytes = round(values["file_mb"] * 1_000_000)
+    file_bytes = values["file_mb"] * 1_000_000
+    # every run's size is checked before the first run starts
+    sizes = (("file_mb", transport.bulk_packets(file_bytes, params)),
+             ("video_s", transport.buffered_packets(values["video_s"],
+                                                    params)),
+             ("live_s", transport.live_frames(values["live_s"])))
+    for key, packets in sizes:
+        try:
+            transport.check_packets(key, values[key], packets)
+        except ValueError as exc:
+            raise UsageError(f"[apps] {exc}")
     ho_us = round(values["handover_at_s"] * US_PER_S)
     live_ho_us = round(values["live_s"] * US_PER_S / 3)
-    runs = [transport.run_bulk(file_bytes, [ho_us], params, seed=args.seed),
+    runs = [transport.run_bulk(round(file_bytes), [ho_us], params,
+                               seed=args.seed),
             transport.run_buffered(values["video_s"], [ho_us], params,
                                    seed=args.seed)]
     runs += [transport.run_live(values["live_s"], [live_ho_us], policy,
@@ -284,8 +305,8 @@ def cmd_apps(args, config):
 
 
 def cmd_gen(args, config):
-    counties, pops, cdns = datasets.generate_synthetic(
-        args.seed, **read_section(config, "gen"))
+    counties, pops, cdns = _synthetic("gen", args.seed,
+                                      read_section(config, "gen"))
     out_dir = args.out or "."
     paths = datasets.write_dataset(out_dir, counties, pops, cdns)
     for path in paths.values():

@@ -107,7 +107,6 @@ class Sme:
     """Minimal stateful core: subscriber DB front end, auth, key escrow."""
 
     def __init__(self, subdb, seed=0):
-        self.id = messages.SME
         self.subdb = subdb  # imsi -> SubscriberRecord
         self.rng = random.Random(seed)
         self.contexts = {}  # imsi -> UeContext

@@ -16,6 +16,10 @@ SITE_HEADER = ["id", "lat", "lon"]
 
 # roughly the continental US
 DEFAULT_BBOX = (25.0, -124.0, 49.0, -67.0)  # lat_min, lon_min, lat_max, lon_max
+# The most rows of each kind `generate_synthetic` makes, three times the
+# 3,143 US counties. `place` compares every county with every PoP, about
+# 1.5 µs a pair, so even at the bound a run takes minutes, not days.
+MAX_SYNTHETIC_ROWS = 10_000
 
 
 class IngestError(Exception):
@@ -75,6 +79,11 @@ def generate_synthetic(seed, n_counties=40, n_pops=8, n_cdns=4,
                        n_clusters=5):
     """Clustered synthetic instance: population centers with counties
     scattered around them, PoPs and CDNs biased toward the centers."""
+    for name, n in (("n_counties", n_counties), ("n_pops", n_pops),
+                    ("n_cdns", n_cdns)):
+        if n > MAX_SYNTHETIC_ROWS:
+            raise ValueError(
+                f"{name} must be at most {MAX_SYNTHETIC_ROWS}, got {n}")
     rng = random.Random(seed)
     lat_min, lon_min, lat_max, lon_max = DEFAULT_BBOX
     centers = [(rng.uniform(lat_min, lat_max), rng.uniform(lon_min, lon_max))

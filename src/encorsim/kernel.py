@@ -5,9 +5,7 @@ Time is an integer count of simulated microseconds. Events are totally
 ordered by (time, insertion sequence), so runs with the same seed and
 scenario produce identical results; a scheduled event cannot be
 cancelled. Events scheduled in time order can go through a `Lane`,
-which keeps only its earliest event in the heap. A timer whose outcome
-is known before it is due can reserve its key with `Simulator.reserve`
-and be placed in a lane only if it is needed.
+which keeps only its earliest event in the heap.
 
 Nodes are capacity-limited FIFO servers; links add latency and may drop
 messages probabilistically. Every link into a node has the same latency,
@@ -103,13 +101,6 @@ class Lane:
     smaller key. The heap's minimum is therefore the minimum over every
     pending event, and events fire in the same (time, insertion) order as
     if each had been scheduled on the simulator directly.
-
-    A placed event (see `place`) keeps the key it reserved earlier and
-    enters the lane before its own time. Every event that has fired by
-    then fired no later than `now`, so its key is smaller, and no event
-    with a larger key can have fired: the heap's minimum is still the
-    global minimum, and the placed event fires where it would have fired
-    had it been scheduled when its key was reserved.
     """
 
     __slots__ = ("_sim", "_pending", "_last")
@@ -130,24 +121,6 @@ class Lane:
         pending = self._pending
         entry = (at, sim._seq, action, pending)
         sim._seq += 1
-        self._last = at
-        pending.append(entry)
-        if len(pending) == 1:
-            heappush(sim._queue, entry)
-
-    def place(self, key, action):
-        """Put `action(sim)` in the lane under `key`, a (time, seq) key
-        from `Simulator.reserve`. The key's time must still lie ahead of
-        `now`, and the key must follow the lane's last one."""
-        sim = self._sim
-        at, seq = key
-        pending = self._pending
-        if not sim.now < at < inf or (pending and key <= pending[-1][:2]):
-            raise SchedulingError(
-                f"cannot place key {key} in a lane: now is t={sim.now},"
-                " the lane's last key is"
-                f" {pending[-1][:2] if pending else None}")
-        entry = (at, seq, action, pending)
         self._last = at
         pending.append(entry)
         if len(pending) == 1:
@@ -204,16 +177,6 @@ class Simulator:
             raise SchedulingError(f"cannot schedule at t={at}, now is t={self.now}")
         heappush(self._queue, (at, self._seq, action, None))
         self._seq += 1
-
-    def reserve(self, at):
-        """Take the (time, seq) key that `schedule(at, ...)` would give an
-        event now, without scheduling anything. `Lane.place` can later put
-        an action under the key; a key never placed costs no event."""
-        if not self.now <= at < inf:
-            raise SchedulingError(f"cannot reserve t={at}, now is t={self.now}")
-        key = (at, self._seq)
-        self._seq += 1
-        return key
 
     def lane(self):
         """A new FIFO lane for events scheduled in nondecreasing time."""

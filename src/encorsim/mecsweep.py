@@ -18,6 +18,14 @@ from dataclasses import dataclass
 DEFAULT_C_INTRA = 15
 DEFAULT_C_INTER = 50
 
+# `move_counts` keeps a neighbour table, four edge slots and up to four
+# histogram entries per station: a 500x500 grid whose every edge is used
+# peaks at about 150 MB
+MAX_STATIONS = 250_000
+# the walk draws a start for each UE and a step for each move, about
+# 0.2 µs apiece: a trace at the bound takes about 2 s on a small grid
+MAX_WALK_DRAWS = 10_000_000
+
 
 class TilingError(ValueError):
     pass
@@ -39,6 +47,9 @@ class GridNetwork:
         if min(self.width, self.height) < 1 or self.width * self.height < 2:
             raise ValueError("grid must have at least two stations,"
                              f" got {self.width}x{self.height}")
+        if self.width * self.height > MAX_STATIONS:
+            raise ValueError(f"grid must have at most {MAX_STATIONS}"
+                             f" stations, got {self.width}x{self.height}")
         if self.ue_count < 1:
             raise ValueError(
                 f"ue_count must be at least 1, got {self.ue_count}")
@@ -118,6 +129,12 @@ def move_counts(grid, duration_min, seed):
     """The mobility trace folded into a directed-edge histogram
     {(from, to): count}: at most 4*W*H entries, whatever the UE count.
     Independent of any anchor layout, so one trace serves every density."""
+    draws = grid.ue_count * (1 + grid.handover_rate_per_min * duration_min)
+    if not draws <= MAX_WALK_DRAWS:
+        raise ValueError(
+            "ue_count * (1 + handover_rate_per_min * duration_min) must be"
+            f" at most {MAX_WALK_DRAWS}, got {grid.ue_count} * (1 +"
+            f" {grid.handover_rate_per_min} * {duration_min})")
     w, h = grid.width, grid.height
     slots = [0] * (4 * w * h)
     for slot in _walk(grid, duration_min, seed):

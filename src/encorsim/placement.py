@@ -83,11 +83,6 @@ def _coords(p):
     return (p.lat, p.lon)
 
 
-def _cores(deployment):
-    return deployment.core_sites if isinstance(deployment, Deployment) \
-        else list(deployment)
-
-
 def _hops(pops, cdns, cores=None):
     """[(site point, shortest rest of the chain from that site)]: each PoP
     with its PoP -> CDN leg or, given cores, each core with its
@@ -133,7 +128,7 @@ def coverage(counties, budget_km, deployment=None, pops=None, cdns=None):
     total = sum(c.population for c in counties)
     if total == 0:
         return 0.0
-    cores = None if deployment is None else _cores(deployment)
+    cores = None if deployment is None else deployment.core_sites
     if cores is not None and not cores:
         return 0.0
     points = [_coords(county) for county in counties]

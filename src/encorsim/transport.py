@@ -150,23 +150,24 @@ class MobilityNet:
 class _DownlinkServer:
     """One server carries every app's downlink over one connection to a
     mobile client: unreliable sends to the last-known path, reliable sends
-    with a doubling retransmission timer, and path learning from every
-    client packet (acks, requests, keepalives, pings).
+    with a doubling retransmission timer that is scheduled only when a
+    transmission is lost, and path learning from every client packet
+    (acks, requests, keepalives, pings).
 
     Every event a fixed delay after `now` goes into the lane for that
-    delay (see `kernel.Lane`), so each delay keeps one heap entry."""
+    delay (see `kernel.Lane`), so each delay keeps one heap entry. A
+    timeout is due a fixed delay after its send, not after the loss that
+    schedules it, so it goes to `Simulator.schedule`."""
 
     def __init__(self, params, seed):
         self.sim = Simulator(seed)
         # transmit's and client_packet's arrivals are both one_way_us away
         self.one_way = self.sim.lane()
         self.ack_delay = self.sim.lane()
-        self.first_rto = self.sim.lane()
         addr = Addr128(BASE_LOCATOR, 0x42)
         self.conn = MobiConn(conn_id=1, client_addr=addr, server_path=addr)
         self.net = MobilityNet(self.conn, params)
         self.params = params
-        self.rto_us = params.rto_us
         self.handovers = 0
         self.acked = set()
         self.delivered = set()
@@ -199,34 +200,38 @@ class _DownlinkServer:
 
         self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
 
-    def send_reliable(self, pkt_id, rto_us=None):
+    def send_reliable(self, pkt_id, rto_us):
         """Transmit until acked, doubling the timeout after each loss.
 
         A delivered transmission is acked rtt_us after it was sent, and
-        client packets are never lost, so a first timeout, due at
-        rto_us = 2 * rtt_us, would find it acked and do nothing. The first
-        timeout therefore reserves its key at the send and is placed in
-        its lane only when the transmission is lost; it fires exactly
-        where a timer scheduled at the send would have."""
-        if rto_us is not None:
-            self.transmit(pkt_id)
-            self.sim.schedule(self.sim.now + rto_us,
-                              self._timeout(pkt_id, rto_us))
-            return
+        client packets are never lost, so a timeout at send + rto_us
+        (rto_us is at least the first RTO, 2 * rtt_us) would find it acked
+        and do nothing: only a lost transmission schedules its timeout,
+        from its `lost` callback.
+
+        That timeout fires in the same µs as one scheduled at the send,
+        but takes its seq at the loss (send + one_way_us), so only an event
+        due in that µs and scheduled in between could swap order with it.
+        The first RTO is 4 * one_way_us + 2 * ack_delay_us, which rules out
+        every kind but one: data arrivals, client-packet arrivals and acks
+        cannot land in that µs; sends, frames and moves are scheduled
+        during set-up; buffered chunk activity starts only when no loss is
+        pending. The one left is a keepalive tick, when the interval lies
+        in [rto_us - one_way_us, rto_us]. A tick and a timeout commute:
+        the timeout reads `server_path` and the tick does not write it,
+        and their arrivals one one_way_us later touch disjoint state."""
+        sent_at = self.sim.now
 
         def lost():
-            self.first_rto.place(key, self._timeout(pkt_id, self.rto_us))
+            self.sim.schedule(sent_at + rto_us, self._timeout(pkt_id, rto_us))
 
         self.transmit(pkt_id, lost)
-        # after the transmit, where the timer's own key was taken; the
-        # arrival, and so `lost`, runs only after this call returns
-        key = self.sim.reserve(self.sim.now + self.rto_us)
 
     def _timeout(self, pkt_id, rto_us):
         def timeout(sim):
             if pkt_id not in self.acked:
                 self.retx_count += 1
-                self.send_reliable(pkt_id, rto_us=rto_us * 2)
+                self.send_reliable(pkt_id, rto_us * 2)
 
         return timeout
 
@@ -272,13 +277,49 @@ class _DownlinkServer:
                           **fields)
 
 
+# The most packets (or live frames) one app run may send. run_bulk and
+# run_live schedule every packet or frame before the run starts; a packet
+# costs about 0.5 kB while it waits and 10 µs of run time, so a run at
+# the bound needs about 500 MB and 10 s.
+MAX_PACKETS_PER_RUN = 1_000_000
+FRAME_INTERVAL_US = 41_667  # a live stream's 24 frames per second
+
+
+def bulk_packets(file_bytes, params):
+    """The packets a bulk run of `file_bytes` sends, before rounding up."""
+    return file_bytes / params.packet_bytes
+
+
+def buffered_packets(duration_s, params):
+    """The packets a buffered run of `duration_s` sends at the top rung,
+    the most it can fetch."""
+    return duration_s * DEFAULT_LADDER[-1][1] / (8 * params.packet_bytes)
+
+
+def live_frames(duration_s, frame_interval_us=FRAME_INTERVAL_US):
+    """The frames a live run of `duration_s` sends."""
+    return duration_s * US_PER_S / frame_interval_us
+
+
+def check_packets(name, value, packets):
+    """Raise ValueError, naming `name`, if a run of size `value` sends
+    more than MAX_PACKETS_PER_RUN packets. `packets` is a float count, so
+    an infinite size is caught before any rounding."""
+    if not packets <= MAX_PACKETS_PER_RUN:
+        raise ValueError(f"{name} must keep a run at most"
+                         f" {MAX_PACKETS_PER_RUN} packets, got {value}"
+                         f" ({packets:.3g} packets)")
+
+
 def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
     """Reliable download of a single file; one continuous packet train."""
     params = params or TransportParams()
+    packets = bulk_packets(file_bytes, params)
+    check_packets("file_bytes", file_bytes, packets)
     server = _DownlinkServer(params, seed)
     sim = server.sim
 
-    n_packets = max(1, math.ceil(file_bytes / params.packet_bytes))
+    n_packets = max(1, math.ceil(packets))
     interval = params.packet_interval_us()
     finish_us = [None]
 
@@ -290,9 +331,11 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
         return len(server.delivered) < n_packets
 
     server.on_packet_delivered = on_delivered
+    rto_us = params.rto_us
     sends = sim.lane()
     for i in range(n_packets):
-        sends.schedule(i * interval, lambda s, i=i: server.send_reliable(i))
+        sends.schedule(i * interval,
+                       lambda s, i=i: server.send_reliable(i, rto_us))
     server.schedule_handovers(handover_times_us, downloading)
     server.keep_alive(downloading, downloading)
 
@@ -329,6 +372,8 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
     window), so ample bandwidth keeps the top rung throughout."""
     _check_duration(duration_s)
     params = params or TransportParams()
+    check_packets("duration_s", duration_s,
+                  buffered_packets(duration_s, params))
     server = _DownlinkServer(params, seed)
     sim = server.sim
 
@@ -346,6 +391,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
     }
     duration_us = round(duration_s * US_PER_S)
     pace_interval = params.packet_interval_us(PACE_MBPS)
+    rto_us = params.rto_us
 
     def update_buffer(now):
         dt = (now - state["last_update"]) / US_PER_S
@@ -382,8 +428,9 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         def start_sending(s):
             paced = s.lane()
             for j in range(n_pkts):
-                paced.schedule(s.now + j * pace_interval,
-                               lambda s2, p=base + j: server.send_reliable(p))
+                paced.schedule(
+                    s.now + j * pace_interval,
+                    lambda s2, p=base + j: server.send_reliable(p, rto_us))
 
         sim.schedule(sim.now + params.one_way_us, start_sending)
 
@@ -416,12 +463,14 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
 
 
 def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
-             params=None, seed=0, frame_interval_us=41_667):
+             params=None, seed=0, frame_interval_us=FRAME_INTERVAL_US):
     """Live stream: the server pushes frames on a fixed cadence and the
     client sends nothing but acks (and pings, under the idle policy).
     Frames are not retransmitted; loss shows up as missing frames, and a
     stale path with no recovery shows up as a deadlock."""
     _check_duration(duration_s)
+    check_packets("duration_s", duration_s,
+                  live_frames(duration_s, frame_interval_us))
     params = params or TransportParams()
     server = _DownlinkServer(params, seed)
     sim = server.sim

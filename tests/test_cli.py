@@ -117,6 +117,18 @@ def assert_one_error_line_naming(capsys, section, key):
     (["place", "--synthetic"], "core_budget = 0", "core_budget"),
     (["place", "--synthetic"], "n_pops = 0", "n_pops"),
     (["gen"], "n_counties = -1", "n_counties"),
+    # sizes past a stated bound, each of which would hang or run out of
+    # memory if it ran
+    (["apps"], "file_mb = 1e12", "file_mb"),
+    (["apps"], "video_s = 1e9", "video_s"),
+    (["apps"], "live_s = 1e9", "live_s"),
+    (["mec", "--grid", "100000x100000"], "ue_count = 10", "grid"),
+    (["mec"], "ue_count = 1000000000", "ue_count"),
+    (["mec"], "duration_min = 1e12", "duration_min"),
+    (["gen"], "n_counties = 1000000000", "n_counties"),
+    (["place", "--synthetic"], "n_counties = 1000000000", "n_counties"),
+    # infinite once counted in microseconds
+    (["apps"], "handover_at_s = 1e303", "handover_at_s"),
 ])
 def test_bad_config_value_is_usage_error_naming_the_key(tmp_path, capsys,
                                                         argv, line, key):

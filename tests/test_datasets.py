@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from encorsim.datasets import (
-    IngestError, generate_synthetic, load_counties, load_sites,
-    write_csv_atomic, write_dataset,
+    MAX_SYNTHETIC_ROWS, IngestError, generate_synthetic, load_counties,
+    load_sites, write_csv_atomic, write_dataset,
 )
 from encorsim.placement import SiteKind
 
@@ -30,6 +30,12 @@ def test_synthetic_shapes_and_bounds():
         assert c.population >= 1000
     assert all(p.kind is SiteKind.PEERING_POP for p in pops)
     assert all(c.kind is SiteKind.CDN_POP for c in cdns)
+
+
+@pytest.mark.parametrize("name", ["n_counties", "n_pops", "n_cdns"])
+def test_synthetic_sizes_above_the_bound_are_rejected(name):
+    with pytest.raises(ValueError, match=name):
+        generate_synthetic(seed=0, **{name: MAX_SYNTHETIC_ROWS + 1})
 
 
 def test_write_then_load_round_trip(tmp_path):

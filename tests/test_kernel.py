@@ -185,8 +185,6 @@ def test_non_finite_time_rejected_by_schedule_and_lane(at):
         sim.schedule(at, lambda s: None)
     with pytest.raises(SchedulingError):
         lane.schedule(at, lambda s: None)
-    with pytest.raises(SchedulingError):
-        sim.reserve(at)
     lane.schedule(5, lambda s: None)
     assert sim.run().events_processed == 1
     assert sim.now == 5
@@ -229,22 +227,12 @@ def test_lane_accepts_now_after_its_events_fired():
 
 
 N_LANES = 3
-# Reserving lanes, as (lead, delay): an event for one reserves a key at
-# now + delay after scheduling a decider directly at now + lead, which
-# either places the key in the lane or leaves it unplaced. With fixed
-# offsets, as for a timer a fixed time after a send, the deciders fire in
-# key order, so each lane's placements follow its last key.
-RESERVING = [(0, 1), (1, 3), (2, 3)]
-N_TARGETS = N_LANES + 1 + len(RESERVING)
-# An event: (target, delay, placed, children it schedules when it fires).
-# Targets 0..N_LANES-1 are lanes, N_LANES is Simulator.schedule and the
-# rest are reserving lanes, which ignore `delay` and alone read `placed`.
-# Delays are small so that many events share a time.
+# An event: (target, delay, children it schedules when it fires). Targets
+# 0..N_LANES-1 are lanes, N_LANES is Simulator.schedule. Delays are small
+# so that many events share a time.
 EVENT = st.recursive(
-    st.tuples(st.integers(0, N_TARGETS - 1), st.integers(0, 3),
-              st.booleans(), st.just(())),
-    lambda children: st.tuples(st.integers(0, N_TARGETS - 1),
-                               st.integers(0, 3), st.booleans(),
+    st.tuples(st.integers(0, N_LANES), st.integers(0, 3), st.just(())),
+    lambda children: st.tuples(st.integers(0, N_LANES), st.integers(0, 3),
                                st.lists(children, max_size=4).map(tuple)),
     max_leaves=30)
 
@@ -252,15 +240,13 @@ EVENT = st.recursive(
 def _run_events(roots, reference):
     """Run the event trees. Each event records its key (time, insertion
     counter) when it fires. With `reference`, every event goes through
-    `Simulator.schedule`, a reserved one as soon as it is reserved, and an
-    unplaced one fires with no children. Returns the fired keys, the
-    unplaced keys and the count of events the simulator processed."""
+    `Simulator.schedule`. Returns the fired keys and the count of events
+    the simulator processed."""
     sim = Simulator()
-    lanes = [sim.lane() for _ in range(N_LANES + len(RESERVING))]
+    lanes = [sim.lane() for _ in range(N_LANES)]
     lane_last = [0] * N_LANES
     counter = [0]
     fired = []
-    unplaced = set()
 
     def take_key(at):
         key = (at, counter[0])
@@ -277,7 +263,7 @@ def _run_events(roots, reference):
         return action
 
     def put(spec):
-        target, delay, placed, children = spec
+        target, delay, children = spec
         if target < N_LANES:
             at = max(sim.now + delay, lane_last[target])
             lane_last[target] = at
@@ -286,84 +272,23 @@ def _run_events(roots, reference):
                 sim.schedule(at, action)
             else:
                 lanes[target].schedule(at, action)
-        elif target == N_LANES:
+        else:
             key = take_key(sim.now + delay)
             sim.schedule(key[0], event(key, children))
-        else:
-            lead, wait = RESERVING[target - N_LANES - 1]
-            lane = lanes[target - 1]
-            decider = take_key(sim.now + lead)
-            key = take_key(sim.now + wait)
-            if not placed:
-                unplaced.add(key)
-
-            def decide(s):
-                fired.append(decider)
-                if placed and not reference:
-                    lane.place(key, event(key, children))
-
-            sim.schedule(decider[0], decide)
-            if reference:
-                sim.schedule(key[0], event(key, children if placed else ()))
-            else:
-                assert sim.reserve(key[0]) == key
 
     for spec in roots:
         put(spec)
-    return fired, unplaced, sim.run().events_processed
+    return fired, sim.run().events_processed
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.lists(EVENT, max_size=8))
 def test_lanes_fire_in_time_insertion_order(roots):
-    fired, unplaced, events = _run_events(roots, reference=False)
-    expected, ref_unplaced, _ = _run_events(roots, reference=True)
+    fired, events = _run_events(roots, reference=False)
+    expected, _ = _run_events(roots, reference=True)
     assert all(a < b for a, b in zip(fired, fired[1:]))
-    assert unplaced == ref_unplaced
-    assert fired == [key for key in expected if key not in unplaced]
+    assert fired == expected
     assert events == len(fired)
-
-
-def test_placed_key_fires_where_it_was_reserved():
-    sim = Simulator()
-    lane = sim.lane()
-    fired = []
-    sim.schedule(2, lambda s: lane.place(key, lambda s: fired.append("placed")))
-    key = sim.reserve(10)
-    sim.reserve(10)  # never placed: no event
-    sim.schedule(10, lambda s: fired.append("direct"))
-    assert sim.run().events_processed == 3
-    assert fired == ["placed", "direct"]
-
-
-def test_lane_place_rejects_past_or_out_of_order_key_and_changes_nothing():
-    sim = Simulator()
-    lane = sim.lane()
-    fired = []
-    behind = sim.reserve(10)
-    last = sim.reserve(10)
-    past = sim.reserve(3)
-    at_now = sim.reserve(5)
-    lane.place(last, lambda s: fired.append("last"))
-    sim.schedule(5, lambda s: None)
-    sim.run_until(5)
-    before = (list(sim._queue), list(lane._pending), sim._seq)
-    for key in (behind, last, past, at_now):
-        with pytest.raises(SchedulingError):
-            lane.place(key, lambda s: fired.append("rejected"))
-        assert (list(sim._queue), list(lane._pending), sim._seq) == before
-    lane.place(sim.reserve(10), lambda s: fired.append("next"))
-    sim.run()
-    assert fired == ["last", "next"]
-
-
-def test_reserve_rejects_past_time_and_changes_nothing():
-    sim = Simulator()
-    sim.run_until(5)
-    with pytest.raises(SchedulingError):
-        sim.reserve(4)
-    assert sim._seq == 0
-    assert sim.reserve(5) == (5, 0)
 
 
 def test_link_breaking_the_in_latency_rule_is_rejected_and_changes_nothing():

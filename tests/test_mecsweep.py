@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from encorsim.mecsweep import (
-    DEFAULT_C_INTER, DEFAULT_C_INTRA, EmptyTraceError, GridNetwork,
-    TilingError, block_size, classify_moves, default_densities,
+    DEFAULT_C_INTER, DEFAULT_C_INTRA, MAX_WALK_DRAWS, EmptyTraceError,
+    GridNetwork, TilingError, block_size, classify_moves, default_densities,
     inter_fraction_exhaustive, move_counts, sweep, to_csv_rows,
 )
 from encorsim.mecsweep import _density_point, _neighbors, _poisson
@@ -179,7 +179,7 @@ def test_csv_rows_shape():
 @pytest.mark.parametrize("w,h,ues,rate", [
     (0, 0, 10, 5.0), (1, 1, 10, 5.0), (-2, 4, 10, 5.0), (4, 4, 0, 5.0),
     (4, 4, -5, 5.0), (4, 4, 10, 0.0), (4, 4, 10, math.nan),
-    (4, 4, 10, math.inf),
+    (4, 4, 10, math.inf), (501, 500, 10, 5.0),  # above MAX_STATIONS
 ])
 def test_grid_rejects_degenerate_values(w, h, ues, rate):
     with pytest.raises(ValueError):
@@ -225,7 +225,14 @@ def test_sweep_rejects_nonpositive_costs(costs):
         sweep(g, **costs)
 
 
-@pytest.mark.parametrize("duration_min", [0, -1, math.nan, math.inf])
+@pytest.mark.parametrize("ues", [MAX_WALK_DRAWS, 1_000_000_000])
+def test_walk_above_the_draw_bound_is_rejected(ues):
+    g = grid(4, 4, ues=ues)
+    with pytest.raises(ValueError, match="ue_count .* duration_min"):
+        move_counts(g, 10, 0)
+
+
+@pytest.mark.parametrize("duration_min", [0, -1, math.nan, math.inf, 1e12])
 def test_sweep_rejects_bad_duration(duration_min):
     # a NaN mean never ends the Poisson draw
     g = grid(4, 4, ues=5)

@@ -257,9 +257,10 @@ def test_chain_values_equal_brute_force_exactly(seed):
             assert chain_km(county, pops, cdns, cores) == \
                 _oracle_chain(county, cores, pops, cdns)
     for budget_km in (600.0, 1200.0, 2400.0):
-        for dep in (None,) + deployments:
+        for cores in (None,) + deployments:
             expect = sum(c.population for c in counties
-                         if _oracle_chain(c, dep, pops, cdns) <= budget_km)
+                         if _oracle_chain(c, cores, pops, cdns) <= budget_km)
+            dep = None if cores is None else Deployment(core_sites=cores)
             assert coverage(counties, budget_km, dep, pops, cdns) == \
                 expect / total
         dep = greedy_place(counties, pops, cdns, 4, budget_km)

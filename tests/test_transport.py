@@ -2,9 +2,10 @@ import pytest
 
 from encorsim.addressing import Addr128
 from encorsim.transport import (
-    BASE_LOCATOR, BUFFER_THRESHOLDS_S, DEFAULT_LADDER, AppMetrics, MobiConn,
-    MobilityNet, Policy, TransportParams, _DownlinkServer, client_migrate,
-    run_buffered, run_bulk, run_live, select_level,
+    BASE_LOCATOR, BUFFER_THRESHOLDS_S, DEFAULT_LADDER, MAX_PACKETS_PER_RUN,
+    AppMetrics, MobiConn, MobilityNet, Policy, TransportParams,
+    _DownlinkServer, buffered_packets, bulk_packets, client_migrate,
+    live_frames, run_buffered, run_bulk, run_live, select_level,
 )
 
 US = 1_000_000
@@ -220,7 +221,8 @@ def _recording_server(params, send_at, move_at=None):
         transmit(pkt_id, lost)
 
     server.transmit = recording
-    server.sim.schedule(send_at, lambda s: server.send_reliable(7))
+    server.sim.schedule(send_at,
+                        lambda s: server.send_reliable(7, params.rto_us))
     if move_at is not None:
         server.schedule_handovers([move_at], lambda: True)
     return server, sent
@@ -229,22 +231,35 @@ def _recording_server(params, send_at, move_at=None):
 def test_lost_first_transmission_is_retransmitted_one_rto_after_the_send():
     params = TransportParams(forwarding_enabled=False)
     server, sent = _recording_server(params, send_at=1_000, move_at=1_001)
-    server.sim.run_until(1_000 + params.one_way_us)
-    assert len(server.first_rto._pending) == 1  # placed on the loss
     server.sim.run_until(1_000 + params.rto_us)
     assert sent == [1_000, 1_000 + params.rto_us]
     assert server.retx_count == 1
 
 
-def test_delivered_transmission_leaves_first_rto_lane_empty():
+def test_delivered_transmission_schedules_no_timeout():
     params = TransportParams()
     server, sent = _recording_server(params, send_at=1_000)
     stats = server.sim.run_until(1_000 + 2 * params.rto_us)
     assert sent == [1_000]
     assert server.acked == {7}
-    assert not server.first_rto._pending
     # the send, the arrival, the ack leaving and the ack arriving
     assert stats.events_processed == 4
+
+
+def test_delivered_retransmission_schedules_no_timeout():
+    # the first transmission is lost; a client packet after the move
+    # teaches the server the new path before the retransmission
+    params = TransportParams(forwarding_enabled=False)
+    server, sent = _recording_server(params, send_at=1_000, move_at=1_001)
+    server.sim.schedule(1_002, lambda s: server.client_packet())
+    stats = server.sim.run_until(1_000 + 4 * params.rto_us)
+    assert sent == [1_000, 1_000 + params.rto_us]
+    assert server.retx_count == 1
+    assert server.acked == {7}
+    # the send, the move, the lost arrival, the client packet and its
+    # arrival, the timeout, the delivered arrival, the ack leaving and
+    # the ack arriving: no timeout follows the retransmission
+    assert stats.events_processed == 9
 
 
 # Pinned from the model that scheduled every first timeout as an event:
@@ -264,10 +279,38 @@ def test_immediate_ack_metrics_unchanged(run, expected):
     assert run(TransportParams(ack_delay_us=0)) == expected
 
 
+def test_keepalive_tick_and_timeout_in_one_us_metrics_unchanged():
+    # one_way_us = 700 and ack_delay_us = 2000 give a first RTO of 6800
+    # µs, the keepalive interval: a tick and a timeout share µs 606,300.
+    # Pinned from the model that scheduled each timeout at its send.
+    params = TransportParams(one_way_us=700, ack_delay_us=2000,
+                             keepalive_interval_us=6800)
+    m = run_buffered(4.0, [600_000, 1_420_000, 2_240_000], params, seed=1)
+    assert m == AppMetrics(
+        app="buffered", handovers=3, throughput_mbps=7.9968, retx_count=5,
+        retx_rate=0.0014979029358897543, mean_buffer_s=25.996999999999996,
+        mean_quality=5.0)
+
+
 @pytest.mark.parametrize("duration_s", [0, -1, 1e-9, float("nan"),
-                                        float("inf")])
+                                        float("inf"), 1e9])
 def test_buffered_and_live_reject_bad_duration(duration_s):
     with pytest.raises(ValueError, match="duration_s"):
         run_buffered(duration_s, [])
     with pytest.raises(ValueError, match="duration_s"):
         run_live(duration_s, [])
+
+
+@pytest.mark.parametrize("file_bytes", [10**12, float("inf")])
+def test_bulk_rejects_a_file_above_the_packet_bound(file_bytes):
+    with pytest.raises(ValueError, match="file_bytes must keep a run"):
+        run_bulk(file_bytes, [])
+
+
+def test_cli_defaults_and_bench_sizes_are_within_the_packet_bound():
+    params = TransportParams()
+    for packets in (bulk_packets(100e6, params), bulk_packets(16e6, params),
+                    buffered_packets(60.0, params),
+                    buffered_packets(40.0, params),
+                    live_frames(10.0), live_frames(240.0)):
+        assert packets <= MAX_PACKETS_PER_RUN
