@@ -14,6 +14,7 @@ learning, with retransmission for bulk and video only.
 """
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .addressing import Addr128, RecentlyMovedTable
@@ -111,13 +112,15 @@ class AppMetrics:
 
 
 class MobilityNet:
-    """Tracks the client's current base-station locator and the
-    recently-moved tables of base stations it has left."""
+    """Tracks the client's current base-station locator, the
+    recently-moved tables of base stations it has left, and the sorted
+    times of its moves."""
 
     def __init__(self, conn, params):
         self.conn = conn
         self.params = params
         self.tables = {}  # old locator -> RecentlyMovedTable
+        self.move_times = []
 
     def migrate(self, now_us):
         old = self.conn.client_addr.locator
@@ -127,6 +130,19 @@ class MobilityNet:
                 old, RecentlyMovedTable(self.params.forwarding_ttl_us))
             table.record_move(self.conn.client_addr.identifier, new, now_us)
         client_migrate(self.conn, Addr128(new, self.conn.client_addr.identifier))
+
+    def address_at(self, now_us, later_us):
+        """The client's address at `later_us`, asked at `now_us`: the
+        moves in (now_us, later_us] are still to come, and each adds one
+        to the locator. Every move is a set-up event, so a move due at
+        `now_us` has fired and one due at `later_us` fires before any
+        event the run schedules for that µs."""
+        times = self.move_times
+        ahead = bisect_right(times, later_us) - bisect_right(times, now_us)
+        addr = self.conn.client_addr
+        if ahead:
+            addr = Addr128(addr.locator + ahead, addr.identifier)
+        return addr
 
     def reaches_client(self, dest_addr, arrival_us):
         """Can a packet addressed to dest_addr reach the client at this
@@ -155,15 +171,37 @@ class _DownlinkServer:
     (acks, requests, keepalives, pings).
 
     Every event a fixed delay after `now` goes into the lane for that
-    delay (see `kernel.Lane`), so each delay keeps one heap entry. A
-    timeout is due a fixed delay after its send, not after the loss that
-    schedules it, so it goes to `Simulator.schedule`."""
+    delay (see `kernel.Lane`), so each delay keeps one heap entry: the
+    one-way lane holds data and client-packet arrivals, the ack lane the
+    arrival of each delivered packet's ack. A timeout is due a fixed delay
+    after its send, not after the loss that schedules it, so it goes to
+    `Simulator.schedule`.
+
+    A delivered packet costs three events: the send, the arrival and the
+    ack's arrival. The ack leaves ack_delay_us after the delivery, from
+    the address the move schedule gives for that µs; its arrival is
+    scheduled at the delivery and takes its (time, seq) key there. An
+    event due in the ack's arrival µs and scheduled while the ack waits to
+    leave therefore fires after the ack; an ack keyed when it leaves would
+    fire after that event. Only events that read what the ack writes
+    (`server_path`, `acked`) can tell: sends and timeouts. Client-packet
+    arrivals due in that µs left in the ack's own µs and write the same
+    address. Bulk sends and live frames are scheduled during set-up, and a
+    timeout cannot share the µs (see `send_reliable`). Paced sends are
+    scheduled by a `start_sending` at request time + one_way_us, and the
+    next chunk's request comes no earlier than the delivery. With
+    one_way_us >= ack_delay_us, a `start_sending` therefore fires at or
+    after the ack leaves, and in the ack's leave µs only after it, because
+    the request that scheduled it ran after the delivery that scheduled
+    the ack: both keyings give the same run. With one_way_us <
+    ack_delay_us a paced send may share the µs and be scheduled in
+    between; it fires after the ack and goes to the path the ack teaches."""
 
     def __init__(self, params, seed):
         self.sim = Simulator(seed)
         # transmit's and client_packet's arrivals are both one_way_us away
         self.one_way = self.sim.lane()
-        self.ack_delay = self.sim.lane()
+        self.ack = self.sim.lane()
         addr = Addr128(BASE_LOCATOR, 0x42)
         self.conn = MobiConn(conn_id=1, client_addr=addr, server_path=addr)
         self.net = MobilityNet(self.conn, params)
@@ -177,7 +215,9 @@ class _DownlinkServer:
 
     def schedule_handovers(self, times_us, active):
         """The client moves at each time; the server is not told. A move
-        counts as a handover of the app while `active()` holds."""
+        counts as a handover of the app while `active()` holds. Call it
+        during set-up, before the run: acks read their address from these
+        times (see `MobilityNet.address_at`)."""
         def migrate(sim):
             if active():
                 self.handovers += 1
@@ -185,6 +225,7 @@ class _DownlinkServer:
 
         for t in times_us:
             self.sim.schedule(t, migrate)
+        self.net.move_times = sorted(self.net.move_times + list(times_us))
 
     def transmit(self, pkt_id, lost=None):
         """One unreliable send to the last-known path. `lost()` runs if
@@ -213,13 +254,17 @@ class _DownlinkServer:
         but takes its seq at the loss (send + one_way_us), so only an event
         due in that µs and scheduled in between could swap order with it.
         The first RTO is 4 * one_way_us + 2 * ack_delay_us, which rules out
-        every kind but one: data arrivals, client-packet arrivals and acks
-        cannot land in that µs; sends, frames and moves are scheduled
-        during set-up; buffered chunk activity starts only when no loss is
-        pending. The one left is a keepalive tick, when the interval lies
-        in [rto_us - one_way_us, rto_us]. A tick and a timeout commute:
-        the timeout reads `server_path` and the tick does not write it,
-        and their arrivals one one_way_us later touch disjoint state."""
+        every kind but one: data arrivals and client-packet arrivals cannot
+        land in that µs; an ack's arrival, keyed at its delivery d, shares
+        a timeout's µs only if d + ack_delay_us + one_way_us = send +
+        rto_us, so d >= send + 3 * one_way_us + ack_delay_us, after the
+        loss, and it takes its seq after the timeout either way; sends,
+        frames and moves are scheduled during set-up; buffered chunk
+        activity starts only when no loss is pending. The one left is a
+        keepalive tick, when the interval lies in [rto_us - one_way_us,
+        rto_us]. A tick and a timeout commute: the timeout reads
+        `server_path` and the tick does not write it, and their arrivals
+        one one_way_us later touch disjoint state."""
         sent_at = self.sim.now
 
         def lost():
@@ -236,23 +281,29 @@ class _DownlinkServer:
         return timeout
 
     def _client_receive(self, pkt_id, now):
+        """Deliver a packet and schedule its ack's arrival, which moves
+        the server's path to the address the ack leaves from."""
         first = pkt_id not in self.delivered
         self.delivered.add(pkt_id)
-        self.ack_delay.schedule(now + self.params.ack_delay_us,
-                                lambda sim: self.client_packet(ack=pkt_id))
+        leaves = now + self.params.ack_delay_us
+        src = self.net.address_at(now, leaves)
+
+        def ack_arrives(sim):
+            self.conn.on_client_packet(self.conn.conn_id, src)
+            self.acked.add(pkt_id)
+
+        self.ack.schedule(leaves + self.params.one_way_us, ack_arrives)
         if first and self.on_packet_delivered is not None:
             self.on_packet_delivered(pkt_id, now)
 
-    def client_packet(self, ack=None):
-        """A client packet (an ack of packet `ack`, a request, a keepalive
-        or a ping) leaves from the client's address at this instant and
-        moves the server's path there on arrival."""
+    def client_packet(self):
+        """A client packet (a request, a keepalive or a ping) leaves from
+        the client's address at this instant and moves the server's path
+        there on arrival."""
         src = self.conn.client_addr
 
         def arrive(sim):
             self.conn.on_client_packet(self.conn.conn_id, src)
-            if ack is not None:
-                self.acked.add(ack)
 
         self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
 
@@ -482,20 +533,20 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     last_send_us = (n_frames - 1) * frame_interval_us
     last_arrival_us = last_send_us + params.one_way_us
 
-    def arm_deadline():
-        def check(s):
-            if s.now >= last_arrival_us:
-                return  # stream over; nothing left to expect
-            if state["last_delivery"] + idle_deadline > s.now:
-                return  # a frame arrived in the meantime; its ack re-armed us
-            if s.now < state["ping_muted_until"]:
-                return
-            # missed deadline: one ping from the current address
-            state["pings"] += 1
-            state["ping_muted_until"] = s.now + idle_deadline + params.rtt_us
-            server.client_packet()
-            s.schedule(s.now + idle_deadline + params.rtt_us, check)
+    def check(s):
+        if s.now >= last_arrival_us:
+            return  # stream over; nothing left to expect
+        if state["last_delivery"] + idle_deadline > s.now:
+            return  # a frame arrived in the meantime; its delivery re-armed us
+        if s.now < state["ping_muted_until"]:
+            return
+        # missed deadline: one ping from the current address
+        state["pings"] += 1
+        state["ping_muted_until"] = s.now + idle_deadline + params.rtt_us
+        server.client_packet()
+        s.schedule(s.now + idle_deadline + params.rtt_us, check)
 
+    def arm_deadline():
         sim.schedule(sim.now + idle_deadline, check)
 
     def on_delivered(frame_id, now):

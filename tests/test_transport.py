@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from encorsim.addressing import Addr128
@@ -242,8 +244,8 @@ def test_delivered_transmission_schedules_no_timeout():
     stats = server.sim.run_until(1_000 + 2 * params.rto_us)
     assert sent == [1_000]
     assert server.acked == {7}
-    # the send, the arrival, the ack leaving and the ack arriving
-    assert stats.events_processed == 4
+    # the send, the arrival and the ack's arrival
+    assert stats.events_processed == 3
 
 
 def test_delivered_retransmission_schedules_no_timeout():
@@ -257,15 +259,37 @@ def test_delivered_retransmission_schedules_no_timeout():
     assert server.retx_count == 1
     assert server.acked == {7}
     # the send, the move, the lost arrival, the client packet and its
-    # arrival, the timeout, the delivered arrival, the ack leaving and
-    # the ack arriving: no timeout follows the retransmission
-    assert stats.events_processed == 9
+    # arrival, the timeout, the delivered arrival and the ack's arrival:
+    # no timeout follows the retransmission
+    assert stats.events_processed == 8
+
+
+@pytest.mark.parametrize("moves, locator", [
+    ([22_000], BASE_LOCATOR + 1),  # inside the ack's delay
+    ([23_000], BASE_LOCATOR + 1),  # in the µs the ack leaves
+    ([21_000, 22_000], BASE_LOCATOR + 2),  # one already made at delivery
+    ([23_001], BASE_LOCATOR),  # after the ack has left
+], ids=["inside_delay", "at_leave_us", "one_at_delivery", "after_leave"])
+def test_ack_leaves_from_the_address_at_its_leave_time(moves, locator):
+    # packet 7 is sent at 1,000 µs and delivered at 21,000; its ack leaves
+    # at 23,000 and arrives at 43,000. Forwarding keeps the delivery alive
+    # across a move in the delivery's own µs.
+    params = TransportParams(forwarding_enabled=True)
+    server, _ = _recording_server(params, send_at=1_000)
+    server.schedule_handovers(moves, lambda: True)
+    server.sim.run_until(43_000)
+    assert server.acked == {7}
+    assert server.conn.server_path.locator == locator
 
 
 # Pinned from the model that scheduled every first timeout as an event:
 # with no ack delay the ack still returns (after 2 * one_way_us) before
 # the first timeout (4 * one_way_us), so skipping the no-op timeouts
-# changes nothing.
+# changes nothing. The third case is pinned from the model that scheduled
+# an ack's arrival when the ack left: with one_way_us == ack_delay_us,
+# the move 1 µs after the first chunk's last delivery (1,003,000) falls
+# in the delays of its ack and of the one before, whose arrivals share
+# their µs with the next chunk's paced sends j = 2 and j = 1.
 @pytest.mark.parametrize("run, expected", [
     (lambda p: run_bulk(600_000, [20_000, 50_000], p, seed=3),
      AppMetrics(app="bulk", handovers=2, throughput_mbps=27.002700270027002,
@@ -274,9 +298,30 @@ def test_delivered_retransmission_schedules_no_timeout():
      AppMetrics(app="buffered", handovers=2, throughput_mbps=7.5824,
                 retx_count=74, retx_rate=0.015320910973084885,
                 mean_buffer_s=26.668666666666667, mean_quality=5.0)),
+    (lambda p: run_buffered(3.0, [1_003_001], replace(
+        p, one_way_us=2000, ack_delay_us=2000, packet_bytes=1000), seed=0),
+     AppMetrics(app="buffered", handovers=1, throughput_mbps=7.976,
+                retx_count=1, retx_rate=0.00033400133600534405,
+                mean_buffer_s=25.494, mean_quality=5.0)),
 ])
 def test_immediate_ack_metrics_unchanged(run, expected):
     assert run(TransportParams(ack_delay_us=0)) == expected
+
+
+def test_ack_delay_above_one_way_paced_send_sees_the_acks_path():
+    # one_way_us < ack_delay_us: the first chunk's last two packets are
+    # delivered at 999,400 and 1,000,400, and the client moves at
+    # 1,000,401, before the first of their acks leaves (1,001,400). That
+    # ack arrives at 1,002,100 with the new address, in the µs of the next
+    # chunk's paced send j = 1, scheduled at 1,001,100. Keyed at the
+    # delivery, the ack fires first and the send goes to the new path.
+    # Keyed when the ack left, the send fired first and was lost, and
+    # retx_count was 2.
+    params = TransportParams(one_way_us=700, ack_delay_us=2000,
+                             packet_bytes=1000)
+    m = run_buffered(3.0, [1_000_401], params, seed=0)
+    assert m.handovers == 1
+    assert m.retx_count == 1
 
 
 def test_keepalive_tick_and_timeout_in_one_us_metrics_unchanged():
