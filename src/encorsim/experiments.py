@@ -180,14 +180,15 @@ def _run_load_point(arch, rate_per_s, scenario):
     def start_handover(sim):
         advance(sim, (sim.now, 0))
 
-    # Poisson handover arrivals over the run horizon
+    # Poisson handover arrivals over the run horizon, made in time order
     horizon = round(scenario.duration_s * US_PER_S)
+    arrivals = sim.lane()
     t = 0
     while True:
         t += round(sim.rng.expovariate(rate_per_s) * US_PER_S)
         if t >= horizon:
             break
-        sim.schedule(t, start_handover)
+        arrivals.schedule(t, start_handover)
     sim.run()
 
     times_ms = sorted(c / 1000 for c in completions)

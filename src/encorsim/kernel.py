@@ -5,7 +5,9 @@ Time is an integer count of simulated microseconds. Events are totally
 ordered by (time, insertion sequence), so runs with the same seed and
 scenario produce identical results; a scheduled event cannot be
 cancelled. Events scheduled in time order can go through a `Lane`,
-which keeps only its earliest event in the heap.
+which keeps only its earliest event in the heap. A series on a fixed grid,
+start + k·interval for k < count, is one `Train`: it is keyed once, when
+it is made, and makes its events one at a time as they fire.
 
 Nodes are capacity-limited FIFO servers; links add latency and may drop
 messages probabilistically. Every link into a node has the same latency,
@@ -21,13 +23,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
+from operator import index
 
 US_PER_S = 1_000_000
 
 
 class SchedulingError(Exception):
     """Raised when an event is scheduled in the past, at a time that is not
-    finite, or earlier than the last event of its lane."""
+    finite, or earlier than the last event of its lane, or when a train's
+    interval is negative or not finite or its count is negative."""
 
 
 class RoutingError(Exception):
@@ -127,6 +131,49 @@ class Lane:
             heappush(sim._queue, entry)
 
 
+class Train:
+    """`count` events on a fixed grid: `action(sim, k)` at start +
+    k * interval for each k < count, made by `Simulator.train`.
+
+    The train takes `count` consecutive seqs from the simulator's counter
+    when it is made, so event k has the key (start + k * interval, seq0 +
+    k), the key `Simulator.schedule` would give it in a loop at that
+    moment. Only the next event sits in the heap; when it fires, it puts
+    event k + 1 there before its action runs, and the drain loop treats
+    it like any other event.
+
+    Order: the keys within a train strictly increase, since times never
+    decrease and seqs increase. An event that is not in the heap has an earlier
+    event of its own train there, with a smaller key. The heap's minimum
+    is therefore the minimum over every pending event, and events fire in
+    the same (time, insertion) order as if each had been scheduled on the
+    simulator directly when the train was made.
+    """
+
+    __slots__ = ("_start", "_interval", "_count", "_seq0", "_action", "_k",
+                 "_fire")
+
+    def __init__(self, sim, start, interval, count, action):
+        self._start = start
+        self._interval = interval
+        self._count = count
+        self._seq0 = sim._seq
+        self._action = action
+        self._k = 0
+        self._fire = self.fire  # the heap entries' action, bound once
+        sim._seq += count
+        heappush(sim._queue, (start, self._seq0, self._fire, None))
+
+    def fire(self, sim):
+        """Put the next event in the heap, then run this one's action."""
+        k = self._k
+        self._k = nxt = k + 1
+        if nxt < self._count:
+            heappush(sim._queue, (self._start + nxt * self._interval,
+                                  self._seq0 + nxt, self._fire, None))
+        self._action(sim, k)
+
+
 class Simulator:
     def __init__(self, seed=0):
         self.now = 0
@@ -181,6 +228,22 @@ class Simulator:
     def lane(self):
         """A new FIFO lane for events scheduled in nondecreasing time."""
         return Lane(self)
+
+    def train(self, start, interval, count, action):
+        """Schedule `action(sim, k)` at start + k * interval for each
+        k < count, with the keys `schedule` would give in a loop now (see
+        `Train`). A count that is not an int raises TypeError, as in
+        `range`; other bad input raises SchedulingError. Either way
+        nothing is scheduled."""
+        count = index(count)
+        # also rejects NaN, and a last event that is not finite
+        if not (self.now <= start < inf and 0 <= interval < inf
+                and count >= 0 and start + max(0, count - 1) * interval < inf):
+            raise SchedulingError(
+                f"cannot schedule {count} events from t={start} every"
+                f" {interval} µs: now is t={self.now}")
+        if count:
+            Train(self, start, interval, count, action)
 
     def send(self, src, dst, msg, on_delivered=None, category=None):
         """Send msg over the (src, dst) link into dst's service queue.

@@ -227,12 +227,18 @@ def test_lane_accepts_now_after_its_events_fired():
 
 
 N_LANES = 3
-# An event: (target, delay, children it schedules when it fires). Targets
-# 0..N_LANES-1 are lanes, N_LANES is Simulator.schedule. Delays are small
-# so that many events share a time.
+TRAIN = N_LANES + 1
+# An event: (target, delay, train shape, children it schedules when it
+# fires). Targets 0..N_LANES-1 are lanes, N_LANES is Simulator.schedule
+# and TRAIN is a train of `count` events `interval` apart from now + delay,
+# with the shape (interval, count); child i goes to the train's event
+# i % count. Delays and intervals are small so that many events share a
+# time, and a train often starts in a µs with events already due.
+SHAPE = st.tuples(st.integers(0, 2), st.integers(0, 3))
 EVENT = st.recursive(
-    st.tuples(st.integers(0, N_LANES), st.integers(0, 3), st.just(())),
-    lambda children: st.tuples(st.integers(0, N_LANES), st.integers(0, 3),
+    st.tuples(st.integers(0, TRAIN), st.integers(0, 3), SHAPE, st.just(())),
+    lambda children: st.tuples(st.integers(0, TRAIN), st.integers(0, 3),
+                               SHAPE,
                                st.lists(children, max_size=4).map(tuple)),
     max_leaves=30)
 
@@ -240,8 +246,8 @@ EVENT = st.recursive(
 def _run_events(roots, reference):
     """Run the event trees. Each event records its key (time, insertion
     counter) when it fires. With `reference`, every event goes through
-    `Simulator.schedule`. Returns the fired keys and the count of events
-    the simulator processed."""
+    `Simulator.schedule`, a train's in a loop when it is made. Returns the
+    fired keys and the count of events the simulator processed."""
     sim = Simulator()
     lanes = [sim.lane() for _ in range(N_LANES)]
     lane_last = [0] * N_LANES
@@ -263,7 +269,7 @@ def _run_events(roots, reference):
         return action
 
     def put(spec):
-        target, delay, children = spec
+        target, delay, (interval, count), children = spec
         if target < N_LANES:
             at = max(sim.now + delay, lane_last[target])
             lane_last[target] = at
@@ -272,6 +278,17 @@ def _run_events(roots, reference):
                 sim.schedule(at, action)
             else:
                 lanes[target].schedule(at, action)
+        elif target == TRAIN:
+            start = sim.now + delay
+            actions = [event(take_key(start + k * interval),
+                             children[k::count])
+                       for k in range(count)]
+            if reference:
+                for k, action in enumerate(actions):
+                    sim.schedule(start + k * interval, action)
+            else:
+                sim.train(start, interval, count,
+                          lambda s, k: actions[k](s))
         else:
             key = take_key(sim.now + delay)
             sim.schedule(key[0], event(key, children))
@@ -289,6 +306,62 @@ def test_lanes_fire_in_time_insertion_order(roots):
     assert all(a < b for a, b in zip(fired, fired[1:]))
     assert fired == expected
     assert events == len(fired)
+
+
+def _record_train(sim, start, interval, count, fired):
+    sim.train(start, interval, count,
+              lambda s, k: fired.append((s.now, k)))
+
+
+@pytest.mark.parametrize("start, interval, count", [
+    (4, 1, 2),              # start in the past
+    (math.inf, 1, 2),
+    (-math.inf, 1, 2),
+    (math.nan, 1, 2),
+    (20, -1, 2),            # interval negative
+    (20, math.inf, 2),
+    (20, math.nan, 2),
+    (20, 1e308, 3),         # last event not finite
+    (20, 1, -1),            # count negative
+])
+def test_train_rejects_bad_input_and_changes_nothing(start, interval, count):
+    sim = Simulator()
+    sim.schedule(10, lambda s: None)
+    sim.run_until(10)
+    sim.schedule(30, lambda s: None)
+    before = (list(sim._queue), sim._seq)
+    with pytest.raises(SchedulingError):
+        _record_train(sim, start, interval, count, [])
+    assert (list(sim._queue), sim._seq) == before
+    assert sim.run().events_processed == 2
+
+
+def test_train_count_must_be_an_int():
+    # a float count would reserve a fractional number of seqs
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        _record_train(sim, 0, 1, 2.0, [])
+    assert (sim._queue, sim._seq) == ([], 0)
+
+
+def test_empty_train_schedules_and_reserves_nothing():
+    sim = Simulator()
+    fired = []
+    _record_train(sim, 5, 1, 0, fired)
+    assert (sim._queue, sim._seq) == ([], 0)
+    assert sim.run().events_processed == 0
+    assert fired == []
+
+
+def test_train_events_past_the_horizon_fire_on_the_next_run():
+    sim = Simulator()
+    fired = []
+    _record_train(sim, 0, 10, 5, fired)
+    sim.run_until(25)
+    assert fired == [(0, 0), (10, 1), (20, 2)]
+    assert sim.now == 25
+    sim.run()
+    assert fired == [(0, 0), (10, 1), (20, 2), (30, 3), (40, 4)]
 
 
 def test_link_breaking_the_in_latency_rule_is_rejected_and_changes_nothing():
