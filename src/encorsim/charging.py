@@ -112,13 +112,6 @@ class InbQuota:
     cut_off: bool = False
     log: ChargingLog = field(default_factory=ChargingLog)
 
-    def __post_init__(self):
-        # above 1, or NaN, a full grant never crosses the threshold and
-        # `consume` loops forever; at 0 it asks for a refill on every pass
-        if not 0 < self.refill_threshold <= 1:
-            raise ValueError("refill_threshold must be in (0, 1], got"
-                             f" {self.refill_threshold}")
-
     def consume(self, nbytes, cp, now_us=0):
         """Count traffic against the grant; returns the bytes allowed.
 

@@ -519,6 +519,9 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     Frames are not retransmitted; loss shows up as missing frames, and a
     stale path with no recovery shows up as a deadlock."""
     _check_duration(duration_s)
+    if not (isinstance(frame_interval_us, int) and frame_interval_us > 0):
+        raise ValueError("frame_interval_us must be a positive whole number"
+                         f" of us, got {frame_interval_us!r}")
     check_packets("duration_s", duration_s,
                   live_frames(duration_s, frame_interval_us))
     params = params or TransportParams()

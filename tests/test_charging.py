@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -72,20 +71,6 @@ def test_inb_threshold_refill():
     assert inb.granted == MB
     assert inb.consume(100_000, cp) == 100_000  # crosses the threshold
     assert inb.granted == 2 * MB
-
-
-@pytest.mark.parametrize("threshold", [1.5, math.nan, math.inf, 0, -0.1])
-def test_inb_rejects_a_refill_threshold_outside_zero_to_one(threshold):
-    # above 1, or NaN, `consume` never returned
-    with pytest.raises(ValueError, match="refill_threshold"):
-        InbQuota(1, refill_threshold=threshold)
-
-
-def test_inb_threshold_one_refills_a_consume_above_one_subquota():
-    ocs, cp, _, log = make_tier(balance=100 * MB)
-    inb = InbQuota(1, refill_threshold=1.0, log=log)
-    assert inb.consume(3 * MB + 5, cp) == 3 * MB + 5
-    assert (inb.used, inb.granted) == (3 * MB + 5, 4 * MB)
 
 
 def test_inb_consume_exact_accounting():

@@ -313,35 +313,29 @@ def _record_train(sim, start, interval, count, fired):
               lambda s, k: fired.append((s.now, k)))
 
 
-@pytest.mark.parametrize("start, interval, count", [
-    (4, 1, 2),              # start in the past
-    (math.inf, 1, 2),
-    (-math.inf, 1, 2),
-    (math.nan, 1, 2),
-    (20, -1, 2),            # interval negative
-    (20, math.inf, 2),
-    (20, math.nan, 2),
-    (20, 1e308, 3),         # last event not finite
-    (20, 1, -1),            # count negative
+@pytest.mark.parametrize("start, interval, count, error", [
+    (4, 1, 2, SchedulingError),         # start in the past
+    (math.inf, 1, 2, SchedulingError),
+    (-math.inf, 1, 2, SchedulingError),
+    (math.nan, 1, 2, SchedulingError),
+    (20, -1, 2, SchedulingError),       # interval negative
+    (20, math.inf, 2, SchedulingError),
+    (20, math.nan, 2, SchedulingError),
+    (20, 1e308, 3, SchedulingError),    # last event not finite
+    (20, 1, -1, SchedulingError),       # count negative
+    (20, 1, 2.0, TypeError),            # a float count: fractional seqs
 ])
-def test_train_rejects_bad_input_and_changes_nothing(start, interval, count):
+def test_train_rejects_bad_input_and_changes_nothing(start, interval, count,
+                                                     error):
     sim = Simulator()
     sim.schedule(10, lambda s: None)
     sim.run_until(10)
     sim.schedule(30, lambda s: None)
     before = (list(sim._queue), sim._seq)
-    with pytest.raises(SchedulingError):
+    with pytest.raises(error):
         _record_train(sim, start, interval, count, [])
     assert (list(sim._queue), sim._seq) == before
     assert sim.run().events_processed == 2
-
-
-def test_train_count_must_be_an_int():
-    # a float count would reserve a fractional number of seqs
-    sim = Simulator()
-    with pytest.raises(TypeError):
-        _record_train(sim, 0, 1, 2.0, [])
-    assert (sim._queue, sim._seq) == ([], 0)
 
 
 def test_empty_train_schedules_and_reserves_nothing():

@@ -346,6 +346,12 @@ def test_buffered_and_live_reject_bad_duration(duration_s):
         run_live(duration_s, [])
 
 
+@pytest.mark.parametrize("frame_interval_us", [0, -5, 41_666.5, 41_667.0])
+def test_live_rejects_bad_frame_interval(frame_interval_us):
+    with pytest.raises(ValueError, match="frame_interval_us"):
+        run_live(2.0, [], frame_interval_us=frame_interval_us)
+
+
 @pytest.mark.parametrize("file_bytes", [10**12, float("inf")])
 def test_bulk_rejects_a_file_above_the_packet_bound(file_bytes):
     with pytest.raises(ValueError, match="file_bytes must keep a run"):
