@@ -1,17 +1,23 @@
 """
-Golden outputs: the CSVs of every CLI command at seeds 0-2, and the
-per-message rows of attach and of every handover mode, compared byte for
-byte with the files under tests/golden/.
+Golden outputs: the CSVs of every CLI command at seeds 0-2, the
+per-message rows of attach and of every handover mode, and every app's
+unrounded metrics over a seeded sweep of transport parameters, compared
+byte for byte with the files under tests/golden/.
 
 A refactor that keeps these passing keeps the observable behaviour. To
 record new goldens after an intended behaviour change, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
 """
+import csv
+import dataclasses
+import io
+import math
 import os
+import random
 
 import pytest
 
-from encorsim import cli, control, lte, security
+from encorsim import cli, control, lte, security, transport
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEEDS = (0, 1, 2)
@@ -116,6 +122,100 @@ def read_golden(name):
         return f.read()
 
 
+# The CLI goldens run only the defaults, where one_way_us >= ack_delay_us.
+# Tie orders between sends, acks, timeouts, keepalive ticks and moves
+# change outside that region, so the sweep draws parameter sets around
+# those ties. 60 sets of 4 runs take about 2 s on a 2-CPU x86-64 host.
+SWEEP_SETS = 60
+SWEEP_SEED = 16
+SWEEP_FILE_BYTES = 500_000
+SWEEP_DURATION_S = 4.0
+SWEEP_PARAMS = ("one_way_us", "ack_delay_us", "bandwidth_mbps",
+                "packet_bytes", "keepalive_interval_us", "forwarding_enabled",
+                "give_up_us")
+
+
+def _send_grid(app, params, frame_interval_us):
+    """(start, interval, count) of the sends of a bulk run, of a buffered
+    run's first chunk, or of a live run."""
+    if app == "bulk":
+        return (0, params.packet_interval_us(),
+                math.ceil(SWEEP_FILE_BYTES / params.packet_bytes))
+    if app == "buffered":  # sent once the first request reaches the server
+        return (params.one_way_us, params.packet_interval_us(
+            transport.PACE_MBPS), math.ceil(transport.buffered_packets(
+                transport.CHUNK_DURATION_S, params)))
+    return (0, frame_interval_us,
+            round(SWEEP_DURATION_S * transport.US_PER_S) // frame_interval_us)
+
+
+def sweep_sets():
+    """Yield (params, frame_interval_us, moves) from one seeded generator.
+
+    Each set aims at one app's send grid: bulk packets, the first chunk's
+    paced packets, or live frames. one_way_us is log-uniform over 1 µs-30
+    ms; ack_delay_us is 0, one_way_us, a multiple of the grid's interval,
+    or the delay that makes rtt_us one, so acks arrive on the grid. Frame
+    intervals are multiples of the packet interval; the keepalive interval
+    is at or just under a first RTO of 2 ms or more; forwarding is on or
+    off; a give-up horizon of 1 s lets a 4 s live stream deadlock."""
+    rng = random.Random(SWEEP_SEED)
+    for i in range(SWEEP_SETS):
+        one_way = round(math.exp(rng.uniform(0, math.log(30_000))))
+        params = transport.TransportParams(
+            one_way_us=one_way, bandwidth_mbps=rng.choice((20.0, 40.0)),
+            packet_bytes=rng.choice((1000, 1200)),
+            forwarding_enabled=i % 2 == 0,
+            give_up_us=rng.choice((1_000_000, 5_000_000)))
+        interval = params.packet_interval_us()
+        frame_us = interval * rng.randint(max(1, 5_000 // interval),
+                                          50_000 // interval)
+        app = ("bulk", "buffered", "live")[i % 3]
+        start, grid, count = _send_grid(app, params, frame_us)
+        params = dataclasses.replace(params, ack_delay_us=(
+            0, one_way, rng.randint(1, 4) * grid,
+            (-2 * one_way) % grid + rng.randrange(4) * grid)[i // 6 % 4])
+        rto = params.rto_us
+        if rto >= 2_000:  # a shorter tick would cost most of the sweep
+            params = dataclasses.replace(
+                params, keepalive_interval_us=rng.choice(
+                    (params.keepalive_interval_us, rto,
+                     rto - rng.randint(0, one_way))))
+        # the first move falls between a delivery and its ack's leave: of
+        # a random send, or of the first chunk's last, after which the
+        # next chunk's sends start; later ones on the grid after it
+        k = count - 1 if app == "buffered" else rng.randrange(count)
+        moves = [start + k * grid + one_way
+                 + rng.randint(0, params.ack_delay_us)]
+        for _ in range(rng.randint(0, 2)):
+            j = k + 1 + rng.randrange(count)
+            moves.append(start + j * grid + rng.choice((-1, 0, 0, 1)))
+        yield params, frame_us, sorted(moves)
+
+
+def transport_sweep_text():
+    """One row per run: the set's index and inputs, then every AppMetrics
+    field unrounded. Bulk, buffered and live under both policies run on
+    each set, at the set's index as seed."""
+    fields = [f.name for f in dataclasses.fields(transport.AppMetrics)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("set",) + SWEEP_PARAMS
+                    + ("frame_interval_us", "moves_us") + tuple(fields))
+    for i, (params, frame_us, moves) in enumerate(sweep_sets()):
+        runs = [transport.run_bulk(SWEEP_FILE_BYTES, moves, params, seed=i),
+                transport.run_buffered(SWEEP_DURATION_S, moves, params,
+                                       seed=i)]
+        runs += [transport.run_live(SWEEP_DURATION_S, moves, policy, params,
+                                    seed=i, frame_interval_us=frame_us)
+                 for policy in transport.Policy]
+        inputs = ((i,) + tuple(getattr(params, name) for name in SWEEP_PARAMS)
+                  + (frame_us, " ".join(map(str, moves))))
+        for m in runs:
+            writer.writerow(inputs + tuple(getattr(m, f) for f in fields))
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("config,argv,seed,goldens", CLI_CASES)
 def test_cli_csv_matches_golden(config, argv, seed, goldens, tmp_path,
                                 capsys):
@@ -129,6 +229,12 @@ def test_message_sequences_match_golden():
     assert sequences_text() == read_golden("sequences.txt").decode()
 
 
+def test_transport_sweep_matches_golden():
+    # row by row, so a failure names the first run that differs
+    assert (transport_sweep_text().splitlines()
+            == read_golden("transport_sweep.csv").decode().splitlines())
+
+
 if __name__ == "__main__":
     import tempfile
     os.makedirs(GOLDEN, exist_ok=True)
@@ -140,3 +246,5 @@ if __name__ == "__main__":
                     f.write(data)
     with open(os.path.join(GOLDEN, "sequences.txt"), "w") as f:
         f.write(sequences_text())
+    with open(os.path.join(GOLDEN, "transport_sweep.csv"), "w") as f:
+        f.write(transport_sweep_text())
