@@ -185,19 +185,23 @@ class _DownlinkServer:
     scheduled at the delivery and takes its (time, seq) key there. An
     event due in the ack's arrival µs and scheduled while the ack waits to
     leave therefore fires after the ack; an ack keyed when it leaves would
-    fire after that event. Only events that read what the ack writes
-    (`server_path`, `acked`) can tell: sends and timeouts. Client-packet
-    arrivals due in that µs left in the ack's own µs and write the same
-    address. Bulk sends and live frames are keyed at set-up by a train,
-    and a timeout cannot share the µs (see `send_reliable`). Paced sends
-    are keyed by the train a `start_sending` makes at request time +
+    fire after that event. Only events that read what the ack writes,
+    `server_path`, can tell: sends and timeouts. Client-packet arrivals
+    due in that µs left in the ack's own µs and write the same address.
+    Bulk sends and live frames are keyed at set-up by a train, and a
+    timeout cannot share the µs (see `send_reliable`). Paced sends are
+    keyed by the train a `start_sending` makes at request time +
     one_way_us, and the next chunk's request comes no earlier than the
     delivery. With one_way_us >= ack_delay_us, a `start_sending` therefore
     fires at or after the ack leaves, and in the ack's leave µs only after
     it, because the request that scheduled it ran after the delivery that
     scheduled the ack: both keyings give the same run. With one_way_us <
     ack_delay_us a paced send may share the µs and be keyed in between; it
-    fires after the ack and goes to the path the ack teaches."""
+    fires after the ack and goes to the path the ack teaches.
+
+    Packets carry no id and the server keeps none: it counts deliveries.
+    A packet is delivered at most once (see `send_reliable`), so every
+    delivery is a packet's first."""
 
     def __init__(self, params, seed):
         self.sim = Simulator(seed)
@@ -209,11 +213,10 @@ class _DownlinkServer:
         self.net = MobilityNet(self.conn, params)
         self.params = params
         self.handovers = 0
-        self.acked = set()
-        self.delivered = set()
+        self.delivered = 0
         self.retx_count = 0
         self.tx_count = 0
-        self.on_packet_delivered = None  # callback(pkt_id, now)
+        self.on_packet_delivered = None  # callback(now)
 
     def schedule_handovers(self, times_us, active):
         """The client moves at each time; the server is not told. A move
@@ -229,7 +232,7 @@ class _DownlinkServer:
             self.sim.schedule(t, migrate)
         self.net.move_times = sorted(self.net.move_times + list(times_us))
 
-    def transmit(self, pkt_id, lost=None):
+    def transmit(self, lost=None):
         """One unreliable send to the last-known path. `lost()` runs if
         the packet arrives where the client cannot be reached."""
         self.tx_count += 1
@@ -237,20 +240,24 @@ class _DownlinkServer:
 
         def arrive(sim):
             if self.net.reaches_client(dest, sim.now):
-                self._client_receive(pkt_id, sim.now)
+                self._client_receive(sim.now)
             elif lost is not None:
                 lost()
 
         self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
 
-    def send_reliable(self, pkt_id, rto_us):
-        """Transmit until acked, doubling the timeout after each loss.
+    def send_reliable(self, rto_us):
+        """Transmit until delivered, doubling the timeout after each loss.
 
-        A delivered transmission is acked rtt_us after it was sent, and
+        A delivered transmission's ack arrives rtt_us after the send, and
         client packets are never lost, so a timeout at send + rto_us
-        (rto_us is at least the first RTO, 2 * rtt_us) would find it acked
-        and do nothing: only a lost transmission schedules its timeout,
-        from its `lost` callback.
+        (rto_us is at least the first RTO, 2 * rtt_us) would find the ack
+        in and do nothing: only a lost transmission schedules its timeout,
+        from its `lost` callback. Each retransmission is made only by the
+        timeout of the transmission before it, which was lost. A packet
+        therefore has at most one transmission in flight, is delivered at
+        most once, and has no ack when its timeout fires: the timeout
+        retransmits without a check.
 
         That timeout fires in the same µs as one scheduled at the send,
         but takes its seq at the loss (send + one_way_us), so only an event
@@ -270,34 +277,28 @@ class _DownlinkServer:
         disjoint state."""
         sent_at = self.sim.now
 
-        def lost():
-            self.sim.schedule(sent_at + rto_us, self._timeout(pkt_id, rto_us))
-
-        self.transmit(pkt_id, lost)
-
-    def _timeout(self, pkt_id, rto_us):
         def timeout(sim):
-            if pkt_id not in self.acked:
-                self.retx_count += 1
-                self.send_reliable(pkt_id, rto_us * 2)
+            self.retx_count += 1
+            self.send_reliable(rto_us * 2)
 
-        return timeout
+        def lost():
+            self.sim.schedule(sent_at + rto_us, timeout)
 
-    def _client_receive(self, pkt_id, now):
+        self.transmit(lost)
+
+    def _client_receive(self, now):
         """Deliver a packet and schedule its ack's arrival, which moves
         the server's path to the address the ack leaves from."""
-        first = pkt_id not in self.delivered
-        self.delivered.add(pkt_id)
+        self.delivered += 1
         leaves = now + self.params.ack_delay_us
         src = self.net.address_at(now, leaves)
 
         def ack_arrives(sim):
             self.conn.on_client_packet(self.conn.conn_id, src)
-            self.acked.add(pkt_id)
 
         self.ack.schedule(leaves + self.params.one_way_us, ack_arrives)
-        if first and self.on_packet_delivered is not None:
-            self.on_packet_delivered(pkt_id, now)
+        if self.on_packet_delivered is not None:
+            self.on_packet_delivered(now)
 
     def client_packet(self):
         """A client packet (a request, a keepalive or a ping) leaves from
@@ -331,11 +332,9 @@ class _DownlinkServer:
                           **fields)
 
 
-# The most packets (or live frames) one app run may send. A run keeps the
-# id of every delivered packet in its delivered and acked sets, about
-# 0.13 kB a packet, and a packet costs about 8 µs of run time, so a run at
-# the bound needs about 130 MB and 8 s (measured at 200,000 packets per
-# app on a 2-CPU x86-64 host, Python 3.11).
+# The most packets (or live frames) one app run may send. A packet costs
+# about 7 µs of run time, so a run at the bound takes about 7 s (measured
+# at 200,000 packets per app on a 2-CPU x86-64 host, Python 3.11).
 MAX_PACKETS_PER_RUN = 1_000_000
 FRAME_INTERVAL_US = 41_667  # a live stream's 24 frames per second
 
@@ -378,17 +377,17 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
     interval = params.packet_interval_us()
     finish_us = [None]
 
-    def on_delivered(pkt_id, now):
-        if len(server.delivered) == n_packets:
+    def on_delivered(now):
+        if server.delivered == n_packets:
             finish_us[0] = now
 
     def downloading():
-        return len(server.delivered) < n_packets
+        return server.delivered < n_packets
 
     server.on_packet_delivered = on_delivered
     rto_us = params.rto_us
     sim.train(0, interval, n_packets,
-              lambda s, i: server.send_reliable(i, rto_us))
+              lambda s, _: server.send_reliable(rto_us))
     server.schedule_handovers(handover_times_us, downloading)
     server.keep_alive(downloading, downloading)
 
@@ -436,11 +435,10 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         "stall_us": 0,
         "qualities": [],
         "buffer_integral": 0.0,  # buffer-seconds, for the time average
-        # ids of the requested chunk not yet delivered: request_chunk runs
-        # as one chain, re-armed once per completed chunk, so at most one
-        # chunk is outstanding and every first delivery belongs to it
-        "outstanding": set(),
-        "next_pkt": 0,
+        # packets of the requested chunk not yet delivered: request_chunk
+        # runs as one chain, re-armed once per completed chunk, so at most
+        # one chunk is in flight and every delivery belongs to it
+        "undelivered": 0,
     }
     duration_us = round(duration_s * US_PER_S)
     pace_interval = params.packet_interval_us(PACE_MBPS)
@@ -473,21 +471,18 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         state["qualities"].append(level)
         chunk_bytes = bitrate * CHUNK_DURATION_S / 8
         n_pkts = max(1, math.ceil(chunk_bytes / params.packet_bytes))
-        base = state["next_pkt"]
-        state["next_pkt"] += n_pkts
-        state["outstanding"].update(range(base, base + n_pkts))
+        state["undelivered"] = n_pkts
         server.client_packet()  # the chunk request
 
         def start_sending(s):
             s.train(s.now, pace_interval, n_pkts,
-                    lambda s2, j: server.send_reliable(base + j, rto_us))
+                    lambda s2, _: server.send_reliable(rto_us))
 
         sim.schedule(sim.now + params.one_way_us, start_sending)
 
-    def on_delivered(pkt_id, now):
-        outstanding = state["outstanding"]
-        outstanding.remove(pkt_id)
-        if not outstanding:
+    def on_delivered(now):
+        state["undelivered"] -= 1
+        if not state["undelivered"]:
             update_buffer(now)
             state["buffer_s"] += CHUNK_DURATION_S
             sim.schedule(now, request_chunk)
@@ -498,7 +493,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
     server.on_packet_delivered = on_delivered
     sim.schedule(0, request_chunk)
     server.schedule_handovers(handover_times_us, playing)
-    server.keep_alive(playing, lambda: bool(state["outstanding"]))
+    server.keep_alive(playing, lambda: state["undelivered"] > 0)
     sim.run_until(duration_us)
     update_buffer(duration_us)
 
@@ -508,7 +503,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         mean_buffer_s=state["buffer_integral"] / duration_s,
         mean_quality=(sum(state["qualities"]) / len(state["qualities"])
                       if state["qualities"] else 0.0),
-        throughput_mbps=(len(server.delivered) * params.packet_bytes * 8
+        throughput_mbps=(server.delivered * params.packet_bytes * 8
                          / duration_us))
 
 
@@ -551,14 +546,14 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     def arm_deadline():
         sim.schedule(sim.now + idle_deadline, check)
 
-    def on_delivered(frame_id, now):
+    def on_delivered(now):
         state["last_delivery"] = now
         if policy == Policy.PING_ON_IDLE:
             arm_deadline()
 
     server.on_packet_delivered = on_delivered
     sim.train(0, frame_interval_us, n_frames,
-              lambda s, i: server.transmit(i))
+              lambda s, _: server.transmit())
     server.schedule_handovers(handover_times_us, lambda: sim.now < duration_us)
     if policy == Policy.PING_ON_IDLE:
         arm_deadline()
@@ -568,7 +563,7 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     # deadlocked: the stream went permanently silent mid-run, i.e. frames
     # kept being pushed for at least the give-up horizon past the last
     # delivery and none arrived
-    delivered = len(server.delivered)
+    delivered = server.delivered
     deadlocked = (delivered < server.tx_count
                   and state["last_delivery"] + params.give_up_us <= last_send_us)
     return server.metrics("live", policy=policy.value,

@@ -212,19 +212,19 @@ def test_params_allow_immediate_ack():
 
 
 def _recording_server(params, send_at, move_at=None):
-    """A server that sends packet 7 reliably at `send_at`, with the
+    """A server that sends one packet reliably at `send_at`, with the
     client moving at `move_at`; returns it and its list of send times."""
     server = _DownlinkServer(params, seed=0)
     sent = []
     transmit = server.transmit
 
-    def recording(pkt_id, lost=None):
+    def recording(lost=None):
         sent.append(server.sim.now)
-        transmit(pkt_id, lost)
+        transmit(lost)
 
     server.transmit = recording
     server.sim.schedule(send_at,
-                        lambda s: server.send_reliable(7, params.rto_us))
+                        lambda s: server.send_reliable(params.rto_us))
     if move_at is not None:
         server.schedule_handovers([move_at], lambda: True)
     return server, sent
@@ -243,7 +243,7 @@ def test_delivered_transmission_schedules_no_timeout():
     server, sent = _recording_server(params, send_at=1_000)
     stats = server.sim.run_until(1_000 + 2 * params.rto_us)
     assert sent == [1_000]
-    assert server.acked == {7}
+    assert server.delivered == 1
     # the send, the arrival and the ack's arrival
     assert stats.events_processed == 3
 
@@ -257,7 +257,7 @@ def test_delivered_retransmission_schedules_no_timeout():
     stats = server.sim.run_until(1_000 + 4 * params.rto_us)
     assert sent == [1_000, 1_000 + params.rto_us]
     assert server.retx_count == 1
-    assert server.acked == {7}
+    assert server.delivered == 1
     # the send, the move, the lost arrival, the client packet and its
     # arrival, the timeout, the delivered arrival and the ack's arrival:
     # no timeout follows the retransmission
@@ -271,14 +271,16 @@ def test_delivered_retransmission_schedules_no_timeout():
     ([23_001], BASE_LOCATOR),  # after the ack has left
 ], ids=["inside_delay", "at_leave_us", "one_at_delivery", "after_leave"])
 def test_ack_leaves_from_the_address_at_its_leave_time(moves, locator):
-    # packet 7 is sent at 1,000 µs and delivered at 21,000; its ack leaves
-    # at 23,000 and arrives at 43,000. Forwarding keeps the delivery alive
-    # across a move in the delivery's own µs.
+    # the packet is sent at 1,000 µs and delivered at 21,000; its ack
+    # leaves at 23,000 and arrives at 43,000. Forwarding keeps the delivery
+    # alive across a move in the delivery's own µs.
     params = TransportParams(forwarding_enabled=True)
     server, _ = _recording_server(params, send_at=1_000)
     server.schedule_handovers(moves, lambda: True)
-    server.sim.run_until(43_000)
-    assert server.acked == {7}
+    stats = server.sim.run_until(43_000)
+    assert server.delivered == 1
+    # the send, the arrival, the moves and the ack's arrival
+    assert stats.events_processed == 3 + len(moves)
     assert server.conn.server_path.locator == locator
 
 
