@@ -34,10 +34,6 @@ class Addr128:
     def value(self):
         return (self.locator << 64) | self.identifier
 
-    @classmethod
-    def from_int(cls, value):
-        return cls((value >> 64) & MASK64, value & MASK64)
-
     def is_private(self):
         return (self.locator >> 57) == PRIVATE_PREFIX_BITS
 

@@ -94,6 +94,8 @@ _instant_s = _checked(float, lambda v: 0 <= v * US_PER_S < math.inf)
 _count = _checked(int, lambda v: v >= 1)
 # simulated time is whole microseconds
 _duration_s = _checked(float, lambda v: 1 / US_PER_S <= v < math.inf)
+# a file is whole bytes
+_file_mb = _checked(float, lambda v: 1 / 1_000_000 <= v < math.inf)
 _dataset_sizes = {"n_counties": ("40", _count), "n_pops": ("8", _count),
                   "n_cdns": ("4", _count)}
 
@@ -125,7 +127,7 @@ CONFIG = {
         **_dataset_sizes,
     },
     "apps": {
-        "file_mb": ("100", _positive),
+        "file_mb": ("100", _file_mb),
         "video_s": ("60", _duration_s),
         "live_s": ("10", _duration_s),
         "handover_at_s": ("5", _instant_s),

@@ -184,21 +184,6 @@ def _density_point(grid, k, counts, c_intra, c_inter):
                       total_messages=messages)
 
 
-def inter_fraction_exhaustive(grid, k):
-    """Oracle: fraction of boundary-crossing moves over all (station,
-    neighbor) pairs, which is the random walk's stationary crossing rate."""
-    bw, bh = block_size(grid, k)
-    total = 0
-    crossing = 0
-    for x in range(grid.width):
-        for y in range(grid.height):
-            for nx, ny in _neighbors(x, y, grid.width, grid.height):
-                total += 1
-                if anchor_of(x, y, bw, bh) != anchor_of(nx, ny, bw, bh):
-                    crossing += 1
-    return crossing / total
-
-
 def default_densities(grid):
     """Nested square tilings from one anchor up to one per station."""
     out = []

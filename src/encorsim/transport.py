@@ -367,6 +367,8 @@ def check_packets(name, value, packets):
 
 def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
     """Reliable download of a single file; one continuous packet train."""
+    if not file_bytes > 0:
+        raise ValueError(f"file_bytes must be positive, got {file_bytes}")
     params = params or TransportParams()
     packets = bulk_packets(file_bytes, params)
     check_packets("file_bytes", file_bytes, packets)
@@ -513,6 +515,7 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     client sends nothing but acks (and pings, under the idle policy).
     Frames are not retransmitted; loss shows up as missing frames, and a
     stale path with no recovery shows up as a deadlock."""
+    policy = Policy(policy)
     _check_duration(duration_s)
     if not (isinstance(frame_interval_us, int) and frame_interval_us > 0):
         raise ValueError("frame_interval_us must be a positive whole number"

@@ -115,8 +115,3 @@ def test_text_form():
     addr = Addr128(0xFC00_0000_0000_0000, 0x42)
     assert addr.text() == "fc00:0000:0000:0000:0000:0000:0000:0042"
     assert len(addr.text()) == 39
-
-
-def test_addr_int_round_trip():
-    addr = Addr128(0x2001_0DB8_0000_0001, 0xDEAD_BEEF)
-    assert Addr128.from_int(addr.value) == addr

@@ -129,6 +129,8 @@ def assert_one_error_line_naming(capsys, section, key):
     (["place", "--synthetic"], "n_counties = 1000000000", "n_counties"),
     # infinite once counted in microseconds
     (["apps"], "handover_at_s = 1e303", "handover_at_s"),
+    # below one byte, the bulk run would have no file to send
+    (["apps"], "file_mb = 1e-9", "file_mb"),
 ])
 def test_bad_config_value_is_usage_error_naming_the_key(tmp_path, capsys,
                                                         argv, line, key):

@@ -7,8 +7,8 @@ import pytest
 
 from encorsim.mecsweep import (
     DEFAULT_C_INTER, DEFAULT_C_INTRA, MAX_WALK_DRAWS, EmptyTraceError,
-    GridNetwork, TilingError, block_size, classify_moves, default_densities,
-    inter_fraction_exhaustive, move_counts, sweep, to_csv_rows,
+    GridNetwork, TilingError, anchor_of, block_size, classify_moves,
+    default_densities, move_counts, sweep, to_csv_rows,
 )
 from encorsim.mecsweep import _density_point, _neighbors, _poisson
 
@@ -16,6 +16,21 @@ from encorsim.mecsweep import _density_point, _neighbors, _poisson
 def grid(w=20, h=20, ues=200, handover_rate_per_min=5.0):
     return GridNetwork(width=w, height=h, ue_count=ues,
                        handover_rate_per_min=handover_rate_per_min)
+
+
+def inter_fraction_exhaustive(grid, k):
+    """Oracle: fraction of boundary-crossing moves over all (station,
+    neighbor) pairs, which is the random walk's stationary crossing rate."""
+    bw, bh = block_size(grid, k)
+    total = 0
+    crossing = 0
+    for x in range(grid.width):
+        for y in range(grid.height):
+            for nx, ny in _neighbors(x, y, grid.width, grid.height):
+                total += 1
+                if anchor_of(x, y, bw, bh) != anchor_of(nx, ny, bw, bh):
+                    crossing += 1
+    return crossing / total
 
 
 def test_block_size_tilings():

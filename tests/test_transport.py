@@ -348,15 +348,31 @@ def test_buffered_and_live_reject_bad_duration(duration_s):
         run_live(duration_s, [])
 
 
+@pytest.mark.parametrize("policy", ["PingOnIdle", Policy.PING_ON_IDLE])
+def test_live_takes_a_policy_or_its_value(policy):
+    m = run_live(2.0, [], policy=policy)
+    assert m.policy == "PingOnIdle"
+
+
+def test_live_rejects_an_unknown_policy_before_it_runs(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the stream ran")
+
+    monkeypatch.setattr(_DownlinkServer, "__init__", no_run)
+    with pytest.raises(ValueError, match="PingAlways"):
+        run_live(2.0, [], policy="PingAlways")
+
+
 @pytest.mark.parametrize("frame_interval_us", [0, -5, 41_666.5, 41_667.0])
 def test_live_rejects_bad_frame_interval(frame_interval_us):
     with pytest.raises(ValueError, match="frame_interval_us"):
         run_live(2.0, [], frame_interval_us=frame_interval_us)
 
 
-@pytest.mark.parametrize("file_bytes", [10**12, float("inf")])
+@pytest.mark.parametrize("file_bytes", [10**12, float("inf"), 0, -5, -1e9])
 def test_bulk_rejects_a_file_above_the_packet_bound(file_bytes):
-    with pytest.raises(ValueError, match="file_bytes must keep a run"):
+    reason = "keep a run" if file_bytes > 0 else "be positive"
+    with pytest.raises(ValueError, match=f"file_bytes must {reason}"):
         run_bulk(file_bytes, [])
 
 
