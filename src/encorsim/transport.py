@@ -277,11 +277,11 @@ class _DownlinkServer:
         disjoint state."""
         sent_at = self.sim.now
 
-        def timeout(sim):
-            self.retx_count += 1
-            self.send_reliable(rto_us * 2)
-
         def lost():
+            def timeout(sim):
+                self.retx_count += 1
+                self.send_reliable(rto_us * 2)
+
             self.sim.schedule(sent_at + rto_us, timeout)
 
         self.transmit(lost)
