@@ -94,7 +94,7 @@ _instant_s = _checked(float, lambda v: 0 <= v * US_PER_S < math.inf)
 _count = _checked(int, lambda v: v >= 1)
 # simulated time is whole microseconds
 _duration_s = _checked(float, lambda v: 1 / US_PER_S <= v < math.inf)
-# a file is whole bytes
+# a file is whole bytes, so a smaller one has none
 _file_mb = _checked(float, lambda v: 1 / 1_000_000 <= v < math.inf)
 _dataset_sizes = {"n_counties": ("40", _count), "n_pops": ("8", _count),
                   "n_cdns": ("4", _count)}

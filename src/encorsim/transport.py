@@ -251,9 +251,9 @@ class _DownlinkServer:
 
         A delivered transmission's ack arrives rtt_us after the send, and
         client packets are never lost, so a timeout at send + rto_us
-        (rto_us is at least the first RTO, 2 * rtt_us) would find the ack
-        in and do nothing: only a lost transmission schedules its timeout,
-        from its `lost` callback. Each retransmission is made only by the
+        (rto_us is at least the first RTO, 2 * rtt_us) would fire after
+        the ack and do nothing: only a lost transmission schedules its
+        timeout, from its `lost` callback. Each retransmission is made only by the
         timeout of the transmission before it, which was lost. A packet
         therefore has at most one transmission in flight, is delivered at
         most once, and has no ack when its timeout fires: the timeout
