@@ -79,20 +79,22 @@ class Decision(enum.Enum):
     DROP = "drop"
 
 
+# How long an old base station forwards for a device that moved away: a
+# small number of RTTs
+FORWARDING_TTL_US = 2_000_000
+
+
 class RecentlyMovedTable:
     """identifier -> (target locator, expiry time). Entries expire at their
     expiry instant; lookups purge anything stale."""
 
-    DEFAULT_TTL_US = 2_000_000  # a small number of RTTs
+    DEFAULT_TTL_US = FORWARDING_TTL_US
 
-    def __init__(self, default_ttl_us=DEFAULT_TTL_US):
-        self.default_ttl_us = default_ttl_us
+    def __init__(self):
         self.entries = {}
 
-    def record_move(self, identifier, target_locator, now, ttl_us=None):
-        if ttl_us is None:
-            ttl_us = self.default_ttl_us
-        self.entries[identifier] = (target_locator, now + ttl_us)
+    def record_move(self, identifier, target_locator, now):
+        self.entries[identifier] = (target_locator, now + self.DEFAULT_TTL_US)
 
     def lookup(self, identifier, now):
         """Returns the target locator, or None if absent or expired."""

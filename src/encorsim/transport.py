@@ -1,26 +1,25 @@
 """
 Mobility-tolerant transport model and instrumented toy applications.
 
-The transport uses passive migration: a client may change address at any
-time, and the server only learns the new path when it receives a packet
-carrying the recognized connection id from the new address. Packets the
-server sends to a stale path are lost unless the old base station still
-holds a live recently-moved forwarding entry. Three applications probe
-the consequences: bulk transfer (continuous downlink, worst-case loss),
-buffered adaptive-bitrate video (bursty, mild loss), and live streaming
-(pure subscriber, which can deadlock without the ping fix). One server
-carries all three apps' downlink: the same transmit, ack and path
-learning, with retransmission for bulk and video only.
+The transport uses passive migration: a client may change path at any
+time, and the server only learns the new path from the client's own
+packets. A path is the client's move count: the client starts on path 0
+and each move takes it to the next. Packets the server sends to a stale
+path are lost unless forwarding is on and the base station the client
+left still forwards, for forwarding_ttl_us after the move. Three
+applications probe the consequences: bulk transfer (continuous downlink,
+worst-case loss), buffered adaptive-bitrate video (bursty, mild loss),
+and live streaming (pure subscriber, which can deadlock without the ping
+fix). One server carries all three apps' downlink: the same transmit,
+ack and path learning, with retransmission for bulk and video only.
 """
 import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .addressing import Addr128, RecentlyMovedTable
+from .addressing import FORWARDING_TTL_US
 from .kernel import Simulator, US_PER_S
-
-BASE_LOCATOR = 0x2001_0000_0000_0000
 
 
 class Policy(str, enum.Enum):
@@ -36,7 +35,7 @@ class TransportParams:
     ack_delay_us: int = 2_000
     keepalive_interval_us: int = 25_000
     forwarding_enabled: bool = False
-    forwarding_ttl_us: int = 2_000_000
+    forwarding_ttl_us: int = FORWARDING_TTL_US
     give_up_us: int = 5_000_000
     idle_deadline_factor: float = 1.5
 
@@ -67,27 +66,6 @@ class TransportParams:
 
 
 @dataclass
-class MobiConn:
-    conn_id: int
-    client_addr: Addr128
-    server_path: Addr128
-
-    def on_client_packet(self, conn_id, src_addr):
-        """Server-side path learning: only a recognized connection id
-        from a new address moves the last-known path."""
-        if conn_id != self.conn_id:
-            return False
-        self.server_path = src_addr
-        return True
-
-
-def client_migrate(conn, new_addr):
-    """Client moves; the server is NOT notified."""
-    conn.client_addr = new_addr
-    return conn
-
-
-@dataclass
 class AppMetrics:
     app: str
     policy: str = ""
@@ -112,55 +90,45 @@ class AppMetrics:
 
 
 class MobilityNet:
-    """Tracks the client's current base-station locator, the
-    recently-moved tables of base stations it has left, and the sorted
-    times of its moves."""
+    """The client's path (`path`, its move count), the path of the last
+    client packet the server received (`server_path`), the time the
+    client left each path (`left_at`) and the sorted times of its moves
+    (`move_times`)."""
 
-    def __init__(self, conn, params):
-        self.conn = conn
+    def __init__(self, params):
         self.params = params
-        self.tables = {}  # old locator -> RecentlyMovedTable
+        self.path = 0
+        self.server_path = 0
+        self.left_at = []
         self.move_times = []
 
     def migrate(self, now_us):
-        old = self.conn.client_addr.locator
-        new = old + 1
-        if self.params.forwarding_enabled:
-            table = self.tables.setdefault(
-                old, RecentlyMovedTable(self.params.forwarding_ttl_us))
-            table.record_move(self.conn.client_addr.identifier, new, now_us)
-        client_migrate(self.conn, Addr128(new, self.conn.client_addr.identifier))
+        """The client moves to the next path; the server is not told."""
+        self.left_at.append(now_us)
+        self.path += 1
 
     def address_at(self, now_us, later_us):
-        """The client's address at `later_us`, asked at `now_us`: the
-        moves in (now_us, later_us] are still to come, and each adds one
-        to the locator. Every move is a set-up event, so a move due at
-        `now_us` has fired and one due at `later_us` fires before any
-        event the run schedules for that µs."""
+        """The client's path at `later_us`, asked at `now_us`: the moves
+        in (now_us, later_us] are still to come, and each adds one to the
+        path. Every move is a set-up event, so a move due at `now_us` has
+        fired and one due at `later_us` fires before any event the run
+        schedules for that µs."""
         times = self.move_times
-        ahead = bisect_right(times, later_us) - bisect_right(times, now_us)
-        addr = self.conn.client_addr
-        if ahead:
-            addr = Addr128(addr.locator + ahead, addr.identifier)
-        return addr
+        return (self.path + bisect_right(times, later_us)
+                - bisect_right(times, now_us))
 
-    def reaches_client(self, dest_addr, arrival_us):
-        """Can a packet addressed to dest_addr reach the client at this
-        time? Follows live forwarding entries hop by hop."""
-        loc = dest_addr.locator
-        current = self.conn.client_addr.locator
-        if loc == current:
+    def reaches_client(self, dest, arrival_us):
+        """Can a packet sent to path `dest` reach the client at this time?
+        An older path's base station forwards to the next path until
+        forwarding_ttl_us after the client left it, so a packet follows
+        the chain from `dest` while every hop is live. The client leaves
+        its paths in time order and every hop has the same TTL, so the
+        first hop expires first: the chain is live while it is."""
+        if dest == self.path:
             return True
-        ident = dest_addr.identifier
-        # locators only grow, so a chain visits each table at most once
-        for _ in range(len(self.tables)):
-            table = self.tables.get(loc)
-            loc = table.lookup(ident, arrival_us) if table else None
-            if loc is None:
-                return False
-            if loc == current:
-                return True
-        return False
+        params = self.params
+        return (params.forwarding_enabled
+                and arrival_us < self.left_at[dest] + params.forwarding_ttl_us)
 
 
 class _DownlinkServer:
@@ -208,9 +176,7 @@ class _DownlinkServer:
         # transmit's and client_packet's arrivals are both one_way_us away
         self.one_way = self.sim.lane()
         self.ack = self.sim.lane()
-        addr = Addr128(BASE_LOCATOR, 0x42)
-        self.conn = MobiConn(conn_id=1, client_addr=addr, server_path=addr)
-        self.net = MobilityNet(self.conn, params)
+        self.net = MobilityNet(params)
         self.params = params
         self.handovers = 0
         self.delivered = 0
@@ -222,7 +188,13 @@ class _DownlinkServer:
         """The client moves at each time; the server is not told. A move
         counts as a handover of the app while `active()` holds. Call it
         during set-up, before the run: acks read their address from these
-        times (see `MobilityNet.address_at`)."""
+        times (see `MobilityNet.address_at`). Each time must be a whole
+        number of µs, at or after 0."""
+        for t in times_us:
+            if not (isinstance(t, int) and t >= 0):
+                raise ValueError("handover_times_us must be nonnegative whole"
+                                 f" numbers of us, got {t!r}")
+
         def migrate(sim):
             if active():
                 self.handovers += 1
@@ -236,7 +208,7 @@ class _DownlinkServer:
         """One unreliable send to the last-known path. `lost()` runs if
         the packet arrives where the client cannot be reached."""
         self.tx_count += 1
-        dest = self.conn.server_path
+        dest = self.net.server_path
 
         def arrive(sim):
             if self.net.reaches_client(dest, sim.now):
@@ -288,13 +260,13 @@ class _DownlinkServer:
 
     def _client_receive(self, now):
         """Deliver a packet and schedule its ack's arrival, which moves
-        the server's path to the address the ack leaves from."""
+        the server's path to the path the ack leaves from."""
         self.delivered += 1
         leaves = now + self.params.ack_delay_us
         src = self.net.address_at(now, leaves)
 
         def ack_arrives(sim):
-            self.conn.on_client_packet(self.conn.conn_id, src)
+            self.net.server_path = src
 
         self.ack.schedule(leaves + self.params.one_way_us, ack_arrives)
         if self.on_packet_delivered is not None:
@@ -302,12 +274,12 @@ class _DownlinkServer:
 
     def client_packet(self):
         """A client packet (a request, a keepalive or a ping) leaves from
-        the client's address at this instant and moves the server's path
+        the client's path at this instant and moves the server's path
         there on arrival."""
-        src = self.conn.client_addr
+        src = self.net.path
 
         def arrive(sim):
-            self.conn.on_client_packet(self.conn.conn_id, src)
+            self.net.server_path = src
 
         self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
 

@@ -59,8 +59,9 @@ def test_nonprivate_uplink_passes_through_with_warning():
 def test_downlink_moved_entry_forwards_with_rewritten_locator():
     moved = RecentlyMovedTable()
     target = 0x2001_0DB8_0000_0099
-    moved.record_move(0x42, target, now=0, ttl_us=1000)
-    decision, out = nat_downlink(Addr128(INB_PREFIX, 0x42), set(), moved, 500)
+    moved.record_move(0x42, target, now=0)
+    decision, out = nat_downlink(Addr128(INB_PREFIX, 0x42), set(), moved,
+                                 RecentlyMovedTable.DEFAULT_TTL_US // 2)
     assert decision is Decision.FORWARD
     assert out == Addr128(target, 0x42)
 
@@ -76,16 +77,17 @@ def test_downlink_unknown_id_drops_and_counts():
 
 def test_moved_table_hit_before_expiry_miss_at_expiry():
     moved = RecentlyMovedTable()
-    moved.record_move(7, 0xAA, now=100, ttl_us=1000)
-    assert moved.lookup(7, 100 + 999) == 0xAA
-    assert moved.lookup(7, 100 + 1000) is None
+    ttl = RecentlyMovedTable.DEFAULT_TTL_US
+    moved.record_move(7, 0xAA, now=100)
+    assert moved.lookup(7, 100 + ttl - 1) == 0xAA
+    assert moved.lookup(7, 100 + ttl) is None
 
 
 def test_moved_table_reinsert_overwrites():
     moved = RecentlyMovedTable()
-    moved.record_move(7, 0xAA, now=0, ttl_us=1000)
-    moved.record_move(7, 0xBB, now=10, ttl_us=1000)
-    assert moved.lookup(7, 500) == 0xBB
+    moved.record_move(7, 0xAA, now=0)
+    moved.record_move(7, 0xBB, now=10)
+    assert moved.lookup(7, RecentlyMovedTable.DEFAULT_TTL_US // 2) == 0xBB
     assert len(moved) == 1
 
 

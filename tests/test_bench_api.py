@@ -4,8 +4,8 @@ import ast
 import importlib
 import os
 
-WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "bench", "workloads.py")
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     os.pardir, "bench")
 
 
 def encorsim_names(tree):
@@ -26,8 +26,10 @@ def encorsim_names(tree):
     return modules, imported
 
 
-def test_bench_workloads_reference_only_existing_attributes():
-    with open(WORKLOADS, encoding="utf-8") as f:
+def missing_attributes(name):
+    """The encorsim attributes that bench/`name` names and that do not
+    exist."""
+    with open(os.path.join(BENCH, name), encoding="utf-8") as f:
         tree = ast.parse(f.read())
     modules, imported = encorsim_names(tree)
     assert modules  # the file still imports encorsim modules
@@ -40,4 +42,15 @@ def test_bench_workloads_reference_only_existing_attributes():
             module = modules[node.value.id]
             if not hasattr(module, node.attr):
                 missing.append(f"{module.__name__}.{node.attr}")
-    assert not missing, f"bench/workloads.py references {sorted(set(missing))}"
+    return sorted(set(missing))
+
+
+def test_bench_workloads_reference_only_existing_attributes():
+    missing = missing_attributes("workloads.py")
+    assert not missing, f"bench/workloads.py references {missing}"
+
+
+def test_bench_tracing_references_only_existing_attributes():
+    # its targets are read when it is imported, by every bench run
+    missing = missing_attributes("tracing.py")
+    assert not missing, f"bench/tracing.py references {missing}"

@@ -1,79 +1,124 @@
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from encorsim.addressing import Addr128
+from encorsim.addressing import RecentlyMovedTable
 from encorsim.transport import (
-    BASE_LOCATOR, BUFFER_THRESHOLDS_S, DEFAULT_LADDER, MAX_PACKETS_PER_RUN,
-    AppMetrics, MobiConn, MobilityNet, Policy, TransportParams,
-    _DownlinkServer, buffered_packets, bulk_packets, client_migrate,
+    BUFFER_THRESHOLDS_S, DEFAULT_LADDER, MAX_PACKETS_PER_RUN,
+    AppMetrics, MobilityNet, Policy, TransportParams,
+    _DownlinkServer, buffered_packets, bulk_packets,
     live_frames, run_buffered, run_bulk, run_live, select_level,
 )
 
 US = 1_000_000
 
 
-def _conn():
-    addr = Addr128(BASE_LOCATOR, 0x42)
-    return MobiConn(conn_id=1, client_addr=addr, server_path=addr)
+def _net(**params):
+    return MobilityNet(TransportParams(**params))
 
 
 def test_client_packet_with_recognized_id_updates_path():
-    conn = _conn()
-    new = Addr128(BASE_LOCATOR + 1, 0x42)
-    assert conn.on_client_packet(1, new)
-    assert conn.server_path == new
-
-
-def test_client_packet_with_wrong_id_ignored():
-    conn = _conn()
-    old = conn.server_path
-    assert not conn.on_client_packet(2, Addr128(BASE_LOCATOR + 1, 0x42))
-    assert conn.server_path == old
+    # a client packet's arrival moves the server's path to the path it
+    # left from
+    params = TransportParams()
+    server = _DownlinkServer(params, seed=0)
+    server.schedule_handovers([10], lambda: True)
+    server.sim.schedule(20, lambda s: server.client_packet())
+    server.sim.run_until(20 + params.one_way_us)
+    assert server.net.server_path == 1
 
 
 def test_migration_alone_does_not_inform_server():
-    conn = _conn()
-    old = conn.server_path
-    client_migrate(conn, Addr128(BASE_LOCATOR + 1, 0x42))
-    assert conn.server_path == old  # passive: server still on stale path
+    net = _net()
+    net.migrate(now_us=0)
+    assert net.path == 1
+    assert net.server_path == 0  # passive: server still on stale path
 
 
 def test_server_send_after_migration_without_forwarding_fails():
-    params = TransportParams(forwarding_enabled=False)
-    conn = _conn()
-    net = MobilityNet(conn, params)
-    assert net.reaches_client(conn.server_path, 0)
+    net = _net(forwarding_enabled=False)
+    assert net.reaches_client(net.server_path, 0)
     net.migrate(now_us=0)
-    assert not net.reaches_client(conn.server_path, 1)
+    assert not net.reaches_client(net.server_path, 1)
 
 
 def test_server_send_after_migration_with_forwarding_succeeds_until_ttl():
-    params = TransportParams(forwarding_enabled=True, forwarding_ttl_us=1000)
-    conn = _conn()
-    net = MobilityNet(conn, params)
+    net = _net(forwarding_enabled=True, forwarding_ttl_us=1000)
     net.migrate(now_us=0)
-    assert net.reaches_client(conn.server_path, 999)
-    assert not net.reaches_client(conn.server_path, 1000)
+    assert net.reaches_client(net.server_path, 999)
+    assert not net.reaches_client(net.server_path, 1000)
 
 
 def test_forwarding_chains_across_two_migrations():
-    params = TransportParams(forwarding_enabled=True)
-    conn = _conn()
-    net = MobilityNet(conn, params)
+    net = _net(forwarding_enabled=True)
     net.migrate(now_us=0)
     net.migrate(now_us=10)
-    # a packet to the original locator traverses both entries
-    assert net.reaches_client(Addr128(BASE_LOCATOR, 0x42), arrival_us=20)
+    # a packet to the original path traverses both base stations
+    assert net.reaches_client(0, arrival_us=20)
 
 
 def test_path_recovers_after_client_packet():
     params = TransportParams()
-    conn = _conn()
-    net = MobilityNet(conn, params)
-    net.migrate(now_us=0)
-    conn.on_client_packet(1, conn.client_addr)
-    assert net.reaches_client(conn.server_path, 1)
+    server = _DownlinkServer(params, seed=0)
+    net = server.net
+    server.schedule_handovers([0], lambda: True)
+    server.sim.schedule(1, lambda s: server.client_packet())
+    server.sim.run_until(1)
+    assert not net.reaches_client(net.server_path, 1)
+    server.sim.run_until(1 + params.one_way_us)
+    assert net.reaches_client(net.server_path, 1 + params.one_way_us)
+
+
+_IDENT = 0x42
+
+
+def _walk_tables(move_times, ttl_us, forwarding, dest, arrival_us):
+    """The hop-by-hop forwarding walk over one RecentlyMovedTable per
+    path the client left, path k being its locator after k moves."""
+    tables = {}
+    if forwarding:
+        for old, t in enumerate(move_times):
+            # the table's TTL is fixed; a move recorded this much later
+            # expires at t + ttl_us
+            tables[old] = RecentlyMovedTable()
+            tables[old].record_move(
+                _IDENT, old + 1, t + ttl_us - RecentlyMovedTable.DEFAULT_TTL_US)
+    current = len(move_times)
+    loc = dest
+    if loc == current:
+        return True
+    for _ in range(len(tables)):
+        table = tables.get(loc)
+        loc = table.lookup(_IDENT, arrival_us) if table else None
+        if loc is None:
+            return False
+        if loc == current:
+            return True
+    return False
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_reaches_client_equals_the_hop_by_hop_walk(data):
+    move_times = sorted(data.draw(st.lists(st.integers(0, 5_000),
+                                           max_size=5)))
+    ttl_us = data.draw(st.integers(1, 5_000))
+    forwarding = data.draw(st.booleans())
+    dest = data.draw(st.integers(0, len(move_times)))
+    last = move_times[-1] if move_times else 0
+    # arrivals anywhere after the last move, and at the TTL edge of the
+    # path `dest` was left
+    edge = move_times[dest] + ttl_us if dest < len(move_times) else last
+    arrival_us = data.draw(
+        st.integers(last, last + 3 * ttl_us)
+        | st.integers(edge - 2, edge + 2).map(lambda a: max(a, last)))
+    net = _net(forwarding_enabled=forwarding, forwarding_ttl_us=ttl_us)
+    for t in move_times:
+        net.migrate(t)
+    assert net.reaches_client(dest, arrival_us) == _walk_tables(
+        move_times, ttl_us, forwarding, dest, arrival_us)
 
 
 def test_select_level_thresholds():
@@ -264,13 +309,13 @@ def test_delivered_retransmission_schedules_no_timeout():
     assert stats.events_processed == 8
 
 
-@pytest.mark.parametrize("moves, locator", [
-    ([22_000], BASE_LOCATOR + 1),  # inside the ack's delay
-    ([23_000], BASE_LOCATOR + 1),  # in the µs the ack leaves
-    ([21_000, 22_000], BASE_LOCATOR + 2),  # one already made at delivery
-    ([23_001], BASE_LOCATOR),  # after the ack has left
+@pytest.mark.parametrize("moves, path", [
+    ([22_000], 1),  # inside the ack's delay
+    ([23_000], 1),  # in the µs the ack leaves
+    ([21_000, 22_000], 2),  # one already made at delivery
+    ([23_001], 0),  # after the ack has left
 ], ids=["inside_delay", "at_leave_us", "one_at_delivery", "after_leave"])
-def test_ack_leaves_from_the_address_at_its_leave_time(moves, locator):
+def test_ack_leaves_from_the_address_at_its_leave_time(moves, path):
     # the packet is sent at 1,000 µs and delivered at 21,000; its ack
     # leaves at 23,000 and arrives at 43,000. Forwarding keeps the delivery
     # alive across a move in the delivery's own µs.
@@ -281,7 +326,7 @@ def test_ack_leaves_from_the_address_at_its_leave_time(moves, locator):
     assert server.delivered == 1
     # the send, the arrival, the moves and the ack's arrival
     assert stats.events_processed == 3 + len(moves)
-    assert server.conn.server_path.locator == locator
+    assert server.net.server_path == path
 
 
 # Pinned from the model that scheduled every first timeout as an event:
@@ -367,6 +412,17 @@ def test_live_rejects_an_unknown_policy_before_it_runs(monkeypatch):
 def test_live_rejects_bad_frame_interval(frame_interval_us):
     with pytest.raises(ValueError, match="frame_interval_us"):
         run_live(2.0, [], frame_interval_us=frame_interval_us)
+
+
+@pytest.mark.parametrize("time_us", [-5, math.nan, 1.5, math.inf])
+@pytest.mark.parametrize("run", [
+    lambda t: run_bulk(1200, [t]),
+    lambda t: run_buffered(2.0, [t]),
+    lambda t: run_live(1.0, [t]),
+], ids=["bulk", "buffered", "live"])
+def test_apps_reject_bad_handover_times(run, time_us):
+    with pytest.raises(ValueError, match="handover_times_us"):
+        run(time_us)
 
 
 @pytest.mark.parametrize("file_bytes", [10**12, float("inf"), 0, -5, -1e9])
