@@ -1,8 +1,9 @@
 """
 Golden outputs: the CSVs of every CLI command at seeds 0-2, the
-per-message rows of attach and of every handover mode, and every app's
-unrounded metrics over a seeded sweep of transport parameters, compared
-byte for byte with the files under tests/golden/.
+per-message rows of attach and of every handover mode, every app's
+unrounded metrics over a seeded sweep of transport parameters, and every
+load point's over a seeded sweep of load scenarios, compared byte for
+byte with the files under tests/golden/.
 
 A refactor that keeps these passing keeps the observable behaviour. To
 record new goldens after an intended behaviour change, run
@@ -17,7 +18,7 @@ import random
 
 import pytest
 
-from encorsim import cli, control, lte, security, transport
+from encorsim import cli, control, experiments, lte, security, transport
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEEDS = (0, 1, 2)
@@ -216,6 +217,59 @@ def transport_sweep_text():
     return out.getvalue()
 
 
+# The load goldens run one scenario at seeds 0-2. Completions due in the
+# same µs at the two nodes fire in send order, and the next message of
+# each takes its service slot in that order, so the load sweep draws
+# scenarios where such ties are common: whole-ms service times, link
+# latencies of 0 or a few µs, and loads from idle to past saturation.
+# 40 scenarios take 0.35-0.5 s on a 2-CPU x86-64 host.
+LOAD_SWEEP_SETS = 40
+LOAD_SWEEP_SEED = 18
+LOAD_SWEEP_INPUTS = ("rates_per_s", "core_service_rate", "edge_service_rate",
+                     "link_latency_us", "duration_s", "seed")
+
+
+def load_scenarios():
+    """Yield LoadScenarios from one seeded generator.
+
+    Each service rate is a round number (a whole-ms or whole-100-µs
+    service time) or uniform over its range: 50-2,000/s at the core and
+    1,000-200,000/s at the edge. The link latency is 0, 1 µs, the core's
+    service time, or log-uniform over 1 µs-10 ms. A run lasts 0.5-2 s at
+    2 or 3 ascending rates of 1-120 handovers/s, below and above the
+    core's saturation for both architectures."""
+    rng = random.Random(LOAD_SWEEP_SEED)
+    for i in range(LOAD_SWEEP_SETS):
+        core = rng.choice((rng.choice((100.0, 250.0, 500.0, 1000.0)),
+                           round(rng.uniform(50, 2000), 1)))
+        edge = rng.choice((rng.choice((1000.0, 10_000.0, 100_000.0)),
+                           round(rng.uniform(1000, 200_000), 1)))
+        latency = (0, 1, round(1e6 / core),
+                   round(math.exp(rng.uniform(0, math.log(10_000)))))[i % 4]
+        rates = sorted(rng.sample(range(1, 121), rng.randint(2, 3)))
+        yield experiments.LoadScenario(
+            rates_per_s=tuple(rates), core_service_rate=core,
+            edge_service_rate=edge, link_latency_us=latency,
+            duration_s=rng.choice((0.5, 1.0, 2.0)), seed=i)
+
+
+def load_sweep_text():
+    """One row per LoadPoint: the scenario's index and inputs, then every
+    LoadPoint field unrounded."""
+    fields = [f.name for f in dataclasses.fields(experiments.LoadPoint)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("set",) + LOAD_SWEEP_INPUTS + tuple(fields))
+    for i, scenario in enumerate(load_scenarios()):
+        inputs = [getattr(scenario, name) for name in LOAD_SWEEP_INPUTS]
+        inputs[0] = " ".join(map(str, scenario.rates_per_s))
+        for points in experiments.run_load_sweep(scenario).values():
+            for p in points:
+                writer.writerow([i] + inputs
+                                + [getattr(p, f) for f in fields])
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("config,argv,seed,goldens", CLI_CASES)
 def test_cli_csv_matches_golden(config, argv, seed, goldens, tmp_path,
                                 capsys):
@@ -235,6 +289,11 @@ def test_transport_sweep_matches_golden():
             == read_golden("transport_sweep.csv").decode().splitlines())
 
 
+def test_load_sweep_matches_golden():
+    assert (load_sweep_text().splitlines()
+            == read_golden("load_sweep.csv").decode().splitlines())
+
+
 if __name__ == "__main__":
     import tempfile
     os.makedirs(GOLDEN, exist_ok=True)
@@ -248,3 +307,5 @@ if __name__ == "__main__":
         f.write(sequences_text())
     with open(os.path.join(GOLDEN, "transport_sweep.csv"), "w") as f:
         f.write(transport_sweep_text())
+    with open(os.path.join(GOLDEN, "load_sweep.csv"), "w") as f:
+        f.write(load_sweep_text())
