@@ -10,7 +10,7 @@ in-flight downlink packets after a handover by rewriting the locator
 once more.
 """
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MASK64 = (1 << 64) - 1
 
@@ -55,20 +55,12 @@ def assign_private_addr(subscriber_id):
     return Addr128(PRIVATE_LOCATOR, subscriber_id)
 
 
-@dataclass
-class NatCounters:
-    nonprivate_uplink: int = 0
-    downlink_dropped: int = 0
-
-
-def nat_uplink(src, inb_locator, counters=None):
+def nat_uplink(src, inb_locator):
     """Rewrite a private source locator to the base station's public prefix.
 
-    Non-private sources pass through unchanged (counted as a warning).
+    Non-private sources pass through unchanged.
     """
     if not src.is_private():
-        if counters is not None:
-            counters.nonprivate_uplink += 1
         return src
     return Addr128(inb_locator, src.identifier)
 
@@ -111,7 +103,7 @@ class RecentlyMovedTable:
         return len(self.entries)
 
 
-def nat_downlink(dst, attached_ids, moved, now, counters=None):
+def nat_downlink(dst, attached_ids, moved, now):
     """Decide what to do with a downlink packet addressed to this prefix.
 
     Returns (Decision, rewritten address or None). Attached devices get
@@ -123,6 +115,4 @@ def nat_downlink(dst, attached_ids, moved, now, counters=None):
     target = moved.lookup(dst.identifier, now) if moved is not None else None
     if target is not None:
         return Decision.FORWARD, Addr128(target, dst.identifier)
-    if counters is not None:
-        counters.downlink_dropped += 1
     return Decision.DROP, None

@@ -243,9 +243,8 @@ def cmd_place(args, config):
         counties, pops, cdns = _synthetic("place", args.seed, values)
     else:
         counties = datasets.load_counties(values["counties"])
-        pops = datasets.load_sites(values["pops"],
-                                   placement.SiteKind.PEERING_POP)
-        cdns = datasets.load_sites(values["cdns"], placement.SiteKind.CDN_POP)
+        pops = datasets.load_sites(values["pops"])
+        cdns = datasets.load_sites(values["cdns"])
 
     deployment = placement.greedy_place(counties, pops, cdns,
                                         core_budget, budget_km)

@@ -19,9 +19,7 @@ from .messages import HandoverMode, HandoverTrace
 
 
 class AttachError(Exception):
-    def __init__(self, cause):
-        super().__init__(cause)
-        self.cause = cause
+    """Attach failed; the message names the cause."""
 
 
 class HandoverError(Exception):
@@ -59,8 +57,6 @@ class Ue:
     sqn: int = 0
     state: UeState = UeState.DETACHED
     keys: security.SessionKeys = None
-    addr: Addr128 = None
-    attach_failure: str = None
 
 
 class Inb:
@@ -109,14 +105,13 @@ class Sme:
     def __init__(self, subdb, seed=0):
         self.subdb = subdb  # imsi -> SubscriberRecord
         self.rng = random.Random(seed)
-        self.contexts = {}  # imsi -> UeContext
 
 
 def attach(ue, inb, sme, now_us=0):
     """Authenticate and connect a device at a base station.
 
-    Returns (UeContext, trace). On failure the device stays Detached with
-    the cause recorded on it, and AttachError is raised.
+    Returns (UeContext, trace). On failure the device stays Detached and
+    AttachError is raised, naming the cause.
     """
     if ue.state != UeState.DETACHED:
         raise AttachError("ue not detached")
@@ -125,13 +120,11 @@ def attach(ue, inb, sme, now_us=0):
     trace.emit(request, {}, now_us, {"imsi": ue.imsi, "inb": inb.id})
     rec = sme.subdb.get(ue.imsi)
     if rec is None:
-        ue.attach_failure = "unknown subscriber"
         raise AttachError("unknown subscriber")
 
     try:
         vector, res, keys = security.authenticate(rec, ue, sme.rng)
     except security.AuthError as exc:
-        ue.attach_failure = str(exc)
         raise AttachError(str(exc)) from exc
     trace.emit(challenge, {}, now_us,
                {"rand": vector.rand, "autn": vector.autn})
@@ -140,14 +133,11 @@ def attach(ue, inb, sme, now_us=0):
     addr = assign_private_addr(ue.imsi)
     ctx = UeContext(imsi=ue.imsi, state=UeState.CONNECTED, serving_inb=inb.id,
                     private_addr=addr, keys=keys, qci=rec.qci_profile)
-    sme.contexts[ue.imsi] = ctx
     inb.attached[addr.identifier] = ctx
     trace.emit(accept, {}, now_us,
                {"k_enb": keys.k_enb, "addr": addr, "qci": rec.qci_profile})
     ue.state = UeState.CONNECTED
     ue.keys = keys
-    ue.addr = addr
-    ue.attach_failure = None
     return ctx, trace
 
 

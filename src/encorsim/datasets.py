@@ -9,7 +9,7 @@ import csv
 import os
 import random
 
-from .placement import County, SiteKind, SitePoint
+from .placement import County, SitePoint
 
 COUNTY_HEADER = ["fips", "name", "lat", "lon", "population"]
 SITE_HEADER = ["id", "lat", "lon"]
@@ -59,14 +59,14 @@ def load_counties(path):
     return counties
 
 
-def load_sites(path, kind):
+def load_sites(path):
     """Sites in file order; ids must be unique, since placement keys its
     candidate sites by id."""
     sites = {}
     for lineno, row in _read_rows(path, SITE_HEADER):
         try:
             sid, lat, lon = row
-            site = SitePoint(id=sid, kind=kind, lat=float(lat), lon=float(lon))
+            site = SitePoint(id=sid, lat=float(lat), lon=float(lon))
         except (ValueError, TypeError) as exc:
             raise IngestError(f"{path}: line {lineno}: {exc}") from exc
         if sid in sites:
@@ -106,14 +106,12 @@ def generate_synthetic(seed, n_counties=40, n_pops=8, n_cdns=4,
     for i in range(n_pops):
         ci = rng.choices(range(n_clusters), weights=weights)[0]
         lat, lon = near(centers[ci], 2.5)
-        pops.append(SitePoint(id=f"pop{i:03d}", kind=SiteKind.PEERING_POP,
-                              lat=lat, lon=lon))
+        pops.append(SitePoint(id=f"pop{i:03d}", lat=lat, lon=lon))
     cdns = []
     for i in range(n_cdns):
         ci = rng.choices(range(n_clusters), weights=weights)[0]
         lat, lon = near(centers[ci], 3.0)
-        cdns.append(SitePoint(id=f"cdn{i:03d}", kind=SiteKind.CDN_POP,
-                              lat=lat, lon=lon))
+        cdns.append(SitePoint(id=f"cdn{i:03d}", lat=lat, lon=lon))
     return counties, pops, cdns
 
 

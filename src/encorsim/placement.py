@@ -8,16 +8,10 @@ architecture needs no core leg at all, so its coverage is the limit the
 anchored architecture only reaches by deploying a core at every PoP.
 Placement under a core budget uses greedy maximum population coverage.
 """
-import enum
 import math
 from dataclasses import dataclass, field
 
 EARTH_RADIUS_KM = 6371.0
-
-
-class SiteKind(str, enum.Enum):
-    PEERING_POP = "PeeringPoP"
-    CDN_POP = "CdnPoP"
 
 
 @dataclass(frozen=True)
@@ -37,7 +31,6 @@ class County:
 @dataclass(frozen=True)
 class SitePoint:
     id: str
-    kind: SiteKind
     lat: float
     lon: float
 

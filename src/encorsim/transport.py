@@ -91,20 +91,18 @@ class AppMetrics:
 
 class MobilityNet:
     """The client's path (`path`, its move count), the path of the last
-    client packet the server received (`server_path`), the time the
-    client left each path (`left_at`) and the sorted times of its moves
-    (`move_times`)."""
+    client packet the server received (`server_path`) and the sorted
+    times of its moves (`move_times`). Moves fire in time order, so the
+    client left path k at `move_times[k]`."""
 
     def __init__(self, params):
         self.params = params
         self.path = 0
         self.server_path = 0
-        self.left_at = []
         self.move_times = []
 
-    def migrate(self, now_us):
+    def migrate(self):
         """The client moves to the next path; the server is not told."""
-        self.left_at.append(now_us)
         self.path += 1
 
     def address_at(self, now_us, later_us):
@@ -127,8 +125,8 @@ class MobilityNet:
         if dest == self.path:
             return True
         params = self.params
-        return (params.forwarding_enabled
-                and arrival_us < self.left_at[dest] + params.forwarding_ttl_us)
+        return (params.forwarding_enabled and arrival_us
+                < self.move_times[dest] + params.forwarding_ttl_us)
 
 
 class _DownlinkServer:
@@ -187,9 +185,9 @@ class _DownlinkServer:
     def schedule_handovers(self, times_us, active):
         """The client moves at each time; the server is not told. A move
         counts as a handover of the app while `active()` holds. Call it
-        during set-up, before the run: acks read their address from these
-        times (see `MobilityNet.address_at`). Each time must be a whole
-        number of µs, at or after 0."""
+        once, during set-up: acks read their address from these times (see
+        `MobilityNet.address_at`). Each time must be a whole number of µs,
+        at or after 0."""
         for t in times_us:
             if not (isinstance(t, int) and t >= 0):
                 raise ValueError("handover_times_us must be nonnegative whole"
@@ -198,11 +196,11 @@ class _DownlinkServer:
         def migrate(sim):
             if active():
                 self.handovers += 1
-            self.net.migrate(sim.now)
+            self.net.migrate()
 
         for t in times_us:
             self.sim.schedule(t, migrate)
-        self.net.move_times = sorted(self.net.move_times + list(times_us))
+        self.net.move_times = sorted(times_us)
 
     def transmit(self, lost=None):
         """One unreliable send to the last-known path. `lost()` runs if

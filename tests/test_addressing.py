@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from encorsim.addressing import (
-    Addr128, Decision, NatCounters, PRIVATE_LOCATOR, RecentlyMovedTable,
+    Addr128, Decision, PRIVATE_LOCATOR, RecentlyMovedTable,
     assign_private_addr, nat_downlink, nat_uplink,
 )
 
@@ -50,10 +50,8 @@ def test_round_trip_restores_private_address(ident, prefix):
 
 
 def test_nonprivate_uplink_passes_through_with_warning():
-    counters = NatCounters()
     src = Addr128(0x2600_0000_0000_0000, 5)
-    assert nat_uplink(src, INB_PREFIX, counters) == src
-    assert counters.nonprivate_uplink == 1
+    assert nat_uplink(src, INB_PREFIX) == src
 
 
 def test_downlink_moved_entry_forwards_with_rewritten_locator():
@@ -67,12 +65,10 @@ def test_downlink_moved_entry_forwards_with_rewritten_locator():
 
 
 def test_downlink_unknown_id_drops_and_counts():
-    counters = NatCounters()
     decision, out = nat_downlink(Addr128(INB_PREFIX, 0x99), set(),
-                                 RecentlyMovedTable(), 0, counters)
+                                 RecentlyMovedTable(), 0)
     assert decision is Decision.DROP
     assert out is None
-    assert counters.downlink_dropped == 1
 
 
 def test_moved_table_hit_before_expiry_miss_at_expiry():

@@ -48,10 +48,9 @@ def test_attach_stale_sqn_is_replay_failure():
     security.generate_auth_vector(sme.subdb[1], bytes(16))
     security.generate_auth_vector(sme.subdb[1], bytes(16))
     ue.sqn = 0
-    with pytest.raises(AttachError):
+    with pytest.raises(AttachError, match="SQN .* not the expected"):
         attach(ue, inb_a, sme)
     assert ue.state is UeState.DETACHED
-    assert ue.attach_failure is not None
 
 
 def attach_and_handover(mode, ue_cap=None):

@@ -8,7 +8,6 @@ from encorsim.datasets import (
     MAX_SYNTHETIC_ROWS, IngestError, generate_synthetic, load_counties,
     load_sites, write_csv_atomic, write_dataset,
 )
-from encorsim.placement import SiteKind
 
 
 def test_synthetic_deterministic_per_seed():
@@ -28,8 +27,6 @@ def test_synthetic_shapes_and_bounds():
         assert 25.0 <= c.lat <= 49.0
         assert -124.0 <= c.lon <= -67.0
         assert c.population >= 1000
-    assert all(p.kind is SiteKind.PEERING_POP for p in pops)
-    assert all(c.kind is SiteKind.CDN_POP for c in cdns)
 
 
 @pytest.mark.parametrize("name", ["n_counties", "n_pops", "n_cdns"])
@@ -46,7 +43,7 @@ def test_write_then_load_round_trip(tmp_path):
     assert [c.population for c in loaded] == [c.population for c in counties]
     for got, want in zip(loaded, counties):
         assert got.lat == pytest.approx(want.lat, abs=1e-6)
-    loaded_pops = load_sites(paths["pops"], SiteKind.PEERING_POP)
+    loaded_pops = load_sites(paths["pops"])
     assert [p.id for p in loaded_pops] == [p.id for p in pops]
 
 
@@ -90,7 +87,7 @@ def test_non_utf8_file_is_ingest_error(tmp_path):
     path = tmp_path / "sites.csv"
     path.write_bytes(b"id,lat,lon\ncaf\xe9,40.0,-100.0\n")
     with pytest.raises(IngestError, match="utf-8"):
-        load_sites(str(path), SiteKind.PEERING_POP)
+        load_sites(str(path))
 
 
 def test_directory_path_is_ingest_error(tmp_path):
@@ -118,7 +115,7 @@ def test_out_of_range_coordinate_reports_line_number(tmp_path):
     path = tmp_path / "sites.csv"
     path.write_text("id,lat,lon\npop1,95.0,-100.0\n")
     with pytest.raises(IngestError, match="line 2"):
-        load_sites(str(path), SiteKind.PEERING_POP)
+        load_sites(str(path))
 
 
 def test_duplicate_site_id_names_path_line_and_id(tmp_path):
@@ -127,7 +124,7 @@ def test_duplicate_site_id_names_path_line_and_id(tmp_path):
                     "pop000,42.0,-102.0\n")
     with pytest.raises(IngestError,
                        match=re.escape(f"{path}: line 4: duplicate site id pop000")):
-        load_sites(str(path), SiteKind.PEERING_POP)
+        load_sites(str(path))
 
 
 def test_bad_row_after_comment_reports_physical_line(tmp_path):
@@ -149,11 +146,11 @@ def test_duplicate_site_id_after_comment_reports_physical_line(tmp_path):
                     "pop000,42.0,-102.0\n")
     with pytest.raises(IngestError,
                        match=re.escape(f"{path}: line 4: duplicate site id")):
-        load_sites(str(path), SiteKind.PEERING_POP)
+        load_sites(str(path))
 
 
 def test_header_only_file_rejected(tmp_path):
     path = tmp_path / "sites.csv"
     path.write_text("id,lat,lon\n")
     with pytest.raises(IngestError, match="no data rows"):
-        load_sites(str(path), SiteKind.PEERING_POP)
+        load_sites(str(path))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from encorsim.placement import (
-    CostModel, County, Deployment, SiteKind, SitePoint, chain_km,
+    CostModel, County, Deployment, SitePoint, chain_km,
     cost_compare, coverage, greedy_place, haversine_km,
 )
 
@@ -15,11 +15,11 @@ def _county(fips, lat, lon, pop=1000):
 
 
 def _pop(i, lat, lon):
-    return SitePoint(id=f"pop{i}", kind=SiteKind.PEERING_POP, lat=lat, lon=lon)
+    return SitePoint(id=f"pop{i}", lat=lat, lon=lon)
 
 
 def _cdn(i, lat, lon):
-    return SitePoint(id=f"cdn{i}", kind=SiteKind.CDN_POP, lat=lat, lon=lon)
+    return SitePoint(id=f"cdn{i}", lat=lat, lon=lon)
 
 
 def test_haversine_known_values():

@@ -15,8 +15,14 @@ from encorsim.transport import (
 US = 1_000_000
 
 
-def _net(**params):
-    return MobilityNet(TransportParams(**params))
+def _net(move_times=(), **params):
+    """A net whose client has made a move at each of `move_times`, in
+    time order, as `_DownlinkServer.schedule_handovers` builds it."""
+    net = MobilityNet(TransportParams(**params))
+    net.move_times = sorted(move_times)
+    for _ in move_times:
+        net.migrate()
+    return net
 
 
 def test_client_packet_with_recognized_id_updates_path():
@@ -31,30 +37,25 @@ def test_client_packet_with_recognized_id_updates_path():
 
 
 def test_migration_alone_does_not_inform_server():
-    net = _net()
-    net.migrate(now_us=0)
+    net = _net([0])
     assert net.path == 1
     assert net.server_path == 0  # passive: server still on stale path
 
 
 def test_server_send_after_migration_without_forwarding_fails():
-    net = _net(forwarding_enabled=False)
-    assert net.reaches_client(net.server_path, 0)
-    net.migrate(now_us=0)
+    assert _net(forwarding_enabled=False).reaches_client(0, 0)
+    net = _net([0], forwarding_enabled=False)
     assert not net.reaches_client(net.server_path, 1)
 
 
 def test_server_send_after_migration_with_forwarding_succeeds_until_ttl():
-    net = _net(forwarding_enabled=True, forwarding_ttl_us=1000)
-    net.migrate(now_us=0)
+    net = _net([0], forwarding_enabled=True, forwarding_ttl_us=1000)
     assert net.reaches_client(net.server_path, 999)
     assert not net.reaches_client(net.server_path, 1000)
 
 
 def test_forwarding_chains_across_two_migrations():
-    net = _net(forwarding_enabled=True)
-    net.migrate(now_us=0)
-    net.migrate(now_us=10)
+    net = _net([0, 10], forwarding_enabled=True)
     # a packet to the original path traverses both base stations
     assert net.reaches_client(0, arrival_us=20)
 
@@ -114,9 +115,8 @@ def test_reaches_client_equals_the_hop_by_hop_walk(data):
     arrival_us = data.draw(
         st.integers(last, last + 3 * ttl_us)
         | st.integers(edge - 2, edge + 2).map(lambda a: max(a, last)))
-    net = _net(forwarding_enabled=forwarding, forwarding_ttl_us=ttl_us)
-    for t in move_times:
-        net.migrate(t)
+    net = _net(move_times, forwarding_enabled=forwarding,
+               forwarding_ttl_us=ttl_us)
     assert net.reaches_client(dest, arrival_us) == _walk_tables(
         move_times, ttl_us, forwarding, dest, arrival_us)
 
