@@ -123,8 +123,10 @@ class LoadScenario:
             raise ValueError(f"duration_s must keep max(rates_per_s) *"
                              f" duration_s at most {MAX_HANDOVERS_PER_POINT},"
                              f" got {fastest} * {self.duration_s}")
-        if self.link_latency_us < 0:
-            raise ValueError("link_latency_us must be nonnegative")
+        latency = self.link_latency_us
+        if not (isinstance(latency, int) and latency >= 0):
+            raise ValueError("link_latency_us must be a nonnegative whole"
+                             f" number of us, got {latency!r}")
         if list(self.rates_per_s) != sorted(self.rates_per_s):
             raise ValueError("rates_per_s must be ascending")
 

@@ -97,6 +97,11 @@ class Lane:
     when it fires, the next one moves in. The heap stays as small as the
     number of busy lanes plus the events scheduled directly. A heap entry
     carries its lane's FIFO, so the drain loop needs no lane lookup.
+    Lanes stay for speed, not for order: every lane event sent through
+    `Simulator.schedule` instead, with 3-tuple heap entries, gives the
+    same results but a slower `mobility_apps` benchmark round (wall_s
+    median 0.414 -> 0.442 s, slower in 6 of 6 alternating pairs on a
+    2-CPU x86-64 host, Python 3.11).
 
     Order: each event takes its key (time, seq) from the simulator's
     counter when it is scheduled, exactly as `Simulator.schedule` would

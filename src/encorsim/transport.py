@@ -51,6 +51,13 @@ class TransportParams:
         if not 0 <= self.ack_delay_us < math.inf:
             raise ValueError("ack_delay_us must be nonnegative and finite,"
                              f" got {self.ack_delay_us}")
+        # simulated time is whole µs
+        for name in ("one_way_us", "ack_delay_us", "keepalive_interval_us",
+                     "forwarding_ttl_us", "give_up_us"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(
+                    f"{name} must be a whole number of us, got {value!r}")
 
     @property
     def rtt_us(self):

@@ -51,6 +51,8 @@ def test_load_scenario_rejects_unsorted_rates():
     {"duration_s": 0},
     {"duration_s": float("nan")},
     {"link_latency_us": -1},
+    {"link_latency_us": float("nan")},
+    {"link_latency_us": 1.5},
 ])
 def test_load_scenario_rejects_bad_values(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):

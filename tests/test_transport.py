@@ -246,6 +246,10 @@ def test_metrics_csv_row_shape():
     ("ack_delay_us", float("inf")), ("keepalive_interval_us", 0),
     ("forwarding_ttl_us", -1), ("give_up_us", 0),
     ("idle_deadline_factor", 0.0), ("idle_deadline_factor", float("nan")),
+    # simulated time is whole µs
+    ("one_way_us", 1500.5), ("ack_delay_us", 0.5),
+    ("keepalive_interval_us", 2500.5), ("forwarding_ttl_us", 1e6),
+    ("give_up_us", 5e6),
 ])
 def test_params_reject_nonpositive_or_infinite(field, value):
     with pytest.raises(ValueError, match=field):
