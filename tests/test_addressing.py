@@ -49,7 +49,7 @@ def test_round_trip_restores_private_address(ident, prefix):
     assert restored == a
 
 
-def test_nonprivate_uplink_passes_through_with_warning():
+def test_nonprivate_uplink_passes_through():
     src = Addr128(0x2600_0000_0000_0000, 5)
     assert nat_uplink(src, INB_PREFIX) == src
 
@@ -64,7 +64,7 @@ def test_downlink_moved_entry_forwards_with_rewritten_locator():
     assert out == Addr128(target, 0x42)
 
 
-def test_downlink_unknown_id_drops_and_counts():
+def test_downlink_unknown_id_drops():
     decision, out = nat_downlink(Addr128(INB_PREFIX, 0x99), set(),
                                  RecentlyMovedTable(), 0)
     assert decision is Decision.DROP

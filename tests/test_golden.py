@@ -220,7 +220,7 @@ def transport_sweep_text():
 # The load goldens run one scenario at seeds 0-2. Completions due in the
 # same µs at the two nodes fire in send order, and the next message of
 # each takes its service slot in that order, so the load sweep draws
-# scenarios where such ties are common: whole-ms service times, link
+# scenarios where such ties are common: round service times, link
 # latencies of 0 or a few µs, and loads from idle to past saturation.
 # 40 scenarios take 0.35-0.5 s on a 2-CPU x86-64 host.
 LOAD_SWEEP_SETS = 40
@@ -232,8 +232,8 @@ LOAD_SWEEP_INPUTS = ("rates_per_s", "core_service_rate", "edge_service_rate",
 def load_scenarios():
     """Yield LoadScenarios from one seeded generator.
 
-    Each service rate is a round number (a whole-ms or whole-100-µs
-    service time) or uniform over its range: 50-2,000/s at the core and
+    Each service rate is a round number (a service time that is a
+    multiple of 10 µs) or uniform over its range: 50-2,000/s at the core and
     1,000-200,000/s at the edge. The link latency is 0, 1 µs, the core's
     service time, or log-uniform over 1 µs-10 ms. A run lasts 0.5-2 s at
     2 or 3 ascending rates of 1-120 handovers/s, below and above the
