@@ -17,6 +17,15 @@ completion, which takes its key at send time. Completions due in the same
 microsecond at different nodes therefore fire in send order, which is
 their arrival order when every link has one latency. An exponential
 service time is drawn at send time.
+
+A caller may keep a deferred write out of the heap: a write that only
+changes what later events read. It takes its key's seq from
+`reserve_seq` when it is made, exactly as `schedule` would, and applies
+the write when something reads what it writes, if its key comes before
+`Simulator.running`, the key of the event running now. The write then
+costs no event, and the keys of every other event stay as they were.
+Outside a run, `running` is the last run's horizon: every key at or
+before it counts as past.
 """
 import random
 from collections import deque
@@ -30,8 +39,9 @@ US_PER_S = 1_000_000
 
 class SchedulingError(Exception):
     """Raised when an event is scheduled in the past, at a time that is not
-    finite, or earlier than the last event of its lane, or when a train's
-    interval is negative or not finite or its count is negative."""
+    a whole number of µs (an int), or earlier than the last event of its
+    lane, when a train's interval is negative or not an int or its count
+    is negative, or when a run's horizon is not an int."""
 
 
 class RoutingError(Exception):
@@ -110,6 +120,11 @@ class Lane:
     smaller key. The heap's minimum is therefore the minimum over every
     pending event, and events fire in the same (time, insertion) order as
     if each had been scheduled on the simulator directly.
+
+    A lane event whose only effect is a write that later events read
+    need not be an event at all: keyed with `Simulator.reserve_seq` and
+    applied when its key comes before `Simulator.running`, it keeps the
+    same order without a heap entry (see the module docstring).
     """
 
     __slots__ = ("_sim", "_pending", "_last")
@@ -123,10 +138,11 @@ class Lane:
         """Schedule `action(sim)` at absolute time `at`, no earlier than
         the lane's last event."""
         sim = self._sim
-        if not sim.now <= at < inf or at < self._last:
+        if type(at) is not int or not sim.now <= at or at < self._last:
             raise SchedulingError(
-                f"cannot schedule at t={at} in a lane: now is t={sim.now},"
-                f" the lane's last event is at t={self._last}")
+                f"cannot schedule at t={at!r} in a lane: times are whole µs,"
+                f" now is t={sim.now}, the lane's last event is at"
+                f" t={self._last}")
         pending = self._pending
         entry = (at, sim._seq, action, pending)
         sim._seq += 1
@@ -191,6 +207,10 @@ class Simulator:
         self.stats = RunStats()
         self._queue = []
         self._seq = 0
+        # the key of the event running now, as the first two items of its
+        # heap entry; outside a run, (horizon, inf) for the last run's
+        # horizon. Before the first run no key has passed.
+        self.running = (-inf,)
 
     # -- topology ---------------------------------------------------------
 
@@ -203,9 +223,9 @@ class Simulator:
         """Add the link a -> b, and b -> a if bidirectional. Every link
         into a node must have the same latency: a link that would break
         this raises ValueError naming the node, and nothing is added."""
-        if not 0 <= latency_us < inf:
-            raise ValueError(
-                f"latency must be nonnegative and finite, got {latency_us}")
+        if type(latency_us) is not int or latency_us < 0:
+            raise ValueError("latency must be a nonnegative whole number of"
+                             f" µs, got {latency_us!r}")
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
         ends = ((a, b), (b, a)) if bidirectional else ((a, b),)
@@ -224,11 +244,21 @@ class Simulator:
     def schedule(self, at, action):
         """Schedule `action(sim)` at absolute time `at`. Events fire in
         (time, insertion) order; a scheduled event cannot be cancelled."""
-        # also rejects NaN, which compares false both ways
-        if not self.now <= at < inf:
-            raise SchedulingError(f"cannot schedule at t={at}, now is t={self.now}")
+        # an int is finite, and NaN and inf are floats
+        if type(at) is not int or not self.now <= at:
+            raise SchedulingError(f"cannot schedule at t={at!r}: times are"
+                                  f" whole µs, now is t={self.now}")
         heappush(self._queue, (at, self._seq, action, None))
         self._seq += 1
+
+    def reserve_seq(self):
+        """Take the next seq from the insertion counter, as `schedule`
+        would for an event scheduled now, for a deferred write kept out of
+        the heap. The write is due once its key (time, seq) comes before
+        `running`; every event keeps the key it would have had."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def lane(self):
         """A new FIFO lane for events scheduled in nondecreasing time."""
@@ -241,12 +271,11 @@ class Simulator:
         `range`; other bad input raises SchedulingError. Either way
         nothing is scheduled."""
         count = index(count)
-        # also rejects NaN, and a last event that is not finite
-        if not (self.now <= start < inf and 0 <= interval < inf
-                and count >= 0 and start + max(0, count - 1) * interval < inf):
+        if not (type(start) is int and type(interval) is int
+                and self.now <= start and interval >= 0 and count >= 0):
             raise SchedulingError(
-                f"cannot schedule {count} events from t={start} every"
-                f" {interval} µs: now is t={self.now}")
+                f"cannot schedule {count} events from t={start!r} every"
+                f" {interval!r} µs: times are whole µs, now is t={self.now}")
         if count:
             Train(self, start, interval, count, action)
 
@@ -292,19 +321,21 @@ class Simulator:
 
     def _drain(self, t_end):
         """Execute every event with time <= t_end, in (time, insertion)
-        order."""
+        order, recording each one's heap entry as `running`."""
         queue = self._queue
         pop = heappop
         push = heappush
         events = 0
         try:
             while queue and queue[0][0] <= t_end:
-                at, _, action, pending = pop(queue)
+                entry = pop(queue)
+                at, _, action, pending = entry
                 if pending is not None:
                     pending.popleft()
                     if pending:
                         push(queue, pending[0])
                 self.now = at
+                self.running = entry
                 events += 1
                 action(self)
         finally:
@@ -312,14 +343,21 @@ class Simulator:
 
     def run_until(self, t_end):
         """Execute every event with time <= t_end; returns the stats so
-        far. The horizon must be finite: `run` drains the queue."""
-        if not -inf < t_end < inf:
-            raise SchedulingError(f"run_until needs a finite horizon, got {t_end}")
+        far. Every key at or before t_end then counts as past (see
+        `running`). The horizon is a time, a whole number of µs, so `now`
+        stays one: `run` drains the queue."""
+        if type(t_end) is not int:
+            raise SchedulingError(
+                f"run_until needs a whole-µs horizon, got {t_end!r}")
         self._drain(t_end)
         self.now = max(self.now, t_end)
+        self.running = max(self.running, (t_end, inf))
         return self.stats
 
     def run(self):
-        """Run until the event queue drains."""
+        """Run until the event queue drains. Every key then counts as
+        past, deferred writes due after the last event included; `now` is
+        the last event's time."""
         self._drain(inf)
+        self.running = (inf, inf)
         return self.stats

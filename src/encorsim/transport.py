@@ -16,6 +16,7 @@ ack and path learning, with retransmission for bulk and video only.
 import enum
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 from .addressing import FORWARDING_TTL_US
@@ -51,13 +52,15 @@ class TransportParams:
         if not 0 <= self.ack_delay_us < math.inf:
             raise ValueError("ack_delay_us must be nonnegative and finite,"
                              f" got {self.ack_delay_us}")
-        # simulated time is whole µs
-        for name in ("one_way_us", "ack_delay_us", "keepalive_interval_us",
-                     "forwarding_ttl_us", "give_up_us"):
+        # simulated time is whole µs, and a packet whole bytes
+        for name, unit in (("one_way_us", "us"), ("ack_delay_us", "us"),
+                           ("keepalive_interval_us", "us"),
+                           ("forwarding_ttl_us", "us"), ("give_up_us", "us"),
+                           ("packet_bytes", "bytes")):
             value = getattr(self, name)
             if not isinstance(value, int):
                 raise ValueError(
-                    f"{name} must be a whole number of us, got {value!r}")
+                    f"{name} must be a whole number of {unit}, got {value!r}")
 
     @property
     def rtt_us(self):
@@ -144,22 +147,28 @@ class _DownlinkServer:
     (acks, requests, keepalives, pings).
 
     Every event a fixed delay after `now` goes into the lane for that
-    delay (see `kernel.Lane`), so each delay keeps one heap entry: the
-    one-way lane holds data and client-packet arrivals, the ack lane the
-    arrival of each delivered packet's ack. A timeout is due a fixed delay
-    after its send, not after the loss that schedules it, so it goes to
+    delay (see `kernel.Lane`): the one-way lane holds data and
+    client-packet arrivals. A timeout is due a fixed delay after its send,
+    not after the loss that schedules it, so it goes to
     `Simulator.schedule`. The apps' sends on a fixed grid (bulk packets,
     a chunk's paced packets and live frames) are each one train (see
     `kernel.Train`), keyed when it is made.
 
-    A delivered packet costs three events: the send, the arrival and the
-    ack's arrival. The ack leaves ack_delay_us after the delivery, from
-    the address the move schedule gives for that µs; its arrival is
-    scheduled at the delivery and takes its (time, seq) key there. An
-    event due in the ack's arrival µs and scheduled while the ack waits to
-    leave therefore fires after the ack; an ack keyed when it leaves would
-    fire after that event. Only events that read what the ack writes,
-    `server_path`, can tell: sends and timeouts. Client-packet arrivals
+    A delivered packet costs two events: the send and the arrival. Its
+    ack is a deferred write (see `kernel`): all it does on arrival is set
+    `server_path`, so it waits in a FIFO as (arrival µs, seq, path), and
+    `server_path()` applies it when a send or a client-packet arrival
+    reads or writes the path, if its key comes before the running event's.
+    The ack leaves ack_delay_us after the delivery, from the address the
+    move schedule gives for that µs; its seq is reserved at the delivery,
+    as an event scheduled there would take it, so it keeps the key
+    (arrival µs, seq) of the event it replaces. Every delivery's ack waits
+    the same delay and seqs increase, so the FIFO is in key order.
+
+    That key decides ties. An event due in the ack's arrival µs and keyed
+    while the ack waits to leave comes after the ack; a key reserved when
+    the ack leaves would come after that event. Only what reads
+    `server_path` can tell: sends and timeouts. Client-packet arrivals
     due in that µs left in the ack's own µs and write the same address.
     Bulk sends and live frames are keyed at set-up by a train, and a
     timeout cannot share the µs (see `send_reliable`). Paced sends are
@@ -168,9 +177,10 @@ class _DownlinkServer:
     delivery. With one_way_us >= ack_delay_us, a `start_sending` therefore
     fires at or after the ack leaves, and in the ack's leave µs only after
     it, because the request that scheduled it ran after the delivery that
-    scheduled the ack: both keyings give the same run. With one_way_us <
-    ack_delay_us a paced send may share the µs and be keyed in between; it
-    fires after the ack and goes to the path the ack teaches.
+    reserved the ack's key: both keyings give the same run. With
+    one_way_us < ack_delay_us a paced send may share the µs and be keyed
+    in between; its key comes after the ack's, so it reads the path the
+    ack teaches.
 
     Packets carry no id and the server keeps none: it counts deliveries.
     A packet is delivered at most once (see `send_reliable`), so every
@@ -180,7 +190,7 @@ class _DownlinkServer:
         self.sim = Simulator(seed)
         # transmit's and client_packet's arrivals are both one_way_us away
         self.one_way = self.sim.lane()
-        self.ack = self.sim.lane()
+        self._acks = deque()  # (arrival µs, seq, path), in key order
         self.net = MobilityNet(params)
         self.params = params
         self.handovers = 0
@@ -213,7 +223,7 @@ class _DownlinkServer:
         """One unreliable send to the last-known path. `lost()` runs if
         the packet arrives where the client cannot be reached."""
         self.tx_count += 1
-        dest = self.net.server_path
+        dest = self.server_path()
 
         def arrive(sim):
             if self.net.reaches_client(dest, sim.now):
@@ -264,26 +274,36 @@ class _DownlinkServer:
         self.transmit(lost)
 
     def _client_receive(self, now):
-        """Deliver a packet and schedule its ack's arrival, which moves
-        the server's path to the path the ack leaves from."""
+        """Deliver a packet and queue its ack, which moves the server's
+        path to the path the ack leaves from when it arrives."""
         self.delivered += 1
-        leaves = now + self.params.ack_delay_us
-        src = self.net.address_at(now, leaves)
-
-        def ack_arrives(sim):
-            self.net.server_path = src
-
-        self.ack.schedule(leaves + self.params.one_way_us, ack_arrives)
+        params = self.params
+        leaves = now + params.ack_delay_us
+        self._acks.append((leaves + params.one_way_us, self.sim.reserve_seq(),
+                           self.net.address_at(now, leaves)))
         if self.on_packet_delivered is not None:
             self.on_packet_delivered(now)
+
+    def server_path(self):
+        """The server's path when the running event fires: first applies,
+        in order, every queued ack whose key comes before the running key
+        (`Simulator.running`). After a run, that is every ack due by its
+        horizon."""
+        acks = self._acks
+        running = self.sim.running
+        net = self.net
+        while acks and acks[0] < running:
+            net.server_path = acks.popleft()[2]
+        return net.server_path
 
     def client_packet(self):
         """A client packet (a request, a keepalive or a ping) leaves from
         the client's path at this instant and moves the server's path
-        there on arrival."""
+        there on arrival, after the acks that arrived before it."""
         src = self.net.path
 
         def arrive(sim):
+            self.server_path()
             self.net.server_path = src
 
         self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
@@ -310,8 +330,9 @@ class _DownlinkServer:
 
 
 # The most packets (or live frames) one app run may send. A packet costs
-# about 7 µs of run time, so a run at the bound takes about 7 s (measured
-# at 200,000 packets per app on a 2-CPU x86-64 host, Python 3.11).
+# up to about 6 µs of run time, so a run at the bound takes up to about
+# 6 s (measured at 200,000 packets per app on a 2-CPU x86-64 host,
+# Python 3.11: 2-6 µs, bulk and buffered the dearest).
 MAX_PACKETS_PER_RUN = 1_000_000
 FRAME_INTERVAL_US = 41_667  # a live stream's 24 frames per second
 

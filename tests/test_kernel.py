@@ -200,6 +200,51 @@ def test_run_until_rejects_non_finite_horizon(t_end):
     assert sim.run().events_processed == 1
 
 
+@pytest.mark.parametrize("t", [1.5, 2.5])
+def test_times_that_are_not_whole_us_are_rejected_naming_them(t):
+    sim = Simulator()
+    lane = sim.lane()
+    calls = [
+        lambda: sim.schedule(t, lambda s: None),
+        lambda: lane.schedule(t, lambda s: None),
+        lambda: sim.train(t, 1, 2, lambda s, k: None),  # start
+        lambda: sim.train(0, t, 2, lambda s, k: None),  # interval
+        lambda: sim.run_until(t),
+    ]
+    for call in calls:
+        with pytest.raises(SchedulingError, match=str(t)):
+            call()
+    assert (sim._queue, sim._seq, sim.now) == ([], 0, 0)
+    with pytest.raises(ValueError, match=f"latency.*{t}"):
+        sim.add_link("a", "b", t)
+    assert sim.links == {}
+
+
+def test_reserve_seq_takes_the_seq_schedule_would_give():
+    sim = Simulator()
+    sim.schedule(5, lambda s: None)
+    assert sim.reserve_seq() == 1
+    sim.schedule(5, lambda s: None)
+    assert [entry[1] for entry in sim._queue] == [0, 2]
+
+
+def test_running_is_the_running_key_then_the_horizon():
+    sim = Simulator()
+    assert sim.running < (0, 0)  # before the first run no key has passed
+    keys = []
+    lane = sim.lane()
+    sim.schedule(5, lambda s: keys.append(s.running[:2]))
+    lane.schedule(5, lambda s: keys.append(s.running[:2]))
+    sim.run_until(7)
+    assert keys == [(5, 0), (5, 1)]
+    assert sim.running == (7, math.inf)
+    sim.run_until(6)  # a horizon before now leaves it as it was
+    assert sim.running == (7, math.inf)
+    sim.schedule(9, lambda s: None)
+    sim.run()
+    assert (sim.now, sim.running) == (9, (math.inf, math.inf))
+
+
 def test_lane_rejects_earlier_time_and_changes_nothing():
     sim = Simulator()
     lane = sim.lane()

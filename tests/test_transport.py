@@ -293,8 +293,8 @@ def test_delivered_transmission_schedules_no_timeout():
     stats = server.sim.run_until(1_000 + 2 * params.rto_us)
     assert sent == [1_000]
     assert server.delivered == 1
-    # the send, the arrival and the ack's arrival
-    assert stats.events_processed == 3
+    # the send and the arrival: the ack is no event
+    assert stats.events_processed == 2
 
 
 def test_delivered_retransmission_schedules_no_timeout():
@@ -308,9 +308,9 @@ def test_delivered_retransmission_schedules_no_timeout():
     assert server.retx_count == 1
     assert server.delivered == 1
     # the send, the move, the lost arrival, the client packet and its
-    # arrival, the timeout, the delivered arrival and the ack's arrival:
-    # no timeout follows the retransmission
-    assert stats.events_processed == 8
+    # arrival, the timeout and the delivered arrival: the ack is no event,
+    # and no timeout follows the retransmission
+    assert stats.events_processed == 7
 
 
 @pytest.mark.parametrize("moves, path", [
@@ -328,9 +328,41 @@ def test_ack_leaves_from_the_address_at_its_leave_time(moves, path):
     server.schedule_handovers(moves, lambda: True)
     stats = server.sim.run_until(43_000)
     assert server.delivered == 1
-    # the send, the arrival, the moves and the ack's arrival
-    assert stats.events_processed == 3 + len(moves)
-    assert server.net.server_path == path
+    # the send, the arrival and the moves: the ack is no event
+    assert stats.events_processed == 2 + len(moves)
+    assert server.server_path() == path
+
+
+@pytest.mark.parametrize("horizon, path", [
+    (43_000, 1),  # the ack arrives at the horizon: a run_until fires it
+    (42_999, 0),  # the ack arrives after the horizon
+], ids=["at_horizon", "after_horizon"])
+def test_a_read_after_run_until_sees_the_acks_due_by_its_horizon(horizon,
+                                                                 path):
+    # the ack of the packet delivered at 21,000 leaves from path 1 at
+    # 23,000 and arrives at 43,000
+    params = TransportParams()
+    server, _ = _recording_server(params, send_at=1_000)
+    server.schedule_handovers([22_000], lambda: True)
+    server.sim.run_until(horizon)
+    assert server.server_path() == path
+    server.sim.run_until(43_000)
+    assert server.server_path() == 1
+
+
+def test_a_read_after_run_sees_every_ack():
+    # the move at 22,000 is the last event; the ack arrives at 43,000
+    params = TransportParams()
+    server, _ = _recording_server(params, send_at=1_000)
+    server.schedule_handovers([22_000], lambda: True)
+    stats = server.sim.run()
+    assert (stats.events_processed, server.sim.now) == (3, 22_000)
+    assert server.server_path() == 1
+
+
+def test_params_reject_fractional_packet_bytes():
+    with pytest.raises(ValueError, match="packet_bytes.*1200.5"):
+        TransportParams(packet_bytes=1200.5)
 
 
 # Pinned from the model that scheduled every first timeout as an event:
