@@ -192,6 +192,7 @@ def _run_load_point(arch, rate_per_s, scenario):
             break
         arrivals.schedule(t, start_handover)
     sim.run()
+    sim.close()
 
     times_ms = sorted(c / 1000 for c in completions)
     n = len(times_ms)

@@ -16,7 +16,14 @@ fixes a message's service slot when it is sent: its only event is its
 completion, which takes its key at send time. Completions due in the same
 microsecond at different nodes therefore fire in send order, which is
 their arrival order when every link has one latency. An exponential
-service time is drawn at send time.
+service time is drawn at send time. A node's completions fall due at
+strictly increasing times in send order, so each is queued on its node's
+lane and the message waits in the node's FIFO: no closure is made per
+message, and the heap holds at most one completion per node.
+
+`Simulator.close` ends a simulation: it drops every pending event, with
+whatever the events captured, and the reference cycles through the
+simulator.
 
 A caller may keep a deferred write out of the heap: a write that only
 changes what later events read. It takes its key's seq from
@@ -83,7 +90,12 @@ class RunStats:
 
 
 class Node:
-    """Capacity-limited processing node with a FIFO service discipline."""
+    """Capacity-limited processing node with a FIFO service discipline.
+
+    Its completions form a lane (see `Simulator.send`): `inbox` holds
+    (latency, msg, on_delivered, category) for every message sent to it
+    and not yet complete, in send order, and each of its lane's events
+    runs `complete`, which takes the head."""
 
     def __init__(self, node_id, service_rate, exponential_service=False):
         if not 0 < service_rate < inf:
@@ -97,6 +109,22 @@ class Node:
                            else max(1, round(US_PER_S / service_rate)))
         self.busy_until = 0
         self.processed = 0
+        self.inbox = deque()
+        self.lane = None  # its completions' lane, made by `add_node`
+        self._complete = self.complete  # the lane events' action, bound once
+
+    def complete(self, sim):
+        """The message at the head of `inbox` leaves service now."""
+        latency_us, msg, on_delivered, category = self.inbox.popleft()
+        self.processed += 1
+        stats = sim.stats
+        stats.delivered += 1
+        cat = category if category is not None else type(msg).__name__
+        by_cat = stats.delivered_by_category
+        by_cat[cat] = by_cat.get(cat, 0) + 1
+        stats.latencies_us.append(latency_us)
+        if on_delivered is not None:
+            on_delivered(sim, msg)
 
 
 class Lane:
@@ -107,11 +135,11 @@ class Lane:
     when it fires, the next one moves in. The heap stays as small as the
     number of busy lanes plus the events scheduled directly. A heap entry
     carries its lane's FIFO, so the drain loop needs no lane lookup.
-    Lanes stay for speed, not for order: every lane event sent through
-    `Simulator.schedule` instead, with 3-tuple heap entries, gives the
+    Lanes stay for speed, not for order: every lane event pushed on the
+    heap directly instead, as `Simulator.schedule` pushes it, gives the
     same results but a slower `mobility_apps` benchmark round (wall_s
-    median 0.414 -> 0.442 s, slower in 6 of 6 alternating pairs on a
-    2-CPU x86-64 host, Python 3.11).
+    median 0.291 -> 0.301 s, slower in 5 of 6 alternating 20 s pairs on
+    a 2-CPU x86-64 host, Python 3.11).
 
     Order: each event takes its key (time, seq) from the simulator's
     counter when it is scheduled, exactly as `Simulator.schedule` would
@@ -171,8 +199,7 @@ class Train:
     simulator directly when the train was made.
     """
 
-    __slots__ = ("_start", "_interval", "_count", "_seq0", "_action", "_k",
-                 "_fire")
+    __slots__ = ("_start", "_interval", "_count", "_seq0", "_action", "_k")
 
     def __init__(self, sim, start, interval, count, action):
         self._start = start
@@ -181,17 +208,20 @@ class Train:
         self._seq0 = sim._seq
         self._action = action
         self._k = 0
-        self._fire = self.fire  # the heap entries' action, bound once
         sim._seq += count
-        heappush(sim._queue, (start, self._seq0, self._fire, None))
+        # every heap entry's action is this one bound method; only the
+        # entries hold it, since on the train it would make a cycle
+        heappush(sim._queue, (start, self._seq0, self.fire, None))
 
     def fire(self, sim):
-        """Put the next event in the heap, then run this one's action."""
+        """Put the next event in the heap, then run this one's action. The
+        running entry's action is this bound method: the next entry
+        reuses it."""
         k = self._k
         self._k = nxt = k + 1
         if nxt < self._count:
             heappush(sim._queue, (self._start + nxt * self._interval,
-                                  self._seq0 + nxt, self._fire, None))
+                                  self._seq0 + nxt, sim.running[2], None))
         self._action(sim, k)
 
 
@@ -216,6 +246,7 @@ class Simulator:
 
     def add_node(self, node_id, service_rate, exponential_service=False):
         node = Node(node_id, service_rate, exponential_service)
+        node.lane = self.lane()
         self.nodes[node_id] = node
         return node
 
@@ -287,6 +318,13 @@ class Simulator:
         reach dst before this one: its service slot is fixed now, and its
         completion is its only event, keyed at send time. An exponential
         service time is drawn now.
+
+        A completion is done = max(busy_until, now + latency) + service,
+        with service at least 1 µs, so a node's completions are due at
+        strictly increasing times in send order, exponential service
+        included. They go on the node's lane, so the heap holds at most
+        one of them per node, and the message waits in the node's `inbox`:
+        no closure is made per message.
         """
         link = self.links.get((src, dst))
         if link is None:
@@ -305,19 +343,23 @@ class Simulator:
                 self.rng.expovariate(node.service_rate) * US_PER_S))
         done = max(node.busy_until, sent_at + latency_us) + service
         node.busy_until = done
+        node.inbox.append((done - sent_at, msg, on_delivered, category))
+        node.lane.schedule(done, node._complete)
 
-        def complete(sim):
-            node.processed += 1
-            stats.delivered += 1
-            cat = category if category is not None else type(msg).__name__
-            by_cat = stats.delivered_by_category
-            by_cat[cat] = by_cat.get(cat, 0) + 1
-            stats.latencies_us.append(done - sent_at)
-            if on_delivered is not None:
-                on_delivered(sim, msg)
-
-        heappush(self._queue, (done, self._seq, complete, None))
-        self._seq += 1
+    def close(self):
+        """End the simulation: drop every pending event (the heap, the
+        lanes' queued events and the nodes' queued messages) and each
+        node's lane and completion method, which hold the simulator and
+        the node. What the events captured is freed with them, so nothing
+        closes a reference cycle through the simulator. No message can be
+        sent after it."""
+        for entry in self._queue:
+            if entry[3] is not None:
+                entry[3].clear()
+        self._queue.clear()
+        for node in self.nodes.values():
+            node.inbox.clear()
+            node.lane = node._complete = None
 
     def _drain(self, t_end):
         """Execute every event with time <= t_end, in (time, insertion)

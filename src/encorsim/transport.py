@@ -152,7 +152,16 @@ class _DownlinkServer:
     not after the loss that schedules it, so it goes to
     `Simulator.schedule`. The apps' sends on a fixed grid (bulk packets,
     a chunk's paced packets and live frames) are each one train (see
-    `kernel.Train`), keyed when it is made.
+    `kernel.Train`), keyed when it is made, whose action is `transmit` or
+    `send_reliable` itself.
+
+    A data packet makes no closure. Its send appends (dest path, send µs,
+    RTO or None) to the in-flight FIFO and puts one bound method,
+    `_data_arrives`, on the one-way lane. Every data arrival is due
+    one_way_us after its send, and a lane fires in the order it was
+    filled, so data arrivals fire in send order: the FIFO's head is the
+    packet that arrives. Client-packet arrivals share the lane but not
+    the FIFO.
 
     A delivered packet costs two events: the send and the arrival. Its
     ack is a deferred write (see `kernel`): all it does on arrival is set
@@ -184,13 +193,22 @@ class _DownlinkServer:
 
     Packets carry no id and the server keeps none: it counts deliveries.
     A packet is delivered at most once (see `send_reliable`), so every
-    delivery is a packet's first."""
+    delivery is a packet's first.
+
+    The server's bound methods, the app's callbacks and the pending
+    events hold the server in reference cycles; each run ends with
+    `close`, which drops them."""
 
     def __init__(self, params, seed):
         self.sim = Simulator(seed)
-        # transmit's and client_packet's arrivals are both one_way_us away
+        # data and client-packet arrivals are both one_way_us away
         self.one_way = self.sim.lane()
+        self._one_way_us = params.one_way_us
+        self._first_rto_us = params.rto_us
+        self._in_flight = deque()  # (dest path, send µs, RTO or None)
+        self._arrive = self._data_arrives  # the data arrivals' action
         self._acks = deque()  # (arrival µs, seq, path), in key order
+        self._alive = None  # keep_alive's (running, busy)
         self.net = MobilityNet(params)
         self.params = params
         self.handovers = 0
@@ -219,32 +237,29 @@ class _DownlinkServer:
             self.sim.schedule(t, migrate)
         self.net.move_times = sorted(times_us)
 
-    def transmit(self, lost=None):
-        """One unreliable send to the last-known path. `lost()` runs if
-        the packet arrives where the client cannot be reached."""
+    def transmit(self, sim, _k=None):
+        """One unreliable send to the last-known path, such as a live
+        frame; a train's action (see `kernel.Train`)."""
         self.tx_count += 1
-        dest = self.server_path()
+        now = sim.now
+        self._in_flight.append((self.server_path(), now, None))
+        self.one_way.schedule(now + self._one_way_us, self._arrive)
 
-        def arrive(sim):
-            if self.net.reaches_client(dest, sim.now):
-                self._client_receive(sim.now)
-            elif lost is not None:
-                lost()
-
-        self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
-
-    def send_reliable(self, rto_us):
+    def send_reliable(self, sim, _k=None, rto_us=None):
         """Transmit until delivered, doubling the timeout after each loss.
+        A train calls it for a packet's first transmission, whose timeout
+        is the first RTO, read once per run; a timeout calls it with
+        `rto_us` for the retransmission.
 
         A delivered transmission's ack arrives rtt_us after the send, and
         client packets are never lost, so a timeout at send + rto_us
         (rto_us is at least the first RTO, 2 * rtt_us) would fire after
         the ack and do nothing: only a lost transmission schedules its
-        timeout, from its `lost` callback. Each retransmission is made only by the
-        timeout of the transmission before it, which was lost. A packet
-        therefore has at most one transmission in flight, is delivered at
-        most once, and has no ack when its timeout fires: the timeout
-        retransmits without a check.
+        timeout, when its arrival finds the client unreachable. Each
+        retransmission is made only by the timeout of the transmission
+        before it, which was lost. A packet therefore has at most one
+        transmission in flight, is delivered at most once, and has no ack
+        when its timeout fires: the timeout retransmits without a check.
 
         That timeout fires in the same µs as one scheduled at the send,
         but takes its seq at the loss (send + one_way_us), so only an event
@@ -262,27 +277,40 @@ class _DownlinkServer:
         timeout commute: the timeout reads `server_path` and the tick does
         not write it, and their arrivals one one_way_us later touch
         disjoint state."""
-        sent_at = self.sim.now
+        self.tx_count += 1
+        now = sim.now
+        self._in_flight.append((self.server_path(), now,
+                                rto_us or self._first_rto_us))
+        self.one_way.schedule(now + self._one_way_us, self._arrive)
 
-        def lost():
-            def timeout(sim):
-                self.retx_count += 1
-                self.send_reliable(rto_us * 2)
+    def _data_arrives(self, sim):
+        """The arrival of the in-flight FIFO's head. If it reaches the
+        client, deliver it and queue its ack, which moves the server's
+        path to the path the ack leaves from when it arrives; if not, and
+        it is reliable, schedule its timeout."""
+        dest, sent_at, rto_us = self._in_flight.popleft()
+        now = sim.now
+        net = self.net
+        if net.reaches_client(dest, now):
+            self.delivered += 1
+            params = self.params
+            leaves = now + params.ack_delay_us
+            self._acks.append((leaves + params.one_way_us, sim.reserve_seq(),
+                               net.address_at(now, leaves)))
+            if self.on_packet_delivered is not None:
+                self.on_packet_delivered(now)
+        elif rto_us is not None:
+            self._lost(sent_at, rto_us)
 
-            self.sim.schedule(sent_at + rto_us, timeout)
+    def _lost(self, sent_at, rto_us):
+        """Schedule the retransmission of a packet sent at `sent_at` whose
+        transmission was lost (see `send_reliable`). Its closure is made
+        here, so an arrival that reaches the client makes no cell."""
+        def timeout(sim):
+            self.retx_count += 1
+            self.send_reliable(sim, rto_us=rto_us * 2)
 
-        self.transmit(lost)
-
-    def _client_receive(self, now):
-        """Deliver a packet and queue its ack, which moves the server's
-        path to the path the ack leaves from when it arrives."""
-        self.delivered += 1
-        params = self.params
-        leaves = now + params.ack_delay_us
-        self._acks.append((leaves + params.one_way_us, self.sim.reserve_seq(),
-                           self.net.address_at(now, leaves)))
-        if self.on_packet_delivered is not None:
-            self.on_packet_delivered(now)
+        self.sim.schedule(sent_at + rto_us, timeout)
 
     def server_path(self):
         """The server's path when the running event fires: first applies,
@@ -306,21 +334,34 @@ class _DownlinkServer:
             self.server_path()
             self.net.server_path = src
 
-        self.one_way.schedule(self.sim.now + self.params.one_way_us, arrive)
+        self.one_way.schedule(self.sim.now + self._one_way_us, arrive)
 
     def keep_alive(self, running, busy):
         """A client mid-download is never idle: a window update every
         keepalive interval while `busy()`, ticking while `running()`. The
         first tick is jittered."""
-        interval = self.params.keepalive_interval_us
+        self._alive = (running, busy)
+        self.sim.schedule(
+            self.sim.rng.randrange(self.params.keepalive_interval_us),
+            self._tick)
 
-        def tick(sim):
-            if running():
-                if busy():
-                    self.client_packet()
-                sim.schedule(sim.now + interval, tick)
+    def _tick(self, sim):
+        """A keepalive tick. A method, since a closure that schedules
+        itself would be a reference cycle."""
+        running, busy = self._alive
+        if running():
+            if busy():
+                self.client_packet()
+            sim.schedule(sim.now + self.params.keepalive_interval_us,
+                         self._tick)
 
-        self.sim.schedule(self.sim.rng.randrange(interval), tick)
+    def close(self):
+        """End the run: drop the pending events, the packets in flight,
+        and the bound method and callbacks that hold the server, so the
+        run's objects are freed when it returns, with no collection."""
+        self.sim.close()
+        self._in_flight.clear()
+        self._arrive = self._alive = self.on_packet_delivered = None
 
     def metrics(self, app, **fields):
         return AppMetrics(app=app, handovers=self.handovers,
@@ -330,9 +371,9 @@ class _DownlinkServer:
 
 
 # The most packets (or live frames) one app run may send. A packet costs
-# up to about 6 µs of run time, so a run at the bound takes up to about
-# 6 s (measured at 200,000 packets per app on a 2-CPU x86-64 host,
-# Python 3.11: 2-6 µs, bulk and buffered the dearest).
+# about 2-4 µs of run time, so a run at the bound takes up to about 4 s
+# (measured at 200,000 packets per app on a 2-CPU x86-64 host, Python
+# 3.11, five runs each: bulk 2.6-3.4, buffered 2.9-3.9, live 2.1-3.3 µs).
 MAX_PACKETS_PER_RUN = 1_000_000
 FRAME_INTERVAL_US = 41_667  # a live stream's 24 frames per second
 
@@ -385,14 +426,13 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
         return server.delivered < n_packets
 
     server.on_packet_delivered = on_delivered
-    rto_us = params.rto_us
-    sim.train(0, interval, n_packets,
-              lambda s, _: server.send_reliable(rto_us))
+    sim.train(0, interval, n_packets, server.send_reliable)
     server.schedule_handovers(handover_times_us, downloading)
     server.keep_alive(downloading, downloading)
 
     horizon = n_packets * interval * 4 + 60 * US_PER_S
     sim.run_until(horizon)
+    server.close()
     done = finish_us[0] if finish_us[0] else horizon
     return server.metrics(
         "bulk", throughput_mbps=file_bytes * 8 / done if done else 0.0)
@@ -442,7 +482,6 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
     }
     duration_us = round(duration_s * US_PER_S)
     pace_interval = params.packet_interval_us(PACE_MBPS)
-    rto_us = params.rto_us
 
     def update_buffer(now):
         dt = (now - state["last_update"]) / US_PER_S
@@ -475,8 +514,7 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         server.client_packet()  # the chunk request
 
         def start_sending(s):
-            s.train(s.now, pace_interval, n_pkts,
-                    lambda s2, _: server.send_reliable(rto_us))
+            s.train(s.now, pace_interval, n_pkts, server.send_reliable)
 
         sim.schedule(sim.now + params.one_way_us, start_sending)
 
@@ -496,6 +534,8 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
     server.keep_alive(playing, lambda: state["undelivered"] > 0)
     sim.run_until(duration_us)
     update_buffer(duration_us)
+    server.close()
+    del request_chunk  # it schedules itself: a reference cycle
 
     return server.metrics(
         "buffered",
@@ -553,13 +593,14 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
             arm_deadline()
 
     server.on_packet_delivered = on_delivered
-    sim.train(0, frame_interval_us, n_frames,
-              lambda s, _: server.transmit())
+    sim.train(0, frame_interval_us, n_frames, server.transmit)
     server.schedule_handovers(handover_times_us, lambda: sim.now < duration_us)
     if policy == Policy.PING_ON_IDLE:
         arm_deadline()
 
     sim.run_until(duration_us + params.give_up_us)
+    server.close()
+    del check  # it schedules itself: a reference cycle
 
     # deadlocked: the stream went permanently silent mid-run, i.e. frames
     # kept being pushed for at least the give-up horizon past the last

@@ -67,6 +67,43 @@ def test_fifo_service_two_messages():
     assert done == [("m1", 11_000), ("m2", 12_000)]
 
 
+@pytest.mark.parametrize("exponential", [False, True],
+                         ids=["deterministic", "exponential"])
+def test_a_nodes_completions_keep_one_heap_entry_and_fire_in_send_order(
+        exponential):
+    # a node's completions form a lane: only the earliest is in the heap
+    sim = Simulator(seed=3)
+    sim.add_node("n", 50_000, exponential_service=exponential)
+    sim.add_link("a", "n", 100)
+    done = []
+    for i in range(1_000):
+        sim.send("a", "n", i,
+                 on_delivered=lambda s, m: done.append((s.now, m)))
+    assert len(sim._queue) == 1
+    sim.run()
+    assert [m for _, m in done] == list(range(1_000))
+    assert all(a < b for (a, _), (b, _) in zip(done, done[1:]))
+
+
+def test_close_drops_every_pending_event():
+    sim = Simulator()
+    sim.add_node("n", 1000)
+    sim.add_link("a", "n", 10)
+    lane = sim.lane()
+    fired = []
+    sim.schedule(5, lambda s: fired.append("direct"))
+    lane.schedule(5, lambda s: fired.append("lane"))
+    lane.schedule(6, lambda s: fired.append("lane"))
+    sim.train(1, 1, 3, lambda s, k: fired.append(k))
+    sim.send("a", "n", "m", on_delivered=lambda s, m: fired.append(m))
+    sim.run_until(1)
+    sim.close()
+    assert (sim._queue, list(lane._pending), list(sim.nodes["n"].inbox)) \
+        == ([], [], [])
+    assert sim.run().events_processed == 1
+    assert fired == [0]
+
+
 def test_certain_loss_drops_and_counts():
     sim = Simulator()
     sim.add_node("n", 1000)
@@ -366,7 +403,7 @@ def _record_train(sim, start, interval, count, fired):
     (20, -1, 2, SchedulingError),       # interval negative
     (20, math.inf, 2, SchedulingError),
     (20, math.nan, 2, SchedulingError),
-    (20, 1e308, 3, SchedulingError),    # last event not finite
+    (20, 1e308, 3, SchedulingError),    # a float interval
     (20, 1, -1, SchedulingError),       # count negative
     (20, 1, 2.0, TypeError),            # a float count: fractional seqs
 ])

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -265,15 +266,14 @@ def _recording_server(params, send_at, move_at=None):
     client moving at `move_at`; returns it and its list of send times."""
     server = _DownlinkServer(params, seed=0)
     sent = []
-    transmit = server.transmit
+    send_reliable = server.send_reliable
 
-    def recording(lost=None):
-        sent.append(server.sim.now)
-        transmit(lost)
+    def recording(sim, _k=None, rto_us=None):
+        sent.append(sim.now)
+        send_reliable(sim, rto_us=rto_us)
 
-    server.transmit = recording
-    server.sim.schedule(send_at,
-                        lambda s: server.send_reliable(params.rto_us))
+    server.send_reliable = recording
+    server.sim.schedule(send_at, server.send_reliable)
     if move_at is not None:
         server.schedule_handovers([move_at], lambda: True)
     return server, sent
@@ -427,6 +427,24 @@ def test_buffered_and_live_reject_bad_duration(duration_s):
         run_buffered(duration_s, [])
     with pytest.raises(ValueError, match="duration_s"):
         run_live(duration_s, [])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_bulk(16_000_000, [1_000_000], seed=1),
+    lambda: run_buffered(40.0, [1_000_000], seed=1),
+    lambda: run_live(240.0, [80_000_000], Policy.PASSIVE_ONLY, seed=1),
+    lambda: run_live(240.0, [80_000_000], Policy.PING_ON_IDLE, seed=1),
+], ids=["bulk", "buffered", "live_passive", "live_ping"])
+def test_an_app_run_leaves_no_reference_cycle(run):
+    # every object the run made is freed by reference counting when it
+    # returns, so peak RSS does not depend on when a collection runs
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("policy", ["PingOnIdle", Policy.PING_ON_IDLE])
