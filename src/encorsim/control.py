@@ -6,8 +6,9 @@ The SME is the only stateful core element: it authenticates subscribers,
 assigns private addresses, and distributes session keys. Handover comes
 in two modes: core-assisted (signaled through the SME, which cycles the
 session key) and direct (peer-to-peer through a HOP, reusing the key).
-Both run the step tables in ``messages`` through one executor. Every
-procedure returns a trace whose message counts are pinned by tests.
+A procedure builds one payload per step of its table in ``messages`` and
+returns the table, its ids and payloads as a trace; the message counts
+derive from the tables and are pinned by tests.
 """
 from dataclasses import dataclass
 import enum
@@ -90,6 +91,7 @@ class Hop:
         self.connected = set(connected_inbs)
 
     def relay(self, msg, dst_inb):
+        """Forward `msg` (a step's payload) to `dst_inb` unmodified."""
         if dst_inb not in self.connected:
             raise RelayError(f"{self.id} does not serve {dst_inb}")
         return msg
@@ -115,9 +117,6 @@ def attach(ue, inb, sme, now_us=0):
     """
     if ue.state != UeState.DETACHED:
         raise AttachError("ue not detached")
-    trace = HandoverTrace(mode=HandoverMode.ATTACH)
-    request, challenge, response, accept = messages.ATTACH_SEQUENCE
-    trace.emit(request, {}, now_us, {"imsi": ue.imsi, "inb": inb.id})
     rec = sme.subdb.get(ue.imsi)
     if rec is None:
         raise AttachError("unknown subscriber")
@@ -126,19 +125,19 @@ def attach(ue, inb, sme, now_us=0):
         vector, res, keys = security.authenticate(rec, ue, sme.rng)
     except security.AuthError as exc:
         raise AttachError(str(exc)) from exc
-    trace.emit(challenge, {}, now_us,
-               {"rand": vector.rand, "autn": vector.autn})
-    trace.emit(response, {}, now_us, {"res": res})
 
     addr = assign_private_addr(ue.imsi)
     ctx = UeContext(imsi=ue.imsi, state=UeState.CONNECTED, serving_inb=inb.id,
                     private_addr=addr, keys=keys, qci=rec.qci_profile)
     inb.attached[addr.identifier] = ctx
-    trace.emit(accept, {}, now_us,
-               {"k_enb": keys.k_enb, "addr": addr, "qci": rec.qci_profile})
     ue.state = UeState.CONNECTED
     ue.keys = keys
-    return ctx, trace
+    payloads = [{"imsi": ue.imsi, "inb": inb.id},
+                {"rand": vector.rand, "autn": vector.autn},
+                {"res": res},
+                {"k_enb": keys.k_enb, "addr": addr, "qci": rec.qci_profile}]
+    return ctx, HandoverTrace(HandoverMode.ATTACH, messages.ATTACH_SEQUENCE,
+                              {}, now_us, payloads)
 
 
 def handover_core_assisted(ctx, ue, src, tgt, sme, hop, now_us=0):
@@ -161,43 +160,47 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us):
     refused or misconfigured handover leaves the device at the source."""
     if ctx.state != UeState.CONNECTED or ctx.serving_inb != src.id:
         raise HandoverError(f"ue {ctx.imsi} not connected at {src.id}")
+    if tgt.id == src.id:
+        raise HandoverError(f"ue {ctx.imsi}: target {tgt.id} is its source")
     if src.id not in hop.connected or tgt.id not in hop.connected:
         raise ConfigurationError(
             f"{src.id} and {tgt.id} do not share hop {hop.id}")
     ids = {messages.SRC: src.id, messages.TGT: tgt.id, messages.HOP: hop.id}
-    trace = HandoverTrace(mode=mode)
-
-    def emit(step, payload=None):
-        msg = trace.emit(step, ids, now_us, payload)
-        if step[4]:  # via_hop
-            msg.payload["via_hop"] = hop.id
-            hop.relay(msg, msg.dst)
 
     new_keys = (security.chain_k_enb(ctx.keys)
                 if mode is HandoverMode.CORE_ASSISTED else ctx.keys)
-    for step in messages.EDGE_PREFIX[mode]:
-        if step[2] == messages.TGT:  # the target learns the session key
-            payload = {"imsi": ctx.imsi, "k_enb": new_keys.k_enb,
-                       "ncc": new_keys.ncc, "qci": ctx.qci}
-        else:
-            payload = {"imsi": ctx.imsi, "target": tgt.id, "qci": ctx.qci}
-        emit(step, payload)
+    prefix = messages.EDGE_PREFIX[mode]
+    # a step to the target carries the session key it will use
+    payloads = [{"imsi": ctx.imsi, "k_enb": new_keys.k_enb,
+                 "ncc": new_keys.ncc, "qci": ctx.qci}
+                if step[2] == messages.TGT else
+                {"imsi": ctx.imsi, "target": tgt.id, "qci": ctx.qci}
+                for step in prefix]
+    _relay(hop, prefix, payloads, ids)
     if not tgt.has_room():
-        trace.failed = True
-        return trace
+        return HandoverTrace(mode, prefix, ids, now_us, payloads, failed=True)
 
     # opaque blob, forwarded to the device unmodified
     radio_config = f"radio:{tgt.id}:{ctx.imsi}:{ctx.qci}".encode()
-    ack, command, confirm, notify, release = messages.EDGE_TAIL
-    emit(ack, {"radio_config": radio_config})
-    emit(command, {"radio_config": radio_config})
-    emit(confirm)
-    emit(notify)
+    # ack, command, confirm, notify, release; a via-HOP step's payload
+    # is a dict, which the relay tags
+    tail = [{"radio_config": radio_config}, {"radio_config": radio_config},
+            None, {}, {"imsi": ctx.imsi}]
+    _relay(hop, messages.EDGE_TAIL, tail, ids)
     ident = ctx.private_addr.identifier
     del src.attached[ident]
     tgt.attached[ident] = ctx
     src.moved.record_move(ident, tgt.locator, now_us)
     ctx.keys = ue.keys = new_keys
     ctx.serving_inb = tgt.id
-    emit(release, {"imsi": ctx.imsi})
-    return trace
+    return HandoverTrace(mode, messages.EDGE_SEQUENCE[mode], ids, now_us,
+                         payloads + tail)
+
+
+def _relay(hop, steps, payloads, ids):
+    """Pass the payload of each via-HOP step through the relay toward the
+    step's destination, tagged with the relay's id."""
+    for (_, _, dst, _, via_hop), payload in zip(steps, payloads):
+        if via_hop:
+            payload["via_hop"] = hop.id
+            hop.relay(payload, ids[dst])

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from . import control, lte, security
 from .control import Hop, Inb, Sme, Ue
 from .kernel import Simulator, US_PER_S
-from .messages import (EDGE_PREFIX, EDGE_TAIL, S1_SEQUENCE, HandoverMode,
-                       count_messages)
+from .messages import EDGE_SEQUENCE, S1_SEQUENCE, HandoverMode, count_messages
 
 # passive connection migration costs at most this many transport-layer
 # control packets; the ping fix adds exactly one more
@@ -150,12 +149,12 @@ class LoadPoint:
 
 
 # the handover each architecture's load point replays, message by message
-LOAD_SEQUENCES = {"encor": EDGE_PREFIX[HandoverMode.CORE_ASSISTED] + EDGE_TAIL,
+LOAD_SEQUENCES = {"encor": EDGE_SEQUENCE[HandoverMode.CORE_ASSISTED],
                   "lte": S1_SEQUENCE}
 
 
 def _run_load_point(arch, rate_per_s, scenario):
-    flags = [via_core for _, _, _, via_core, _ in LOAD_SEQUENCES[arch]]
+    steps = LOAD_SEQUENCES[arch]
     arch_bit = 0 if arch == "encor" else 1
     sim = Simulator(seed=(scenario.seed << 20) ^ (arch_bit << 19)
                     ^ int(rate_per_s * 100))
@@ -165,7 +164,7 @@ def _run_load_point(arch, rate_per_s, scenario):
     sim.add_link("edge", "edge", scenario.link_latency_us, bidirectional=False)
 
     completions = []
-    dsts = ["core" if via_core else "edge" for via_core in flags]
+    dsts = ["core" if via_core else "edge" for _, _, _, via_core, _ in steps]
     n_steps = len(dsts)
 
     def advance(sim, msg):
@@ -193,12 +192,13 @@ def _run_load_point(arch, rate_per_s, scenario):
         arrivals.schedule(t, start_handover)
     sim.run()
     sim.close()
+    del advance  # it passes itself as on_delivered, a cycle through its cell
 
     times_ms = sorted(c / 1000 for c in completions)
     n = len(times_ms)
     mean_ms = sum(times_ms) / n if n else 0.0
     p95_ms = times_ms[min(n - 1, math.ceil(0.95 * n) - 1)] if n else 0.0
-    core_msgs = sum(flags)
+    core_msgs = steps.via_core
     util = rate_per_s * core_msgs / scenario.core_service_rate
     return LoadPoint(arch=arch, rate_per_s=rate_per_s, mean_ms=mean_ms,
                      p95_ms=p95_ms, core_msgs_per_handover=core_msgs,

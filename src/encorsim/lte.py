@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import messages, security
 from .control import UeState
-from .messages import HandoverMode, HandoverTrace, Kind
+from .messages import HandoverMode, HandoverTrace
 
 @dataclass
 class GtpTunnel:
@@ -78,16 +78,18 @@ def s1_handover(ue, src_enb, tgt_enb, core, now_us=0,
     anchor = core.anchors.get(ue.imsi)
     if anchor is None or anchor.tunnel.enb != src_enb:
         raise LteAttachError(f"ue {ue.imsi} not connected at {src_enb}")
+    if tgt_enb == src_enb:
+        raise LteAttachError(f"ue {ue.imsi}: target {tgt_enb} is its source")
 
     anchor.buffering = True
-    trace = HandoverTrace(mode=HandoverMode.LTE_S1)
-    ids = {messages.SRC: src_enb, messages.TGT: tgt_enb}
-    for step in messages.S1_SEQUENCE:
-        msg = trace.emit(step, ids, now_us)
-        if msg.kind == Kind.HO_COMMAND and msg.dst == messages.UE:
-            # UE detaches from src radio here; any downlink now buffers
-            for pkt in downlink_mid_handover:
-                deliver_downlink(core, ue.imsi, pkt)
+    steps = messages.S1_SEQUENCE
+    trace = HandoverTrace(HandoverMode.LTE_S1, steps,
+                          {messages.SRC: src_enb, messages.TGT: tgt_enb},
+                          now_us, [None] * len(steps))
+    # the device leaves the source radio at the source's HO_COMMAND to it,
+    # so downlink arriving mid-procedure buffers
+    for pkt in downlink_mid_handover:
+        deliver_downlink(core, ue.imsi, pkt)
 
     # re-anchor: fresh tunnel toward the target, public IP untouched
     anchor.tunnel = core.new_tunnel(tgt_enb)

@@ -1,9 +1,11 @@
 """
 Control-plane message and trace types shared by both architectures, and
 attach and every handover sequence as a table of (kind, src role, dst
-role, via_core, via_hop) steps. ``control`` (edge-routed) and ``lte`` (S1)
-run the tables through ``HandoverTrace.emit``, and the load experiment
-takes its per-message core flags from them.
+role, via_core, via_hop) steps. A ``HandoverTrace`` is the table a
+procedure of ``control`` (edge-routed) or ``lte`` (S1) ran, with the ids
+bound to its roles, its time and one payload per step; its messages and
+counts derive from the table. The load experiment takes its per-message
+core flags from the tables too.
 """
 import enum
 from collections import Counter
@@ -53,23 +55,44 @@ class HandoverMode(str, enum.Enum):
     LTE_S1 = "LteS1"
 
 
+class StepTable(tuple):
+    """A tuple of (kind, src role, dst role, via_core, via_hop) steps, with
+    its per-kind ``kinds`` Counter and its ``via_core`` count computed once
+    when the table is made."""
+
+    def __new__(cls, steps):
+        table = super().__new__(cls, steps)
+        table.kinds = Counter(step[0] for step in table)
+        table.via_core = sum(1 for step in table if step[3])
+        return table
+
+
 @dataclass
 class HandoverTrace:
+    """The step table a procedure ran, the element ids bound to its roles
+    (an unbound role names the element itself), the procedure's time and
+    one payload dict (or None, no payload) per step.
+
+    ``messages`` is a new list of new ``ControlMessage``s, payloads
+    copied, made on each read: changing it changes nothing in the trace.
+    """
     mode: HandoverMode
-    messages: list = field(default_factory=list)
+    steps: StepTable = StepTable(())
+    ids: dict = field(default_factory=dict)
+    time_us: int = 0
+    payloads: list = field(default_factory=list)
     failed: bool = False
 
-    def emit(self, step, ids, now_us, payload=None):
-        """Append the message of one table step and return it. `ids` binds
-        roles to element ids; an unbound role names the element itself."""
-        kind, src, dst, via_core, _ = step
-        msg = ControlMessage(kind, ids.get(src, src), ids.get(dst, dst),
-                             via_core, payload or {}, now_us)
-        self.messages.append(msg)
-        return msg
+    @property
+    def messages(self):
+        ids, now_us = self.ids, self.time_us
+        return [ControlMessage(kind, ids.get(src, src), ids.get(dst, dst),
+                               via_core, dict(payload or {}), now_us)
+                for (kind, src, dst, via_core, _), payload
+                in zip(self.steps, self.payloads)]
 
     def __len__(self):
-        return len(self.messages)
+        return len(self.steps)
 
     def to_csv_rows(self):
         """Rows of (seq, time_us, kind, src, dst, via_core)."""
@@ -99,8 +122,8 @@ def _steps(rows, anchored=False):
     UE-facing ones, which exist only as legs of MME-driven exchanges; an
     edge-routed message is via core when it touches the SME. A message
     between the two base stations goes through the relay."""
-    return tuple((kind, a, b, anchored or SME in (a, b), {a, b} == {SRC, TGT})
-                 for kind, a, b in rows)
+    return StepTable((kind, a, b, anchored or SME in (a, b),
+                      {a, b} == {SRC, TGT}) for kind, a, b in rows)
 
 
 ATTACH_SEQUENCE = _steps((
@@ -143,10 +166,18 @@ EDGE_TAIL = _steps((
     (Kind.HO_COMPLETE_NOTIFY, TGT, SRC),
     (Kind.UE_CONTEXT_RELEASE, SRC, HOP),
 ))
+# a done edge-routed handover ran its mode's prefix and the tail; a
+# refused one ran the prefix alone
+EDGE_SEQUENCE = {mode: StepTable(prefix + EDGE_TAIL)
+                 for mode, prefix in EDGE_PREFIX.items()}
 
 
 def count_messages(trace):
-    """Tally a trace: (per-kind Counter, count of core-traversing messages)."""
-    kinds = Counter(m.kind for m in trace.messages)
-    via_core = sum(1 for m in trace.messages if m.via_core)
-    return kinds, via_core
+    """Tally a trace: (per-kind Counter, count of core-traversing messages).
+    The Counter is a copy of the one its table computed once."""
+    # a Counter holds nothing but its dict, so a bare one filled by
+    # dict.update is a full copy; Counter.copy runs __init__ and update
+    # in Python, most of the cost of a call
+    kinds = Counter.__new__(Counter)
+    dict.update(kinds, trace.steps.kinds)
+    return kinds, trace.steps.via_core

@@ -3,8 +3,8 @@ import pytest
 from encorsim import control, security
 from encorsim.addressing import PRIVATE_LOCATOR
 from encorsim.control import (
-    AttachError, ConfigurationError, Hop, Inb, RelayError, Sme, Ue, UeState,
-    attach, handover_core_assisted, handover_direct,
+    AttachError, ConfigurationError, HandoverError, Hop, Inb, RelayError, Sme,
+    Ue, UeState, attach, handover_core_assisted, handover_direct,
 )
 from encorsim.messages import ControlMessage, Kind, count_messages
 
@@ -133,6 +133,22 @@ def test_misconfigured_hop_leaves_ue_at_source(mode):
     assert 1 in inb_a.attached and 1 not in inb_b.attached
     trace = handover_core_assisted(ctx, ue, inb_a, inb_b, sme, hop)
     assert not trace.failed and ctx.serving_inb == inb_b.id
+
+
+@pytest.mark.parametrize("mode", ["core", "direct"])
+def test_handover_to_its_own_source_is_refused_and_changes_nothing(mode):
+    ue, inb_a, _, sme, hop = make_world()
+    ctx, _ = attach(ue, inb_a, sme)
+    keys, attached = ctx.keys, dict(inb_a.attached)
+    with pytest.raises(HandoverError, match="is its source"):
+        if mode == "core":
+            handover_core_assisted(ctx, ue, inb_a, inb_a, sme, hop)
+        else:
+            handover_direct(ctx, ue, inb_a, inb_a, hop)
+    assert ctx.keys is keys and ue.keys is keys and keys.ncc == 0
+    assert ctx.serving_inb == inb_a.id
+    assert inb_a.attached == attached
+    assert inb_a.moved.lookup(1, now=1) is None
 
 
 def test_ho_command_byte_identical_to_target_radio_config():

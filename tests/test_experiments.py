@@ -1,7 +1,9 @@
+import gc
+
 import pytest
 
 from encorsim.experiments import (
-    LoadScenario, run_load_sweep, run_message_table,
+    LoadScenario, _run_load_point, run_load_sweep, run_message_table,
 )
 
 
@@ -101,3 +103,15 @@ def test_load_sweep_deterministic():
     for arch in a:
         assert [p.to_csv_row() for p in a[arch]] == \
             [p.to_csv_row() for p in b[arch]]
+
+
+def test_a_load_point_leaves_no_reference_cycle():
+    # every object the point made is freed by reference counting when it
+    # returns, so peak RSS does not depend on when a collection runs
+    gc.collect()
+    gc.disable()
+    try:
+        _run_load_point("encor", 5.0, LoadScenario(duration_s=20.0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -74,6 +74,18 @@ def test_handover_from_wrong_enb_rejected():
         s1_handover(ue, "enb_x", "enb_b", core)
 
 
+def test_handover_to_its_own_source_is_refused_and_changes_nothing():
+    core = make_core()
+    ue, anchor = attach_one(core)
+    tunnel, teids, keys = anchor.tunnel, vars(anchor.tunnel).copy(), ue.keys
+    with pytest.raises(LteAttachError, match="is its source"):
+        s1_handover(ue, "enb_a", "enb_a", core, downlink_mid_handover=["p"])
+    assert anchor.tunnel is tunnel and vars(tunnel) == teids
+    assert ue.keys is keys
+    assert not anchor.buffering and anchor.downlink_buffer == []
+    assert core.new_tunnel("enb_a").teid_up == teids["teid_down"] + 1
+
+
 def test_downlink_mid_handover_buffered_then_flushed_in_order():
     core = make_core()
     ue, anchor = attach_one(core)
