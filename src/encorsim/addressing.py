@@ -30,20 +30,8 @@ class Addr128:
         if not 0 <= self.identifier <= MASK64:
             raise ValueError("identifier out of 64-bit range")
 
-    @property
-    def value(self):
-        return (self.locator << 64) | self.identifier
-
     def is_private(self):
         return (self.locator >> 57) == PRIVATE_PREFIX_BITS
-
-    def text(self):
-        """IPv6-style: 32 lowercase hex digits grouped in fours by colons."""
-        digits = f"{self.value:032x}"
-        return ":".join(digits[i:i + 4] for i in range(0, 32, 4))
-
-    def __str__(self):
-        return self.text()
 
 
 def assign_private_addr(subscriber_id):
@@ -98,9 +86,6 @@ class RecentlyMovedTable:
             del self.entries[identifier]
             return None
         return target
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def nat_downlink(dst, attached_ids, moved, now):

@@ -28,9 +28,6 @@ class ChargingEvent:
     subscriber: int
     nbytes: int
 
-    def to_csv_row(self):
-        return (self.time_us, self.actor, self.event, self.subscriber, self.nbytes)
-
 
 class ChargingLog:
     def __init__(self):

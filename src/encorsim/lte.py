@@ -52,7 +52,12 @@ class LteCore:
 
 
 def attach_lte(ue, enb, core, now_us=0):
-    """LTE attach: same auth machinery, then tunnel + anchor IP setup."""
+    """LTE attach: same auth machinery, then tunnel + anchor IP setup.
+
+    A device that is not Detached is refused before any state changes, as
+    `control.attach` refuses it."""
+    if ue.state != UeState.DETACHED:
+        raise LteAttachError("ue not detached")
     rec = core.subdb.get(ue.imsi)
     if rec is None:
         raise LteAttachError("unknown subscriber")

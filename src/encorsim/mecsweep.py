@@ -7,6 +7,12 @@ costs more control messages than one that stays inside a block, so
 denser anchor deployments (more, smaller blocks) inflate total control
 messaging. Movement depends only on the seed, so sweeping the anchor
 count over the same seed isolates the boundary-crossing effect.
+
+The trace is walked once, in one loop over integer station ids, and
+folded as it goes into a histogram of directed station moves
+(`move_counts`); each density then counts the histogram's entries that
+cross a block boundary (`classify_moves`). The cost of a density does
+not grow with the number of UEs or moves.
 """
 import math
 import random
@@ -23,7 +29,8 @@ DEFAULT_C_INTER = 50
 # peaks at about 150 MB
 MAX_STATIONS = 250_000
 # the walk draws a start for each UE and a step for each move, about
-# 0.2 µs apiece: a trace at the bound takes about 2 s on a small grid
+# 0.25 µs apiece (2 shared CPUs, Python 3.11.7): a trace at the bound
+# takes about 2.5 s on a 4x4 grid
 MAX_WALK_DRAWS = 10_000_000
 
 
@@ -79,10 +86,6 @@ def block_size(grid, k):
     return grid.width // side, grid.height // side
 
 
-def anchor_of(x, y, bw, bh):
-    return (x // bw, y // bh)
-
-
 def _neighbors(x, y, w, h):
     out = []
     if x > 0:
@@ -96,56 +99,60 @@ def _neighbors(x, y, w, h):
     return out
 
 
-def _walk(grid, duration_min, seed):
-    """Yield the mobility trace move by move: per-UE Poisson handover
-    counts, uniform random neighbor moves, reflecting boundaries.
-
-    Station (x, y) is numbered i = x*height + y, and a move from i to its
-    r-th neighbor in `_neighbors` order is yielded as the edge slot
-    4*i + r. The neighbor index is drawn as `Random.choice` draws it
-    (`_randbelow_with_getrandbits`: n.bit_length() bits, redrawn while
-    >= n), so the trace is the one `rng.choice(neighbors)` would give."""
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
-    w, h = grid.width, grid.height
-    mean = grid.handover_rate_per_min * duration_min
-    steps = []
-    for x in range(w):
-        for y in range(h):
-            ids = tuple(nx * h + ny for nx, ny in _neighbors(x, y, w, h))
-            steps.append((ids, len(ids), len(ids).bit_length()))
-    for _ in range(grid.ue_count):
-        here = rng.randrange(w) * h + rng.randrange(h)
-        for _ in range(_poisson(rng, mean)):
-            ids, n, k = steps[here]
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            yield 4 * here + r
-            here = ids[r]
-
-
 def move_counts(grid, duration_min, seed):
     """The mobility trace folded into a directed-edge histogram
     {(from, to): count}: at most 4*W*H entries, whatever the UE count.
-    Independent of any anchor layout, so one trace serves every density."""
+    Independent of any anchor layout, so one trace serves every density.
+
+    The trace: each UE starts at a uniform random station, makes a
+    Poisson number of handovers, and moves each time to a uniform random
+    neighbor (reflecting boundaries). Station (x, y) is numbered
+    i = x*height + y, and a move from i to its r-th neighbor in
+    `_neighbors` order adds one to the edge slot 4*i + r. Every index
+    below n, the start's x and y and each neighbor index, is drawn as
+    `Random.randrange` and `Random.choice` draw it
+    (`_randbelow_with_getrandbits`: n.bit_length() bits, redrawn while
+    >= n), so the trace is the one `rng.randrange(width)`,
+    `rng.randrange(height)` and `rng.choice(neighbors)` would give."""
     draws = grid.ue_count * (1 + grid.handover_rate_per_min * duration_min)
     if not draws <= MAX_WALK_DRAWS:
         raise ValueError(
             "ue_count * (1 + handover_rate_per_min * duration_min) must be"
             f" at most {MAX_WALK_DRAWS}, got {grid.ue_count} * (1 +"
             f" {grid.handover_rate_per_min} * {duration_min})")
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     w, h = grid.width, grid.height
+    kw, kh = w.bit_length(), h.bit_length()
+    mean = grid.handover_rate_per_min * duration_min
+    # per station: (neighbor ids, their count n, n.bit_length(), 4*i)
+    steps = []
+    for x in range(w):
+        for y in range(h):
+            ids = tuple(nx * h + ny for nx, ny in _neighbors(x, y, w, h))
+            steps.append((ids, len(ids), len(ids).bit_length(),
+                          4 * len(steps)))
     slots = [0] * (4 * w * h)
-    for slot in _walk(grid, duration_min, seed):
-        slots[slot] += 1
+    for _ in range(grid.ue_count):
+        x = getrandbits(kw)
+        while x >= w:
+            x = getrandbits(kw)
+        y = getrandbits(kh)
+        while y >= h:
+            y = getrandbits(kh)
+        ids, n, k, base = steps[x * h + y]
+        for _ in range(_poisson(rng, mean)):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            slots[base + r] += 1
+            ids, n, k, base = steps[ids[r]]
     stations = [(x, y) for x in range(w) for y in range(h)]
     counts = Counter()
-    for i, here in enumerate(stations):
-        for r, (nx, ny) in enumerate(_neighbors(*here, w, h)):
-            n = slots[4 * i + r]
-            if n:
-                counts[here, stations[nx * h + ny]] = n
+    for here, (ids, _, _, base) in zip(stations, steps):
+        for r, j in enumerate(ids):
+            if slots[base + r]:
+                counts[here, stations[j]] = slots[base + r]
     return counts
 
 
@@ -170,7 +177,7 @@ def classify_moves(counts, grid, k):
     bw, bh = block_size(grid, k)
     inter = 0
     for ((x0, y0), (x1, y1)), n in counts.items():
-        if anchor_of(x0, y0, bw, bh) != anchor_of(x1, y1, bw, bh):
+        if x0 // bw != x1 // bw or y0 // bh != y1 // bh:
             inter += n
     return inter
 

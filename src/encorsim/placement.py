@@ -10,6 +10,7 @@ Placement under a core budget uses greedy maximum population coverage.
 """
 import math
 from dataclasses import dataclass, field
+from math import asin, sin, sqrt
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -61,47 +62,58 @@ def _check_coords(lat, lon):
         raise ValueError(f"longitude {lon} out of range")
 
 
+def _rad(point):
+    """A (lat, lon) point in degrees as (lat, lon, cos(lat)) in radians:
+    what `_arc_km` reads, computed once per point."""
+    lat = math.radians(point[0])
+    return (lat, math.radians(point[1]), math.cos(lat))
+
+
+def _arc_km(a, b):
+    """Great-circle distance in km between two `_rad` points."""
+    lat1, lon1, cos1 = a
+    lat2, lon2, cos2 = b
+    h = (sin((lat2 - lat1) / 2) ** 2
+         + cos1 * cos2 * sin((lon2 - lon1) / 2) ** 2)
+    return 2 * EARTH_RADIUS_KM * asin(min(1.0, sqrt(h)))
+
+
 def haversine_km(a, b):
     """Great-circle distance between two (lat, lon) points in km."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = (math.sin(dlat / 2) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2)
-    return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    return _arc_km(_rad(a), _rad(b))
 
 
 def _coords(p):
-    return (p.lat, p.lon)
+    return _rad((p.lat, p.lon))
 
 
 def _hops(pops, cdns, cores=None):
     """[(site point, shortest rest of the chain from that site)]: each PoP
     with its PoP -> CDN leg or, given cores, each core with its
-    core -> PoP -> CDN tail. Each leg is computed once per call."""
+    core -> PoP -> CDN tail. Each point and each leg is computed once per
+    call."""
     if not pops or not cdns:
         raise ValueError("pops and cdns must be nonempty")
     if cores is not None and not cores:
         raise ValueError("cores must be nonempty")
-    legs = [(_coords(pop),
-             min(haversine_km(_coords(pop), _coords(cdn)) for cdn in cdns))
-            for pop in pops]
+    ends = [_coords(cdn) for cdn in cdns]
+    legs = [(site, min(_arc_km(site, end) for end in ends))
+            for site in map(_coords, pops)]
     if cores is None:
         return legs
-    return [(_coords(core), _nearest(_coords(core), legs)) for core in cores]
+    return [(site, _nearest(site, legs)) for site in map(_coords, cores)]
 
 
 def _nearest(point, hops):
     """Shortest chain from point through one of hops."""
-    return min(haversine_km(point, site) + rest for site, rest in hops)
+    return min(_arc_km(point, site) + rest for site, rest in hops)
 
 
 def _reach(points, site, rest, budget_km):
     """Indices of the points whose chain through site, with rest beyond
     it, fits the budget."""
     return {i for i, point in enumerate(points)
-            if haversine_km(point, site) + rest <= budget_km}
+            if _arc_km(point, site) + rest <= budget_km}
 
 
 def chain_km(start, pops, cdns, cores=None):

@@ -36,6 +36,25 @@ def test_attach_unknown_subscriber_rejected():
         attach_lte(Ue(imsi=2, k=K), "enb_a", core)
 
 
+def test_attach_of_a_connected_ue_is_refused_and_changes_nothing():
+    core = make_core()
+    ue, anchor = attach_one(core)
+    rec = core.subdb[1]
+    before = (ue.sqn, rec.sqn, ue.keys, anchor.public_ip, anchor.tunnel,
+              core.rng.getstate())
+    with pytest.raises(LteAttachError, match="ue not detached"):
+        attach_lte(ue, "enb_b", core)
+    assert (ue.sqn, rec.sqn, ue.keys, anchor.public_ip, anchor.tunnel,
+            core.rng.getstate()) == before
+    assert core.anchors == {1: anchor} and ue.state is UeState.CONNECTED
+    # the IP pool and the TEID counter did not move: the next device
+    # gets the second IP and TEIDs 3 and 4
+    core.subdb[2] = security.SubscriberRecord(imsi=2, k=K)
+    other = attach_lte(Ue(imsi=2, k=K), "enb_b", core)
+    assert other.public_ip == anchor.public_ip + 1
+    assert (other.tunnel.teid_up, other.tunnel.teid_down) == (3, 4)
+
+
 def test_s1_handover_is_fifteen_messages_all_via_core():
     core = make_core()
     ue, _ = attach_one(core)

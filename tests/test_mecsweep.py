@@ -7,7 +7,7 @@ import pytest
 
 from encorsim.mecsweep import (
     DEFAULT_C_INTER, DEFAULT_C_INTRA, MAX_WALK_DRAWS, EmptyTraceError,
-    GridNetwork, TilingError, anchor_of, block_size, classify_moves,
+    GridNetwork, TilingError, block_size, classify_moves,
     default_densities, move_counts, sweep, to_csv_rows,
 )
 from encorsim.mecsweep import _density_point, _neighbors, _poisson
@@ -28,7 +28,7 @@ def inter_fraction_exhaustive(grid, k):
         for y in range(grid.height):
             for nx, ny in _neighbors(x, y, grid.width, grid.height):
                 total += 1
-                if anchor_of(x, y, bw, bh) != anchor_of(nx, ny, bw, bh):
+                if (x // bw, y // bh) != (nx // bw, ny // bh):
                     crossing += 1
     return crossing / total
 
@@ -86,9 +86,12 @@ def reference_moves(grid, duration_min, seed):
 
 
 # duration 5 gives a Poisson mean of 25 (sequential search); duration 10
-# gives 50, which takes the normal approximation through rng.gauss
+# gives 50, which takes the normal approximation through rng.gauss. A
+# start draw for a side of 5, 7 or 20 rejects 3 of 8, 1 of 8 or 12 of 32
+# values, so these shapes pin the redraws of the inlined `randrange`.
 @pytest.mark.parametrize("duration_min", [5, 10])
-@pytest.mark.parametrize("w,h", [(1, 2), (2, 1), (1, 5), (3, 3), (6, 4)])
+@pytest.mark.parametrize("w,h", [(1, 2), (2, 1), (1, 5), (3, 3), (6, 4),
+                                 (5, 7), (7, 1), (20, 20)])
 def test_trace_draws_as_random_choice(w, h, duration_min):
     g = grid(w, h, ues=12)
     for seed in range(4):

@@ -3,11 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from encorsim.placement import (
     CostModel, County, Deployment, SitePoint, chain_km,
     cost_compare, coverage, greedy_place, haversine_km,
 )
+from encorsim.placement import _arc_km, _rad
 
 
 def _county(fips, lat, lon, pop=1000):
@@ -41,6 +43,34 @@ def test_haversine_symmetry_and_triangle():
         assert haversine_km(a, b) == pytest.approx(haversine_km(b, a))
         assert haversine_km(a, c) <= \
             haversine_km(a, b) + haversine_km(b, c) + 1e-6
+
+
+def _textbook_km(a, b):
+    """Reference: the haversine formula with each coordinate's radians and
+    both cosines computed in every call."""
+    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
+    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    h = (math.sin(dlat / 2) ** 2
+         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2)
+    return 2 * 6371.0 * math.asin(min(1.0, math.sqrt(h)))
+
+
+POINT = st.tuples(st.floats(-90, 90) | st.sampled_from([-90.0, 90.0]),
+                  st.floats(-180, 180) | st.sampled_from([-180.0, 180.0]))
+
+
+@given(POINT, POINT)
+@example((90.0, 0.0), (-90.0, 0.0))  # pole to pole
+@example((0.0, 180.0), (0.0, -180.0))  # one meridian, both signs
+@example((10.0, 179.999), (10.0, -179.999))  # across the antimeridian
+@example((0.0, 0.0), (0.0, 180.0))  # antipodes: h is 1, the clamp's edge
+def test_per_point_trig_gives_the_same_float(a, b):
+    # == on purpose: a county on the budget edge flips on one ulp
+    expect = _textbook_km(a, b)
+    assert _arc_km(_rad(a), _rad(b)) == expect
+    assert haversine_km(a, b) == expect
 
 
 def test_coordinate_validation():
@@ -256,7 +286,11 @@ def test_chain_values_equal_brute_force_exactly(seed):
         for county in counties:
             assert chain_km(county, pops, cdns, cores) == \
                 _oracle_chain(county, cores, pops, cdns)
-    for budget_km in (600.0, 1200.0, 2400.0):
+    # budgets equal to a county's exact chain: `<=` admits that county,
+    # and a distance one ulp longer would not
+    ties = (_oracle_chain(counties[0], None, pops, cdns),
+            _oracle_chain(counties[1], pops[:1], pops, cdns))
+    for budget_km in (600.0, 1200.0, 2400.0) + ties:
         for cores in (None,) + deployments:
             expect = sum(c.population for c in counties
                          if _oracle_chain(c, cores, pops, cdns) <= budget_km)
