@@ -208,13 +208,10 @@ def cmd_mec(args, config):
         config["mec"]["grid"] = args.grid
     values = read_section(config, "mec")
     w, h = values["grid"]
-    try:
+    try:  # a bad grid, an empty trace, or one too long to walk
         grid = mecsweep.GridNetwork(
             width=w, height=h, ue_count=values["ue_count"],
             handover_rate_per_min=values["handover_rate_per_min"])
-    except ValueError as exc:
-        raise UsageError(f"[mec] {exc}")
-    try:  # an empty trace, or one too long to walk
         points, ratios = mecsweep.sweep(
             grid, duration_min=values["duration_min"], seed=args.seed,
             c_intra=values["c_intra"], c_inter=values["c_inter"])
@@ -255,13 +252,13 @@ def cmd_place(args, config):
     _emit(args, ("rank", "pop_id", "marginal_population"), place_rows,
           "placement.csv")
 
-    # greedy is prefix-stable: its first n picks are the n-core placement
-    curve_rows = []
-    for n in range(1, core_budget + 1):
-        d = placement.Deployment(core_sites=deployment.core_sites[:n])
-        cov = placement.coverage(counties, budget_km, deployment=d,
-                                 pops=pops, cdns=cdns)
-        curve_rows.append((budget_km, n, "3gpp", round(cov, 6)))
+    # greedy is prefix-stable: its first n picks are the n-core placement,
+    # and their marginals add up to exactly the population they cover
+    total = sum(county.population for county in counties)
+    marginals = deployment.marginal_populations
+    curve_rows = [(budget_km, n, "3gpp",
+                   round(sum(marginals[:n]) / total, 6) if total else 0.0)
+                  for n in range(1, core_budget + 1)]
     encor_cov = placement.coverage(counties, budget_km, pops=pops, cdns=cdns)
     curve_rows.append((budget_km, len(pops), "encor", round(encor_cov, 6)))
     _emit(args, ("budget_km", "core_budget", "mode", "coverage_fraction"),

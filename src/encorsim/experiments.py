@@ -158,13 +158,12 @@ def _run_load_point(arch, rate_per_s, scenario):
     arch_bit = 0 if arch == "encor" else 1
     sim = Simulator(seed=(scenario.seed << 20) ^ (arch_bit << 19)
                     ^ int(rate_per_s * 100))
-    sim.add_node("core", scenario.core_service_rate)
-    sim.add_node("edge", scenario.edge_service_rate)
-    sim.add_link("edge", "core", scenario.link_latency_us)
-    sim.add_link("edge", "edge", scenario.link_latency_us, bidirectional=False)
+    latency = scenario.link_latency_us
+    core = sim.add_node("core", scenario.core_service_rate, latency)
+    edge = sim.add_node("edge", scenario.edge_service_rate, latency)
 
     completions = []
-    dsts = ["core" if via_core else "edge" for _, _, _, via_core, _ in steps]
+    dsts = [core if via_core else edge for _, _, _, via_core, _ in steps]
     n_steps = len(dsts)
 
     def advance(sim, msg):
@@ -174,9 +173,7 @@ def _run_load_point(arch, rate_per_s, scenario):
         if i == n_steps:
             completions.append(sim.now - start)
             return
-        dst = dsts[i]
-        sim.send("edge", dst, (start, i + 1), on_delivered=advance,
-                 category=dst)
+        sim.send(dsts[i], (start, i + 1), advance)
 
     def start_handover(sim):
         advance(sim, (sim.now, 0))

@@ -9,17 +9,19 @@ which keeps only its earliest event in the heap. A series on a fixed grid,
 start + k·interval for k < count, is one `Train`: it is keyed once, when
 it is made, and makes its events one at a time as they fire.
 
-Nodes are capacity-limited FIFO servers; links add latency and may drop
-messages probabilistically. Every link into a node has the same latency,
-so messages reach a node in the order they were sent to it, and `send`
-fixes a message's service slot when it is sent: its only event is its
-completion, which takes its key at send time. Completions due in the same
-microsecond at different nodes therefore fire in send order, which is
-their arrival order when every link has one latency. An exponential
-service time is drawn at send time. A node's completions fall due at
-strictly increasing times in send order, so each is queued on its node's
-lane and the message waits in the node's FIFO: no closure is made per
-message, and the heap holds at most one completion per node.
+Nodes are capacity-limited FIFO servers. A node owns its inbound
+latency and loss: every message sent to it takes the node's latency to
+arrive and is dropped with the node's loss probability. Since one node
+has one latency, messages reach a node in the order they were sent to
+it, and `send` fixes a message's service slot when it is sent: its only
+event is its completion, which takes its key at send time. Completions
+due in the same microsecond at different nodes therefore fire in send
+order, which is their arrival order when every node has the same
+latency. An exponential service time is drawn at send time. A node's
+completions fall due at strictly increasing times in send order, so each
+is queued on its node's lane and the message waits in the node's FIFO:
+no closure is made per message, and the heap holds at most one
+completion per node.
 
 `Simulator.close` ends a simulation: it drops every pending event, with
 whatever the events captured, and the reference cycles through the
@@ -51,13 +53,12 @@ class SchedulingError(Exception):
     is negative, or when a run's horizon is not an int."""
 
 
-class RoutingError(Exception):
-    """Raised when no link exists between two nodes."""
-
-
 @dataclass
 class RunStats:
-    """Snapshot of counters collected during a run."""
+    """Snapshot of counters collected during a run: messages sent,
+    delivered and dropped, `delivered_by_category` as {node id: messages
+    that node delivered}, and one latency, send to completion in µs, per
+    delivered message."""
     events_processed: int = 0
     sent: int = 0
     delivered: int = 0
@@ -69,59 +70,53 @@ class RunStats:
     def in_flight(self):
         return self.sent - self.delivered - self.dropped
 
-    def mean_latency_us(self):
-        if not self.latencies_us:
-            return 0.0
-        return sum(self.latencies_us) / len(self.latencies_us)
-
-    def to_csv_rows(self):
-        """Rows of (metric, category, value)."""
-        rows = [
-            ("events_processed", "", self.events_processed),
-            ("sent", "", self.sent),
-            ("delivered", "", self.delivered),
-            ("dropped", "", self.dropped),
-            ("in_flight", "", self.in_flight),
-        ]
-        for cat in sorted(self.delivered_by_category):
-            rows.append(("delivered", cat, self.delivered_by_category[cat]))
-        rows.append(("mean_latency_us", "", self.mean_latency_us()))
-        return rows
-
 
 class Node:
-    """Capacity-limited processing node with a FIFO service discipline.
+    """Capacity-limited processing node with a FIFO service discipline,
+    made by `Simulator.add_node`.
+
+    Every message sent to it arrives `latency_us` (a whole number of µs,
+    at least 0) after its send, unless it is dropped, with probability
+    `loss_probability` in [0, 1]. It is served in 1 / service_rate
+    seconds, rounded to a whole µs of at least 1, or in an exponential
+    time of that mean with `exponential_service`; then `service_us` is
+    None. A bad parameter raises ValueError naming it.
 
     Its completions form a lane (see `Simulator.send`): `inbox` holds
-    (latency, msg, on_delivered, category) for every message sent to it
-    and not yet complete, in send order, and each of its lane's events
-    runs `complete`, which takes the head."""
+    (latency, msg, on_delivered) for every message sent to it and not yet
+    complete, in send order, and each of its lane's events runs
+    `complete`, which takes the head."""
 
-    def __init__(self, node_id, service_rate, exponential_service=False):
+    def __init__(self, node_id, service_rate, latency_us=0,
+                 loss_probability=0.0, exponential_service=False):
         if not 0 < service_rate < inf:
             raise ValueError(
                 f"service_rate must be positive and finite, got {service_rate}")
+        if type(latency_us) is not int or latency_us < 0:
+            raise ValueError("latency must be a nonnegative whole number of"
+                             f" µs, got {latency_us!r}")
+        if not 0.0 <= loss_probability <= 1.0:
+            raise ValueError("loss_probability must be in [0, 1], got"
+                             f" {loss_probability!r}")
         self.id = node_id
         self.service_rate = service_rate
-        self.exponential_service = exponential_service
+        self.latency_us = latency_us
+        self.loss_probability = loss_probability
         # a deterministic node serves every message in the same whole µs
         self.service_us = (None if exponential_service
                            else max(1, round(US_PER_S / service_rate)))
         self.busy_until = 0
-        self.processed = 0
         self.inbox = deque()
         self.lane = None  # its completions' lane, made by `add_node`
         self._complete = self.complete  # the lane events' action, bound once
 
     def complete(self, sim):
         """The message at the head of `inbox` leaves service now."""
-        latency_us, msg, on_delivered, category = self.inbox.popleft()
-        self.processed += 1
+        latency_us, msg, on_delivered = self.inbox.popleft()
         stats = sim.stats
         stats.delivered += 1
-        cat = category if category is not None else type(msg).__name__
-        by_cat = stats.delivered_by_category
-        by_cat[cat] = by_cat.get(cat, 0) + 1
+        by_node = stats.delivered_by_category
+        by_node[self.id] = by_node.get(self.id, 0) + 1
         stats.latencies_us.append(latency_us)
         if on_delivered is not None:
             on_delivered(sim, msg)
@@ -230,10 +225,6 @@ class Simulator:
         self.now = 0
         self.rng = random.Random(seed)
         self.nodes = {}
-        self.links = {}  # (src, dst) -> (latency_us, loss_probability)
-        # dst -> the latency every link into dst has; a link may come
-        # before its destination node
-        self._in_latency_us = {}
         self.stats = RunStats()
         self._queue = []
         self._seq = 0
@@ -244,31 +235,14 @@ class Simulator:
 
     # -- topology ---------------------------------------------------------
 
-    def add_node(self, node_id, service_rate, exponential_service=False):
-        node = Node(node_id, service_rate, exponential_service)
+    def add_node(self, node_id, *args, **kwargs):
+        """Add and return `Node(node_id, *args, **kwargs)`: its service
+        rate, inbound latency, loss probability and service discipline.
+        A node that its checks reject is not added."""
+        node = Node(node_id, *args, **kwargs)
         node.lane = self.lane()
         self.nodes[node_id] = node
         return node
-
-    def add_link(self, a, b, latency_us, loss_probability=0.0, bidirectional=True):
-        """Add the link a -> b, and b -> a if bidirectional. Every link
-        into a node must have the same latency: a link that would break
-        this raises ValueError naming the node, and nothing is added."""
-        if type(latency_us) is not int or latency_us < 0:
-            raise ValueError("latency must be a nonnegative whole number of"
-                             f" µs, got {latency_us!r}")
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
-        ends = ((a, b), (b, a)) if bidirectional else ((a, b),)
-        for _, dst in ends:
-            shared = self._in_latency_us.get(dst, latency_us)
-            if shared != latency_us:
-                raise ValueError(
-                    f"every link into node {dst!r} must have one latency:"
-                    f" it has {shared} µs, the new link {latency_us} µs")
-        for src, dst in ends:
-            self._in_latency_us[dst] = latency_us
-            self.links[(src, dst)] = (latency_us, loss_probability)
 
     # -- event queue ------------------------------------------------------
 
@@ -310,14 +284,15 @@ class Simulator:
         if count:
             Train(self, start, interval, count, action)
 
-    def send(self, src, dst, msg, on_delivered=None, category=None):
-        """Send msg over the (src, dst) link into dst's service queue.
+    def send(self, node, msg, on_delivered=None):
+        """Send msg into the service queue of `node`, a `Node` that
+        `add_node` returned, unless the node's loss drops it.
 
-        on_delivered(sim, msg) fires when dst finishes servicing the message.
-        Every link into dst has one latency, so no message sent later can
-        reach dst before this one: its service slot is fixed now, and its
-        completion is its only event, keyed at send time. An exponential
-        service time is drawn now.
+        on_delivered(sim, msg) fires when the node finishes servicing the
+        message. Every message into a node takes the node's one latency,
+        so no message sent later can reach it before this one: its service
+        slot is fixed now, and its completion is its only event, keyed at
+        send time. An exponential service time is drawn now.
 
         A completion is done = max(busy_until, now + latency) + service,
         with service at least 1 µs, so a node's completions are due at
@@ -326,24 +301,20 @@ class Simulator:
         one of them per node, and the message waits in the node's `inbox`:
         no closure is made per message.
         """
-        link = self.links.get((src, dst))
-        if link is None:
-            raise RoutingError(f"no link {src} -> {dst}")
-        latency_us, loss_probability = link
         stats = self.stats
         stats.sent += 1
+        loss_probability = node.loss_probability
         if loss_probability > 0.0 and self.rng.random() < loss_probability:
             stats.dropped += 1
-            return None
+            return
         sent_at = self.now
-        node = self.nodes[dst]
         service = node.service_us
         if service is None:
             service = max(1, round(
                 self.rng.expovariate(node.service_rate) * US_PER_S))
-        done = max(node.busy_until, sent_at + latency_us) + service
+        done = max(node.busy_until, sent_at + node.latency_us) + service
         node.busy_until = done
-        node.inbox.append((done - sent_at, msg, on_delivered, category))
+        node.inbox.append((done - sent_at, msg, on_delivered))
         node.lane.schedule(done, node._complete)
 
     def close(self):

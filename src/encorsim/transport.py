@@ -115,15 +115,12 @@ class MobilityNet:
         """The client moves to the next path; the server is not told."""
         self.path += 1
 
-    def address_at(self, now_us, later_us):
-        """The client's path at `later_us`, asked at `now_us`: the moves
-        in (now_us, later_us] are still to come, and each adds one to the
-        path. Every move is a set-up event, so a move due at `now_us` has
-        fired and one due at `later_us` fires before any event the run
-        schedules for that µs."""
-        times = self.move_times
-        return (self.path + bisect_right(times, later_us)
-                - bisect_right(times, now_us))
+    def address_at(self, later_us):
+        """The client's path at `later_us`, no earlier than now: the count
+        of moves due by then. Every move is a set-up event, so a move due
+        at `later_us` fires before any event the run schedules for that
+        µs, and `path` now equals the count of moves due by now."""
+        return bisect_right(self.move_times, later_us)
 
     def reaches_client(self, dest, arrival_us):
         """Can a packet sent to path `dest` reach the client at this time?
@@ -296,7 +293,7 @@ class _DownlinkServer:
             params = self.params
             leaves = now + params.ack_delay_us
             self._acks.append((leaves + params.one_way_us, sim.reserve_seq(),
-                               net.address_at(now, leaves)))
+                               net.address_at(leaves)))
             if self.on_packet_delivered is not None:
                 self.on_packet_delivered(now)
         elif rto_us is not None:

@@ -1,10 +1,11 @@
 import csv
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from encorsim import cli
+from encorsim import cli, datasets, placement
 from encorsim.cli import (
     CONFIG, EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, load_config, main,
     write_csv_atomic,
@@ -170,6 +171,39 @@ def test_place_synthetic_emits_three_files(tmp_path, capsys):
     assert cost[1][1] == "1000000.0"  # 5 routers x $200k
     coverage = read_csv(tmp_path / "coverage.csv")
     assert coverage[-1][2] == "encor"
+
+
+@pytest.mark.parametrize("population", [None, 0],
+                         ids=["generated", "all_zero"])
+def test_place_coverage_curve_is_coverage_of_each_greedy_prefix(
+        tmp_path, capsys, population):
+    # greedy stops after 3 of the 6 PoPs, when no site adds coverage, well
+    # before the core budget; with no population it places nothing
+    counties, pops, cdns = datasets.generate_synthetic(
+        2, n_counties=30, n_pops=6, n_cdns=3)
+    if population is not None:
+        counties = [replace(c, population=population) for c in counties]
+    paths = datasets.write_dataset(str(tmp_path / "data"), counties, pops,
+                                   cdns)
+    budget_km, core_budget = 1200.0, 9
+    config = tmp_path / "place.ini"
+    config.write_text(f"[place]\ncounties = {paths['counties']}\n"
+                      f"pops = {paths['pops']}\ncdns = {paths['cdns']}\n"
+                      f"budget_km = {budget_km}\ncore_budget = {core_budget}\n")
+    assert main(["--config", str(config), "--out", str(tmp_path),
+                 "place"]) == EXIT_OK
+    # the files hold rounded coordinates: compare on what the CLI read
+    counties = datasets.load_counties(paths["counties"])
+    pops, cdns = (datasets.load_sites(paths[key]) for key in ("pops", "cdns"))
+    chosen = placement.greedy_place(counties, pops, cdns, core_budget,
+                                    budget_km).core_sites
+    assert len(chosen) == (0 if population == 0 else 3)
+    expected = [[str(budget_km), str(n), "3gpp", str(round(
+        placement.coverage(counties, budget_km,
+                           placement.Deployment(core_sites=chosen[:n]),
+                           pops, cdns), 6))]
+                for n in range(1, core_budget + 1)]
+    assert read_csv(tmp_path / "coverage.csv")[1:-1] == expected
 
 
 def test_place_missing_dataset_is_data_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from encorsim import cli, control, experiments, lte, security, transport
+from encorsim.kernel import Node
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SEEDS = (0, 1, 2)
@@ -253,21 +254,43 @@ def load_scenarios():
             duration_s=rng.choice((0.5, 1.0, 2.0)), seed=i)
 
 
-def load_sweep_text():
+def load_sweep():
+    """[(scenario, {arch: [LoadPoint per rate]})] over load_scenarios."""
+    return [(scenario, experiments.run_load_sweep(scenario))
+            for scenario in load_scenarios()]
+
+
+def load_sweep_text(sweep):
     """One row per LoadPoint: the scenario's index and inputs, then every
     LoadPoint field unrounded."""
     fields = [f.name for f in dataclasses.fields(experiments.LoadPoint)]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("set",) + LOAD_SWEEP_INPUTS + tuple(fields))
-    for i, scenario in enumerate(load_scenarios()):
+    for i, (scenario, results) in enumerate(sweep):
         inputs = [getattr(scenario, name) for name in LOAD_SWEEP_INPUTS]
         inputs[0] = " ".join(map(str, scenario.rates_per_s))
-        for points in experiments.run_load_sweep(scenario).values():
+        for points in results.values():
             for p in points:
                 writer.writerow([i] + inputs
                                 + [getattr(p, f) for f in fields])
     return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def swept_load():
+    return load_sweep()
+
+
+def zero_load_ms(arch, scenario):
+    """The latency of a handover that never waits: over its steps, the
+    node's latency plus its service time."""
+    service_us = {via_core: Node(None, rate).service_us
+                  for via_core, rate in ((True, scenario.core_service_rate),
+                                         (False, scenario.edge_service_rate))}
+    return sum(scenario.link_latency_us + service_us[via_core]
+               for _, _, _, via_core, _ in experiments.LOAD_SEQUENCES[arch]
+               ) / 1000
 
 
 @pytest.mark.parametrize("config,argv,seed,goldens", CLI_CASES)
@@ -289,9 +312,32 @@ def test_transport_sweep_matches_golden():
             == read_golden("transport_sweep.csv").decode().splitlines())
 
 
-def test_load_sweep_matches_golden():
-    assert (load_sweep_text().splitlines()
+def test_load_sweep_matches_golden(swept_load):
+    assert (load_sweep_text(swept_load).splitlines()
             == read_golden("load_sweep.csv").decode().splitlines())
+
+
+def test_no_load_point_beats_the_zero_load_latency(swept_load):
+    # a step completes at max(busy_until, now + latency) + service, so no
+    # completion is faster than the zero-load latency, and one that never
+    # waits takes exactly that. The sweep has no point with one completion:
+    # at 1/s for 1 s, seed 1 makes one handover per architecture.
+    assert [zero_load_ms(arch, experiments.LoadScenario())
+            for arch in ("encor", "lte")] == [11.05, 45.0]
+    lone = experiments.LoadScenario(rates_per_s=(1,), duration_s=1.0, seed=1)
+    lone_results = experiments.run_load_sweep(lone)
+    assert [p.completions for p, in lone_results.values()] == [1, 1]
+    for scenario, results in swept_load + [(lone, lone_results)]:
+        for arch, points in results.items():
+            floor_ms = zero_load_ms(arch, scenario)
+            for p in points:
+                if p.completions == 1:
+                    assert p.mean_ms == p.p95_ms == floor_ms
+                elif p.completions:
+                    # p95 is a sample; the mean of n equal samples may
+                    # round below them
+                    assert p.p95_ms >= floor_ms
+                    assert p.mean_ms >= floor_ms * (1 - 1e-12)
 
 
 if __name__ == "__main__":
@@ -308,4 +354,4 @@ if __name__ == "__main__":
     with open(os.path.join(GOLDEN, "transport_sweep.csv"), "w") as f:
         f.write(transport_sweep_text())
     with open(os.path.join(GOLDEN, "load_sweep.csv"), "w") as f:
-        f.write(load_sweep_text())
+        f.write(load_sweep_text(load_sweep()))

@@ -1,10 +1,11 @@
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encorsim.kernel import RoutingError, SchedulingError, Simulator, US_PER_S
+from encorsim.kernel import SchedulingError, Simulator, US_PER_S
 
 
 def test_schedule_at_now_executes():
@@ -48,21 +49,19 @@ def test_total_order_under_shuffled_insertion():
 def test_single_message_queueing_arithmetic():
     # latency 10ms, idle node at 1000 msgs/s -> done at 10ms + 1ms
     sim = Simulator()
-    sim.add_node("n", 1000)
-    sim.add_link("a", "n", 10_000)
+    n = sim.add_node("n", 1000, 10_000)
     done = []
-    sim.send("a", "n", "m", on_delivered=lambda s, m: done.append(s.now))
+    sim.send(n, "m", on_delivered=lambda s, m: done.append(s.now))
     sim.run_until(US_PER_S)
     assert done == [11_000]
 
 
 def test_fifo_service_two_messages():
     sim = Simulator()
-    sim.add_node("n", 1000)
-    sim.add_link("a", "n", 10_000)
+    n = sim.add_node("n", 1000, 10_000)
     done = []
-    sim.send("a", "n", "m1", on_delivered=lambda s, m: done.append((m, s.now)))
-    sim.send("a", "n", "m2", on_delivered=lambda s, m: done.append((m, s.now)))
+    sim.send(n, "m1", on_delivered=lambda s, m: done.append((m, s.now)))
+    sim.send(n, "m2", on_delivered=lambda s, m: done.append((m, s.now)))
     sim.run_until(US_PER_S)
     assert done == [("m1", 11_000), ("m2", 12_000)]
 
@@ -73,12 +72,10 @@ def test_a_nodes_completions_keep_one_heap_entry_and_fire_in_send_order(
         exponential):
     # a node's completions form a lane: only the earliest is in the heap
     sim = Simulator(seed=3)
-    sim.add_node("n", 50_000, exponential_service=exponential)
-    sim.add_link("a", "n", 100)
+    n = sim.add_node("n", 50_000, 100, exponential_service=exponential)
     done = []
     for i in range(1_000):
-        sim.send("a", "n", i,
-                 on_delivered=lambda s, m: done.append((s.now, m)))
+        sim.send(n, i, on_delivered=lambda s, m: done.append((s.now, m)))
     assert len(sim._queue) == 1
     sim.run()
     assert [m for _, m in done] == list(range(1_000))
@@ -87,18 +84,17 @@ def test_a_nodes_completions_keep_one_heap_entry_and_fire_in_send_order(
 
 def test_close_drops_every_pending_event():
     sim = Simulator()
-    sim.add_node("n", 1000)
-    sim.add_link("a", "n", 10)
+    n = sim.add_node("n", 1000, 10)
     lane = sim.lane()
     fired = []
     sim.schedule(5, lambda s: fired.append("direct"))
     lane.schedule(5, lambda s: fired.append("lane"))
     lane.schedule(6, lambda s: fired.append("lane"))
     sim.train(1, 1, 3, lambda s, k: fired.append(k))
-    sim.send("a", "n", "m", on_delivered=lambda s, m: fired.append(m))
+    sim.send(n, "m", on_delivered=lambda s, m: fired.append(m))
     sim.run_until(1)
     sim.close()
-    assert (sim._queue, list(lane._pending), list(sim.nodes["n"].inbox)) \
+    assert (sim._queue, list(lane._pending), list(n.inbox)) \
         == ([], [], [])
     assert sim.run().events_processed == 1
     assert fired == [0]
@@ -106,21 +102,13 @@ def test_close_drops_every_pending_event():
 
 def test_certain_loss_drops_and_counts():
     sim = Simulator()
-    sim.add_node("n", 1000)
-    sim.add_link("a", "n", 1_000, loss_probability=1.0)
+    n = sim.add_node("n", 1000, 1_000, loss_probability=1.0)
     delivered = []
-    sim.send("a", "n", "m", on_delivered=lambda s, m: delivered.append(m))
+    sim.send(n, "m", on_delivered=lambda s, m: delivered.append(m))
     sim.run_until(US_PER_S)
     assert delivered == []
     assert sim.stats.dropped == 1
     assert sim.stats.sent == 1
-
-
-def test_no_route_raises():
-    sim = Simulator()
-    sim.add_node("n", 1000)
-    with pytest.raises(RoutingError):
-        sim.send("a", "n", "m")
 
 
 def test_empty_queue_returns_immediately():
@@ -131,28 +119,26 @@ def test_empty_queue_returns_immediately():
 
 def _random_run(seed):
     sim = Simulator(seed=seed)
-    sim.add_node("n", 800, exponential_service=True)
-    sim.add_link("a", "n", 500, loss_probability=0.1)
+    n = sim.add_node("n", 800, 500, 0.1, exponential_service=True)
     t = 0
     for _ in range(500):
         t += round(sim.rng.expovariate(400) * US_PER_S)
-        sim.schedule(t, lambda s: s.send("a", "n", "m"))
+        sim.schedule(t, lambda s: s.send(n, "m"))
     sim.run()
     return sim.stats
 
 
 def test_determinism_same_seed_identical_stats():
     a, b = _random_run(123), _random_run(123)
-    assert a.to_csv_rows() == b.to_csv_rows()
-    assert a.latencies_us == b.latencies_us
+    assert a.dropped > 0
+    assert a == b  # every counter and every latency
 
 
 def test_conservation_sent_equals_delivered_plus_dropped_plus_inflight():
     sim = Simulator(seed=5)
-    sim.add_node("n", 100)
-    sim.add_link("a", "n", 1_000, loss_probability=0.3)
+    n = sim.add_node("n", 100, 1_000, loss_probability=0.3)
     for i in range(200):
-        sim.schedule(i * 100, lambda s: s.send("a", "n", "m"))
+        sim.schedule(i * 100, lambda s: s.send(n, "m"))
     sim.run_until(50_000)  # cut off mid-run so some are in flight
     stats = sim.stats
     assert stats.sent == 200
@@ -165,26 +151,27 @@ def test_conservation_sent_equals_delivered_plus_dropped_plus_inflight():
 def test_mm1_mean_sojourn_matches_closed_form():
     lam, mu = 500.0, 1000.0
     sim = Simulator(seed=42)
-    sim.add_node("q", mu, exponential_service=True)
-    sim.add_link("src", "q", 0)
+    q = sim.add_node("q", mu, exponential_service=True)
     t = 0.0
     for _ in range(100_000):
         t += sim.rng.expovariate(lam) * US_PER_S
-        sim.schedule(round(t), lambda s: s.send("src", "q", "pkt"))
+        sim.schedule(round(t), lambda s: s.send(q, "pkt"))
     sim.run()
-    mean_s = sim.stats.mean_latency_us() / US_PER_S
+    mean_s = statistics.fmean(sim.stats.latencies_us) / US_PER_S
     assert mean_s == pytest.approx(1.0 / (mu - lam), rel=0.10)
 
 
-def test_runstats_csv_shape():
+def test_delivered_by_category_counts_each_nodes_deliveries():
     sim = Simulator()
-    sim.add_node("n", 1000)
-    sim.add_link("a", "n", 0)
-    sim.send("a", "n", "m", category="ho")
-    sim.run_until(US_PER_S)
-    rows = sim.stats.to_csv_rows()
-    assert all(len(r) == 3 for r in rows)
-    assert ("delivered", "ho", 1) in rows
+    a = sim.add_node("a", 1000)
+    b = sim.add_node(2, 1000, 5)
+    for node in (a, b, a):
+        sim.send(node, "m")
+    lost = sim.add_node("lost", 1000, loss_probability=1.0)
+    sim.send(lost, "m")
+    stats = sim.run()
+    assert stats.delivered_by_category == {"a": 2, 2: 1}
+    assert (stats.sent, stats.delivered, stats.dropped) == (4, 3, 1)
 
 
 def test_schedule_at_nan_rejected():
@@ -198,11 +185,19 @@ def test_schedule_at_nan_rejected():
 
 
 @pytest.mark.parametrize("latency", [math.nan, math.inf])
-def test_link_rejects_non_finite_latency(latency):
+def test_node_rejects_non_finite_latency(latency):
     sim = Simulator()
     with pytest.raises(ValueError, match="latency"):
-        sim.add_link("a", "b", latency)
-    assert sim.links == {}
+        sim.add_node("n", 1000, latency)
+    assert sim.nodes == {}
+
+
+@pytest.mark.parametrize("loss", [-0.1, 1.1, math.nan])
+def test_node_rejects_loss_outside_0_to_1(loss):
+    sim = Simulator()
+    with pytest.raises(ValueError, match=f"loss_probability.*{loss}"):
+        sim.add_node("n", 1000, loss_probability=loss)
+    assert sim.nodes == {}
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf])
@@ -253,8 +248,8 @@ def test_times_that_are_not_whole_us_are_rejected_naming_them(t):
             call()
     assert (sim._queue, sim._seq, sim.now) == ([], 0, 0)
     with pytest.raises(ValueError, match=f"latency.*{t}"):
-        sim.add_link("a", "b", t)
-    assert sim.links == {}
+        sim.add_node("n", 1000, t)
+    assert sim.nodes == {}
 
 
 def test_reserve_seq_takes_the_seq_schedule_would_give():
@@ -440,46 +435,19 @@ def test_train_events_past_the_horizon_fire_on_the_next_run():
     assert fired == [(0, 0), (10, 1), (20, 2), (30, 3), (40, 4)]
 
 
-def test_link_breaking_the_in_latency_rule_is_rejected_and_changes_nothing():
-    sim = Simulator()
-    sim.add_link("a", "n", 1_000, bidirectional=False)
-    before = dict(sim.links)
-    with pytest.raises(ValueError, match="'n'"):
-        sim.add_link("b", "n", 2_000, bidirectional=False)
-    assert sim.links == before
-    sim.add_link("b", "n", 1_000, loss_probability=0.5, bidirectional=False)
-    assert sim.links[("b", "n")] == (1_000, 0.5)
-
-
-def test_bidirectional_link_breaking_the_rule_at_its_reverse_end_adds_nothing():
-    sim = Simulator()
-    sim.add_link("b", "a", 500, bidirectional=False)
-    before = dict(sim.links)
-    # a -> n is the first link into n, but n -> a breaks a's latency
-    with pytest.raises(ValueError, match="'a'"):
-        sim.add_link("a", "n", 1_000)
-    assert sim.links == before
-    sim.add_link("a", "n", 1_000, bidirectional=False)
-    assert sim.links[("a", "n")] == (1_000, 0.0)
-
-
-def _two_event_send(sim, src, dst, msg, on_delivered=None, category=None):
+def _two_event_send(sim, node, msg, on_delivered=None):
     """Oracle: `Simulator.send` as it was when an arrival event at
     `now + latency` picked the service slot and scheduled the completion."""
-    link = sim.links.get((src, dst))
-    if link is None:
-        raise RoutingError(f"no link {src} -> {dst}")
-    latency_us, loss_probability = link
     sim.stats.sent += 1
-    if loss_probability > 0.0 and sim.rng.random() < loss_probability:
+    if (node.loss_probability > 0.0
+            and sim.rng.random() < node.loss_probability):
         sim.stats.dropped += 1
         return None
     sent_at = sim.now
-    node = sim.nodes[dst]
 
     def arrive(sim):
         start = max(node.busy_until, sim.now)
-        if node.exponential_service:
+        if node.service_us is None:
             service = sim.rng.expovariate(node.service_rate) * US_PER_S
         else:
             service = US_PER_S / node.service_rate
@@ -487,42 +455,37 @@ def _two_event_send(sim, src, dst, msg, on_delivered=None, category=None):
         node.busy_until = done
 
         def complete(sim):
-            node.processed += 1
             sim.stats.delivered += 1
-            cat = category if category is not None else type(msg).__name__
-            by_cat = sim.stats.delivered_by_category
-            by_cat[cat] = by_cat.get(cat, 0) + 1
+            by_node = sim.stats.delivered_by_category
+            by_node[node.id] = by_node.get(node.id, 0) + 1
             sim.stats.latencies_us.append(sim.now - sent_at)
             if on_delivered is not None:
                 on_delivered(sim, msg)
 
         sim.schedule(done, complete)
 
-    sim.schedule(sim.now + latency_us, arrive)
+    sim.schedule(sim.now + node.latency_us, arrive)
 
 
 N_NODES = 3
 # service times of 1, 2, 3 (rounded from 3.3) and 8 µs, so that many
 # completions share a time
 SERVICE_RATES = (US_PER_S, US_PER_S / 2, 300_000, 125_000)
-# (service rate per node, links as (src, dst, loss probability, category))
+# (service rate per node, loss probability per node)
 TOPOLOGY = st.tuples(
     st.lists(st.sampled_from(SERVICE_RATES), min_size=N_NODES,
              max_size=N_NODES),
-    st.lists(st.tuples(st.sampled_from(["x", *range(N_NODES)]),
-                       st.integers(0, N_NODES - 1),
-                       st.sampled_from([0.0, 0.0, 0.3]),
-                       st.sampled_from([None, "a", "b"])),
-             min_size=1, max_size=6, unique_by=lambda link: link[:2]))
+    st.lists(st.sampled_from([0.0, 0.0, 0.3]), min_size=N_NODES,
+             max_size=N_NODES))
 LATENCY = st.integers(0, 4)
 
 
 def sends(max_hops):
-    """Root sends as (time, the links its message chain follows); each
+    """Root sends as (time, the nodes its message chain goes to); each
     hop after the first is sent from the previous hop's on_delivered."""
     return st.lists(st.tuples(st.integers(0, 12),
-                              st.lists(st.integers(0, 5), min_size=1,
-                                       max_size=max_hops)),
+                              st.lists(st.integers(0, N_NODES - 1),
+                                       min_size=1, max_size=max_hops)),
                     max_size=12)
 
 
@@ -531,18 +494,16 @@ def _run_sends(topology, latencies, sends, cut, send):
     (deliveries as (time, msg) in delivery order, delivered_by_category,
     latencies_us, (sent, dropped, in_flight) at the cut-off) and the
     count of events processed."""
-    rates, links = topology
+    rates, losses = topology
     sim = Simulator(seed=7)
-    for node, rate in enumerate(rates):
-        sim.add_node(node, rate)
-    for src, dst, loss, _ in links:
-        sim.add_link(src, dst, latencies[dst], loss, bidirectional=False)
+    nodes = [sim.add_node(i, rate, latency, loss)
+             for i, (rate, latency, loss)
+             in enumerate(zip(rates, latencies, losses))]
     deliveries = []
 
     def hop(sim, msg):
         root, k = msg
-        src, dst, _, category = links[sends[root][1][k] % len(links)]
-        send(sim, src, dst, msg, on_delivered, category)
+        send(sim, nodes[sends[root][1][k]], msg, on_delivered)
 
     def on_delivered(sim, msg):
         deliveries.append((sim.now, msg))

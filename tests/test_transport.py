@@ -318,7 +318,10 @@ def test_delivered_retransmission_schedules_no_timeout():
     ([23_000], 1),  # in the µs the ack leaves
     ([21_000, 22_000], 2),  # one already made at delivery
     ([23_001], 0),  # after the ack has left
-], ids=["inside_delay", "at_leave_us", "one_at_delivery", "after_leave"])
+    ([22_000, 22_000], 2),  # two moves in one µs
+    ([23_000, 23_000, 23_001], 2),  # two in the µs the ack leaves
+], ids=["inside_delay", "at_leave_us", "one_at_delivery", "after_leave",
+        "two_in_one_us", "two_at_leave_us"])
 def test_ack_leaves_from_the_address_at_its_leave_time(moves, path):
     # the packet is sent at 1,000 µs and delivered at 21,000; its ack
     # leaves at 23,000 and arrives at 43,000. Forwarding keeps the delivery
