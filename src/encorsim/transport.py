@@ -168,8 +168,24 @@ class _DownlinkServer:
     The ack leaves ack_delay_us after the delivery, from the address the
     move schedule gives for that µs; its seq is reserved at the delivery,
     as an event scheduled there would take it, so it keeps the key
-    (arrival µs, seq) of the event it replaces. Every delivery's ack waits
+    (arrival µs, seq) of the event it replaces. Every queued ack waits
     the same delay and seqs increase, so the FIFO is in key order.
+
+    A delivery queues its ack only if the ack's path differs from the
+    last queued ack's (at first, the server's starting path 0); any other
+    ack writes nothing a read can see. Every write to the server's path,
+    an ack or a client packet, arrives one_way_us after it leaves and
+    carries the client's path at that moment, and moves only raise that
+    path, so in key order the writes never go down: every write between
+    two acks with the same path carries that path, and the second one
+    changes no read. The server keeps the µs at which the client leaves
+    the last queued ack's path (`move_times[path]`, or inf), so a
+    delivery whose ack leaves before it compares one int and reserves no
+    seq; skipping a reservation leaves the order of every other key as it
+    was. A run with k moves queues at most k acks. The argument needs one
+    return delay for every write and an ack that only writes the path: a
+    delay per path, or acks that drive congestion control, must revisit
+    it.
 
     That key decides ties. An event due in the ack's arrival µs and keyed
     while the ack waits to leave comes after the ack; a key reserved when
@@ -205,6 +221,11 @@ class _DownlinkServer:
         self._in_flight = deque()  # (dest path, send µs, RTO or None)
         self._arrive = self._data_arrives  # the data arrivals' action
         self._acks = deque()  # (arrival µs, seq, path), in key order
+        self._ack_delay_us = params.ack_delay_us
+        # when the client leaves the last queued ack's path (at first the
+        # server's own path 0): an ack that leaves before it is not queued
+        self._path_left_us = math.inf
+        self._moves_set = False  # schedule_handovers has been called
         self._alive = None  # keep_alive's (running, busy)
         self.net = MobilityNet(params)
         self.params = params
@@ -218,12 +239,16 @@ class _DownlinkServer:
         """The client moves at each time; the server is not told. A move
         counts as a handover of the app while `active()` holds. Call it
         once, during set-up: acks read their address from these times (see
-        `MobilityNet.address_at`). Each time must be a whole number of µs,
-        at or after 0."""
+        `MobilityNet.address_at`), and a second call, whose moves would
+        fire beside the first call's, raises ValueError. Each time must be
+        a whole number of µs, at or after 0."""
+        if self._moves_set:
+            raise ValueError("schedule_handovers may be called only once")
         for t in times_us:
             if not (isinstance(t, int) and t >= 0):
                 raise ValueError("handover_times_us must be nonnegative whole"
                                  f" numbers of us, got {t!r}")
+        self._moves_set = True
 
         def migrate(sim):
             if active():
@@ -232,7 +257,8 @@ class _DownlinkServer:
 
         for t in times_us:
             self.sim.schedule(t, migrate)
-        self.net.move_times = sorted(times_us)
+        move_times = self.net.move_times = sorted(times_us)
+        self._path_left_us = move_times[0] if move_times else math.inf
 
     def transmit(self, sim, _k=None):
         """One unreliable send to the last-known path, such as a live
@@ -282,18 +308,24 @@ class _DownlinkServer:
 
     def _data_arrives(self, sim):
         """The arrival of the in-flight FIFO's head. If it reaches the
-        client, deliver it and queue its ack, which moves the server's
-        path to the path the ack leaves from when it arrives; if not, and
-        it is reliable, schedule its timeout."""
+        client, deliver it, and queue its ack if the ack leaves at or
+        after the µs the client leaves the last queued ack's path: only
+        then does it move the server's path when it arrives (see the class
+        docstring). If not, and the packet is reliable, schedule its
+        timeout."""
         dest, sent_at, rto_us = self._in_flight.popleft()
         now = sim.now
         net = self.net
         if net.reaches_client(dest, now):
             self.delivered += 1
-            params = self.params
-            leaves = now + params.ack_delay_us
-            self._acks.append((leaves + params.one_way_us, sim.reserve_seq(),
-                               net.address_at(leaves)))
+            leaves = now + self._ack_delay_us
+            if leaves >= self._path_left_us:
+                path = net.address_at(leaves)
+                self._acks.append((leaves + self._one_way_us,
+                                   sim.reserve_seq(), path))
+                move_times = net.move_times
+                self._path_left_us = (move_times[path]
+                                      if path < len(move_times) else math.inf)
             if self.on_packet_delivered is not None:
                 self.on_packet_delivered(now)
         elif rto_us is not None:
@@ -313,7 +345,8 @@ class _DownlinkServer:
         """The server's path when the running event fires: first applies,
         in order, every queued ack whose key comes before the running key
         (`Simulator.running`). After a run, that is every ack due by its
-        horizon."""
+        horizon. An ack that was not queued would have written the path
+        the server already holds, so the read is the same."""
         acks = self._acks
         running = self.sim.running
         net = self.net
@@ -368,9 +401,10 @@ class _DownlinkServer:
 
 
 # The most packets (or live frames) one app run may send. A packet costs
-# about 2-4 µs of run time, so a run at the bound takes up to about 4 s
-# (measured at 200,000 packets per app on a 2-CPU x86-64 host, Python
-# 3.11, five runs each: bulk 2.6-3.4, buffered 2.9-3.9, live 2.1-3.3 µs).
+# about 2.5-4.5 µs of run time, so a run at the bound takes up to about
+# 4.5 s (measured at 200,000 packets per app on a 2-CPU x86-64 host,
+# Python 3.11, five runs each: bulk 2.8-3.5, buffered 2.4-3.7, live
+# 3.1-4.5 µs).
 MAX_PACKETS_PER_RUN = 1_000_000
 FRAME_INTERVAL_US = 41_667  # a live stream's 24 frames per second
 

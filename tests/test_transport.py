@@ -1,14 +1,16 @@
 import gc
 import math
+from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from encorsim import transport
 from encorsim.addressing import RecentlyMovedTable
 from encorsim.transport import (
-    BUFFER_THRESHOLDS_S, DEFAULT_LADDER, MAX_PACKETS_PER_RUN,
-    AppMetrics, MobilityNet, Policy, TransportParams,
+    BUFFER_THRESHOLDS_S, DEFAULT_LADDER, FRAME_INTERVAL_US,
+    MAX_PACKETS_PER_RUN, AppMetrics, MobilityNet, Policy, TransportParams,
     _DownlinkServer, buffered_packets, bulk_packets,
     live_frames, run_buffered, run_bulk, run_live, select_level,
 )
@@ -361,6 +363,138 @@ def test_a_read_after_run_sees_every_ack():
     stats = server.sim.run()
     assert (stats.events_processed, server.sim.now) == (3, 22_000)
     assert server.server_path() == 1
+
+
+def test_schedule_handovers_rejects_a_second_call():
+    # a second schedule would replace move_times while the first call's
+    # moves still fire
+    server = _DownlinkServer(TransportParams(), seed=0)
+    with pytest.raises(ValueError, match="handover_times_us"):
+        server.schedule_handovers([-5], lambda: True)  # nothing scheduled
+    server.schedule_handovers([1_000], lambda: True)
+    with pytest.raises(ValueError, match="only once"):
+        server.schedule_handovers([5_000], lambda: True)
+    assert server.net.move_times == [1_000]
+    server.sim.run()
+    assert server.net.path == 1
+
+
+class _EveryAckServer(_DownlinkServer):
+    """The server before it skipped the acks that repeat a path: every
+    delivery queues its ack."""
+
+    def _data_arrives(self, sim):
+        dest, sent_at, rto_us = self._in_flight.popleft()
+        now = sim.now
+        net = self.net
+        if net.reaches_client(dest, now):
+            self.delivered += 1
+            params = self.params
+            leaves = now + params.ack_delay_us
+            self._acks.append((leaves + params.one_way_us, sim.reserve_seq(),
+                               net.address_at(leaves)))
+            if self.on_packet_delivered is not None:
+                self.on_packet_delivered(now)
+        elif rto_us is not None:
+            self._lost(sent_at, rto_us)
+
+
+@st.composite
+def _ack_scenarios(draw):
+    """Params, a horizon in µs, moves and a live frame interval for one
+    run of each app: an ack delay of 0, up to one_way_us or above it,
+    forwarding on and off, and moves that may share a µs or fall inside
+    the delay of a bulk packet's ack."""
+    one_way_us = draw(st.integers(1, 20_000))
+    ack_delay_us = draw(st.just(0) | st.integers(1, one_way_us)
+                        | st.integers(one_way_us + 1, 4 * one_way_us + 1))
+    params = TransportParams(
+        one_way_us=one_way_us, ack_delay_us=ack_delay_us,
+        packet_bytes=draw(st.integers(4_000, 16_000)),
+        forwarding_enabled=draw(st.booleans()),
+        forwarding_ttl_us=draw(st.integers(1, 100_000)),
+        keepalive_interval_us=draw(st.integers(1_000, 50_000)),
+        give_up_us=draw(st.integers(100_000, 2_000_000)))
+    horizon_us = draw(st.integers(50_000, 2_500_000))
+    moves = draw(st.lists(st.integers(0, horizon_us), max_size=4))
+    if ack_delay_us and draw(st.booleans()):
+        # after bulk packet k's delivery, before its ack leaves
+        interval = params.packet_interval_us()
+        k = draw(st.integers(0, horizon_us // interval))
+        moves.append(k * interval + one_way_us
+                     + draw(st.integers(1, ack_delay_us)))
+    if moves and draw(st.booleans()):
+        moves.append(draw(st.sampled_from(moves)))  # two in one µs
+    frame_interval_us = draw(st.integers(1_000, FRAME_INTERVAL_US))
+    return params, horizon_us, moves, frame_interval_us
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(scenario=_ack_scenarios())
+@example(scenario=(TransportParams(ack_delay_us=0, packet_bytes=8_000),
+                   400_000, [100_000, 100_000], 20_000))
+# bulk packet 100 is delivered at 160,700 and its ack leaves at 162,700:
+# a move inside the ack's delay, and one in the µs it leaves
+@example(scenario=(TransportParams(one_way_us=700, ack_delay_us=2_000,
+                                   packet_bytes=8_000,
+                                   forwarding_enabled=True),
+                   400_000, [161_700], 20_000))
+@example(scenario=(TransportParams(one_way_us=700, ack_delay_us=2_000,
+                                   packet_bytes=8_000),
+                   400_000, [162_700], 20_000))
+def test_skipping_acks_that_repeat_a_path_changes_no_metric(scenario):
+    params, horizon_us, moves, frame_interval_us = scenario
+    bulk_bytes = (horizon_us // params.packet_interval_us() + 1) \
+        * params.packet_bytes
+    runs = [lambda: run_bulk(bulk_bytes, moves, params, seed=1),
+            lambda: run_buffered(horizon_us / US, moves, params, seed=1)]
+    runs += [lambda policy=policy: run_live(
+                 horizon_us / US, moves, policy, params, seed=1,
+                 frame_interval_us=frame_interval_us)
+             for policy in Policy]
+    for run in runs:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_DownlinkServer", _EveryAckServer)
+            expected = run()
+        assert run() == expected
+
+
+class _RecordingAcks(deque):
+    """An ack FIFO that also appends each queued ack to `log`."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def append(self, ack):
+        self.log.append(ack)
+        super().append(ack)
+
+
+@pytest.mark.parametrize("forwarding", [False, True])
+@pytest.mark.parametrize("run, moves", [
+    (lambda m, p: run_bulk(4_000_000, m, p, seed=1),
+     [200_000, 400_000, 400_000]),
+    (lambda m, p: run_buffered(6.0, m, p, seed=1),
+     [1_000_000, 2_500_000, 4_000_000]),
+    (lambda m, p: run_live(30.0, m, Policy.PING_ON_IDLE, p, seed=1),
+     [5 * US, 12 * US]),
+], ids=["bulk", "buffered", "live"])
+def test_a_run_with_k_moves_queues_at_most_k_acks(monkeypatch, run, moves,
+                                                  forwarding):
+    queued = []
+
+    def server(params, seed):
+        s = _DownlinkServer(params, seed)
+        s._acks = _RecordingAcks(queued)
+        return s
+
+    monkeypatch.setattr(transport, "_DownlinkServer", server)
+    run(moves, TransportParams(forwarding_enabled=forwarding))
+    paths = [path for _, _, path in queued]
+    # each queued ack moves the server's path up from the last one's
+    assert 0 < len(paths) <= len(moves)
+    assert paths == sorted(set(paths)) and paths[0] > 0
 
 
 def test_params_reject_fractional_packet_bytes():
