@@ -123,7 +123,7 @@ class LoadScenario:
                              f" duration_s at most {MAX_HANDOVERS_PER_POINT},"
                              f" got {fastest} * {self.duration_s}")
         latency = self.link_latency_us
-        if not (isinstance(latency, int) and latency >= 0):
+        if not (type(latency) is int and latency >= 0):
             raise ValueError("link_latency_us must be a nonnegative whole"
                              f" number of us, got {latency!r}")
         if list(self.rates_per_s) != sorted(self.rates_per_s):

@@ -26,15 +26,6 @@ completion per node.
 `Simulator.close` ends a simulation: it drops every pending event, with
 whatever the events captured, and the reference cycles through the
 simulator.
-
-A caller may keep a deferred write out of the heap: a write that only
-changes what later events read. It takes its key's seq from
-`reserve_seq` when it is made, exactly as `schedule` would, and applies
-the write when something reads what it writes, if its key comes before
-`Simulator.running`, the key of the event running now. The write then
-costs no event, and the keys of every other event stay as they were.
-Outside a run, `running` is the last run's horizon: every key at or
-before it counts as past.
 """
 import random
 from collections import deque
@@ -143,11 +134,6 @@ class Lane:
     smaller key. The heap's minimum is therefore the minimum over every
     pending event, and events fire in the same (time, insertion) order as
     if each had been scheduled on the simulator directly.
-
-    A lane event whose only effect is a write that later events read
-    need not be an event at all: keyed with `Simulator.reserve_seq` and
-    applied when its key comes before `Simulator.running`, it keeps the
-    same order without a heap entry (see the module docstring).
     """
 
     __slots__ = ("_sim", "_pending", "_last")
@@ -228,10 +214,9 @@ class Simulator:
         self.stats = RunStats()
         self._queue = []
         self._seq = 0
-        # the key of the event running now, as the first two items of its
-        # heap entry; outside a run, (horizon, inf) for the last run's
-        # horizon. Before the first run no key has passed.
-        self.running = (-inf,)
+        # the heap entry of the event running now, or of the last one run;
+        # None before the first event and after `close`
+        self.running = None
 
     # -- topology ---------------------------------------------------------
 
@@ -255,15 +240,6 @@ class Simulator:
                                   f" whole µs, now is t={self.now}")
         heappush(self._queue, (at, self._seq, action, None))
         self._seq += 1
-
-    def reserve_seq(self):
-        """Take the next seq from the insertion counter, as `schedule`
-        would for an event scheduled now, for a deferred write kept out of
-        the heap. The write is due once its key (time, seq) comes before
-        `running`; every event keeps the key it would have had."""
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
 
     def lane(self):
         """A new FIFO lane for events scheduled in nondecreasing time."""
@@ -321,13 +297,14 @@ class Simulator:
         """End the simulation: drop every pending event (the heap, the
         lanes' queued events and the nodes' queued messages) and each
         node's lane and completion method, which hold the simulator and
-        the node. What the events captured is freed with them, so nothing
-        closes a reference cycle through the simulator. No message can be
-        sent after it."""
+        the node, and `running`, the last event run. What the events
+        captured is freed with them, so nothing closes a reference cycle
+        through the simulator. No message can be sent after it."""
         for entry in self._queue:
             if entry[3] is not None:
                 entry[3].clear()
         self._queue.clear()
+        self.running = None
         for node in self.nodes.values():
             node.inbox.clear()
             node.lane = node._complete = None
@@ -356,21 +333,17 @@ class Simulator:
 
     def run_until(self, t_end):
         """Execute every event with time <= t_end; returns the stats so
-        far. Every key at or before t_end then counts as past (see
-        `running`). The horizon is a time, a whole number of µs, so `now`
-        stays one: `run` drains the queue."""
+        far. The horizon is a time, a whole number of µs, so `now` stays
+        one: `run` drains the queue."""
         if type(t_end) is not int:
             raise SchedulingError(
                 f"run_until needs a whole-µs horizon, got {t_end!r}")
         self._drain(t_end)
         self.now = max(self.now, t_end)
-        self.running = max(self.running, (t_end, inf))
         return self.stats
 
     def run(self):
-        """Run until the event queue drains. Every key then counts as
-        past, deferred writes due after the last event included; `now` is
-        the last event's time."""
+        """Run until the event queue drains; `now` is the last event's
+        time."""
         self._drain(inf)
-        self.running = (inf, inf)
         return self.stats

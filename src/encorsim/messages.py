@@ -94,13 +94,6 @@ class HandoverTrace:
     def __len__(self):
         return len(self.steps)
 
-    def to_csv_rows(self):
-        """Rows of (seq, time_us, kind, src, dst, via_core)."""
-        return [
-            (i, m.time_us, m.kind.value, m.src, m.dst, int(m.via_core))
-            for i, m in enumerate(self.messages)
-        ]
-
     def sequence_chart(self):
         """Plain-text message sequence chart, one arrow per line."""
         lines = [f"# {self.mode.value}" + (" (FAILED)" if self.failed else "")]

@@ -58,7 +58,7 @@ class TransportParams:
                            ("forwarding_ttl_us", "us"), ("give_up_us", "us"),
                            ("packet_bytes", "bytes")):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise ValueError(
                     f"{name} must be a whole number of {unit}, got {value!r}")
 
@@ -147,10 +147,10 @@ class _DownlinkServer:
     delay (see `kernel.Lane`): the one-way lane holds data and
     client-packet arrivals. A timeout is due a fixed delay after its send,
     not after the loss that schedules it, so it goes to
-    `Simulator.schedule`. The apps' sends on a fixed grid (bulk packets,
-    a chunk's paced packets and live frames) are each one train (see
-    `kernel.Train`), keyed when it is made, whose action is `transmit` or
-    `send_reliable` itself.
+    `Simulator.schedule`, as does an ack (at most one per move). The
+    apps' sends on a fixed grid (bulk packets, a chunk's paced packets and
+    live frames) are each one train (see `kernel.Train`), keyed when it is
+    made, whose action is `transmit` or `send_reliable` itself.
 
     A data packet makes no closure. Its send appends (dest path, send µs,
     RTO or None) to the in-flight FIFO and puts one bound method,
@@ -160,49 +160,25 @@ class _DownlinkServer:
     packet that arrives. Client-packet arrivals share the lane but not
     the FIFO.
 
-    A delivered packet costs two events: the send and the arrival. Its
-    ack is a deferred write (see `kernel`): all it does on arrival is set
-    `server_path`, so it waits in a FIFO as (arrival µs, seq, path), and
-    `server_path()` applies it when a send or a client-packet arrival
-    reads or writes the path, if its key comes before the running event's.
-    The ack leaves ack_delay_us after the delivery, from the address the
-    move schedule gives for that µs; its seq is reserved at the delivery,
-    as an event scheduled there would take it, so it keeps the key
-    (arrival µs, seq) of the event it replaces. Every queued ack waits
-    the same delay and seqs increase, so the FIFO is in key order.
+    A delivered packet costs two events, the send and the arrival, and a
+    third if it sends an ack (below). The ack leaves ack_delay_us after
+    the delivery, from the address the move schedule gives for that µs,
+    and all it does on arrival is set the server's path,
+    `net.server_path`. An ack is an event scheduled at its delivery.
 
-    A delivery queues its ack only if the ack's path differs from the
-    last queued ack's (at first, the server's starting path 0); any other
-    ack writes nothing a read can see. Every write to the server's path,
-    an ack or a client packet, arrives one_way_us after it leaves and
-    carries the client's path at that moment, and moves only raise that
-    path, so in key order the writes never go down: every write between
-    two acks with the same path carries that path, and the second one
-    changes no read. The server keeps the µs at which the client leaves
-    the last queued ack's path (`move_times[path]`, or inf), so a
-    delivery whose ack leaves before it compares one int and reserves no
-    seq; skipping a reservation leaves the order of every other key as it
-    was. A run with k moves queues at most k acks. The argument needs one
-    return delay for every write and an ack that only writes the path: a
-    delay per path, or acks that drive congestion control, must revisit
-    it.
-
-    That key decides ties. An event due in the ack's arrival µs and keyed
-    while the ack waits to leave comes after the ack; a key reserved when
-    the ack leaves would come after that event. Only what reads
-    `server_path` can tell: sends and timeouts. Client-packet arrivals
-    due in that µs left in the ack's own µs and write the same address.
-    Bulk sends and live frames are keyed at set-up by a train, and a
-    timeout cannot share the µs (see `send_reliable`). Paced sends are
-    keyed by the train a `start_sending` makes at request time +
-    one_way_us, and the next chunk's request comes no earlier than the
-    delivery. With one_way_us >= ack_delay_us, a `start_sending` therefore
-    fires at or after the ack leaves, and in the ack's leave µs only after
-    it, because the request that scheduled it ran after the delivery that
-    reserved the ack's key: both keyings give the same run. With
-    one_way_us < ack_delay_us a paced send may share the µs and be keyed
-    in between; its key comes after the ack's, so it reads the path the
-    ack teaches.
+    A delivery sends its ack only if the ack's path differs from the last
+    sent ack's (at first, the server's starting path 0); any other ack
+    writes nothing a read can see. Every write to the server's path, an
+    ack or a client packet, arrives one_way_us after it leaves and carries
+    the client's path at that moment, and moves only raise that path, so
+    in (time, seq) order the writes never go down: every write between two
+    acks with the same path carries that path, and the second one changes
+    no read. The server keeps the µs at which the client leaves the last
+    sent ack's path (`move_times[path]`, or inf), so a delivery whose ack
+    leaves before it compares one int. A run with k moves sends at most k
+    acks, and so at most k ack events. The argument needs one return delay
+    for every write and an ack that only writes the path: a delay per
+    path, or acks that drive congestion control, must revisit it.
 
     Packets carry no id and the server keeps none: it counts deliveries.
     A packet is delivered at most once (see `send_reliable`), so every
@@ -220,10 +196,9 @@ class _DownlinkServer:
         self._first_rto_us = params.rto_us
         self._in_flight = deque()  # (dest path, send µs, RTO or None)
         self._arrive = self._data_arrives  # the data arrivals' action
-        self._acks = deque()  # (arrival µs, seq, path), in key order
         self._ack_delay_us = params.ack_delay_us
-        # when the client leaves the last queued ack's path (at first the
-        # server's own path 0): an ack that leaves before it is not queued
+        # when the client leaves the last sent ack's path (at first the
+        # server's own path 0): an ack that leaves before it is not sent
         self._path_left_us = math.inf
         self._moves_set = False  # schedule_handovers has been called
         self._alive = None  # keep_alive's (running, busy)
@@ -245,7 +220,7 @@ class _DownlinkServer:
         if self._moves_set:
             raise ValueError("schedule_handovers may be called only once")
         for t in times_us:
-            if not (isinstance(t, int) and t >= 0):
+            if not (type(t) is int and t >= 0):
                 raise ValueError("handover_times_us must be nonnegative whole"
                                  f" numbers of us, got {t!r}")
         self._moves_set = True
@@ -265,7 +240,7 @@ class _DownlinkServer:
         frame; a train's action (see `kernel.Train`)."""
         self.tx_count += 1
         now = sim.now
-        self._in_flight.append((self.server_path(), now, None))
+        self._in_flight.append((self.net.server_path, now, None))
         self.one_way.schedule(now + self._one_way_us, self._arrive)
 
     def send_reliable(self, sim, _k=None, rto_us=None):
@@ -302,15 +277,15 @@ class _DownlinkServer:
         disjoint state."""
         self.tx_count += 1
         now = sim.now
-        self._in_flight.append((self.server_path(), now,
+        self._in_flight.append((self.net.server_path, now,
                                 rto_us or self._first_rto_us))
         self.one_way.schedule(now + self._one_way_us, self._arrive)
 
     def _data_arrives(self, sim):
         """The arrival of the in-flight FIFO's head. If it reaches the
-        client, deliver it, and queue its ack if the ack leaves at or
-        after the µs the client leaves the last queued ack's path: only
-        then does it move the server's path when it arrives (see the class
+        client, deliver it, and send its ack if the ack leaves at or after
+        the µs the client leaves the last sent ack's path: only then does
+        it move the server's path when it arrives (see the class
         docstring). If not, and the packet is reliable, schedule its
         timeout."""
         dest, sent_at, rto_us = self._in_flight.popleft()
@@ -321,8 +296,7 @@ class _DownlinkServer:
             leaves = now + self._ack_delay_us
             if leaves >= self._path_left_us:
                 path = net.address_at(leaves)
-                self._acks.append((leaves + self._one_way_us,
-                                   sim.reserve_seq(), path))
+                self._ack(leaves + self._one_way_us, path)
                 move_times = net.move_times
                 self._path_left_us = (move_times[path]
                                       if path < len(move_times) else math.inf)
@@ -341,28 +315,26 @@ class _DownlinkServer:
 
         self.sim.schedule(sent_at + rto_us, timeout)
 
-    def server_path(self):
-        """The server's path when the running event fires: first applies,
-        in order, every queued ack whose key comes before the running key
-        (`Simulator.running`). After a run, that is every ack due by its
-        horizon. An ack that was not queued would have written the path
-        the server already holds, so the read is the same."""
-        acks = self._acks
-        running = self.sim.running
+    def _ack(self, arrives_us, path):
+        """Schedule the arrival of an ack from `path`, which moves the
+        server's path there. Its closure is made here, as in `_lost`, so
+        a data arrival makes no cell."""
         net = self.net
-        while acks and acks[0] < running:
-            net.server_path = acks.popleft()[2]
-        return net.server_path
+
+        def ack_arrives(sim):
+            net.server_path = path
+
+        self.sim.schedule(arrives_us, ack_arrives)
 
     def client_packet(self):
         """A client packet (a request, a keepalive or a ping) leaves from
         the client's path at this instant and moves the server's path
-        there on arrival, after the acks that arrived before it."""
-        src = self.net.path
+        there on arrival."""
+        net = self.net
+        src = net.path
 
         def arrive(sim):
-            self.server_path()
-            self.net.server_path = src
+            net.server_path = src
 
         self.one_way.schedule(self.sim.now + self._one_way_us, arrive)
 
@@ -586,7 +558,7 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     stale path with no recovery shows up as a deadlock."""
     policy = Policy(policy)
     _check_duration(duration_s)
-    if not (isinstance(frame_interval_us, int) and frame_interval_us > 0):
+    if not (type(frame_interval_us) is int and frame_interval_us > 0):
         raise ValueError("frame_interval_us must be a positive whole number"
                          f" of us, got {frame_interval_us!r}")
     check_packets("duration_s", duration_s,

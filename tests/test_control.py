@@ -232,11 +232,11 @@ def test_count_messages_empty_trace():
     assert sum(kinds.values()) == 0 and via_core == 0
 
 
-def test_trace_csv_and_chart():
+def test_trace_messages_and_chart():
     _, _, _, _, _, _, trace = attach_and_handover("core")
-    rows = trace.to_csv_rows()
-    assert len(rows) == 7
-    assert rows[0][2] == "HoRequired"
+    messages = trace.messages
+    assert len(messages) == 7
+    assert messages[0].kind.value == "HoRequired"
     chart = trace.sequence_chart()
     assert "HoCommand" in chart and "[core]" in chart
 

@@ -55,6 +55,7 @@ def test_load_scenario_rejects_unsorted_rates():
     {"link_latency_us": -1},
     {"link_latency_us": float("nan")},
     {"link_latency_us": 1.5},
+    {"link_latency_us": True},
 ])
 def test_load_scenario_rejects_bad_values(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -252,29 +252,16 @@ def test_times_that_are_not_whole_us_are_rejected_naming_them(t):
     assert sim.nodes == {}
 
 
-def test_reserve_seq_takes_the_seq_schedule_would_give():
+def test_running_is_the_running_key_then_none_after_close():
     sim = Simulator()
-    sim.schedule(5, lambda s: None)
-    assert sim.reserve_seq() == 1
-    sim.schedule(5, lambda s: None)
-    assert [entry[1] for entry in sim._queue] == [0, 2]
-
-
-def test_running_is_the_running_key_then_the_horizon():
-    sim = Simulator()
-    assert sim.running < (0, 0)  # before the first run no key has passed
     keys = []
     lane = sim.lane()
     sim.schedule(5, lambda s: keys.append(s.running[:2]))
     lane.schedule(5, lambda s: keys.append(s.running[:2]))
     sim.run_until(7)
     assert keys == [(5, 0), (5, 1)]
-    assert sim.running == (7, math.inf)
-    sim.run_until(6)  # a horizon before now leaves it as it was
-    assert sim.running == (7, math.inf)
-    sim.schedule(9, lambda s: None)
-    sim.run()
-    assert (sim.now, sim.running) == (9, (math.inf, math.inf))
+    sim.close()  # the last entry run holds its action: drop it
+    assert sim.running is None
 
 
 def test_lane_rejects_earlier_time_and_changes_nothing():

@@ -1,6 +1,5 @@
 import gc
 import math
-from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -252,7 +251,7 @@ def test_metrics_csv_row_shape():
     # simulated time is whole µs
     ("one_way_us", 1500.5), ("ack_delay_us", 0.5),
     ("keepalive_interval_us", 2500.5), ("forwarding_ttl_us", 1e6),
-    ("give_up_us", 5e6),
+    ("give_up_us", 5e6), ("one_way_us", True), ("packet_bytes", True),
 ])
 def test_params_reject_nonpositive_or_infinite(field, value):
     with pytest.raises(ValueError, match=field):
@@ -295,7 +294,7 @@ def test_delivered_transmission_schedules_no_timeout():
     stats = server.sim.run_until(1_000 + 2 * params.rto_us)
     assert sent == [1_000]
     assert server.delivered == 1
-    # the send and the arrival: the ack is no event
+    # the send and the arrival: with no move, no ack is sent
     assert stats.events_processed == 2
 
 
@@ -310,9 +309,9 @@ def test_delivered_retransmission_schedules_no_timeout():
     assert server.retx_count == 1
     assert server.delivered == 1
     # the send, the move, the lost arrival, the client packet and its
-    # arrival, the timeout and the delivered arrival: the ack is no event,
-    # and no timeout follows the retransmission
-    assert stats.events_processed == 7
+    # arrival, the timeout, the delivered arrival and its ack, the first
+    # from path 1: no timeout follows the retransmission
+    assert stats.events_processed == 8
 
 
 @pytest.mark.parametrize("moves, path", [
@@ -333,9 +332,10 @@ def test_ack_leaves_from_the_address_at_its_leave_time(moves, path):
     server.schedule_handovers(moves, lambda: True)
     stats = server.sim.run_until(43_000)
     assert server.delivered == 1
-    # the send, the arrival and the moves: the ack is no event
-    assert stats.events_processed == 2 + len(moves)
-    assert server.server_path() == path
+    # the send, the arrival, the moves and the ack, sent only if it leaves
+    # from a path other than the server's 0
+    assert stats.events_processed == 2 + len(moves) + (path > 0)
+    assert server.net.server_path == path
 
 
 @pytest.mark.parametrize("horizon, path", [
@@ -350,19 +350,19 @@ def test_a_read_after_run_until_sees_the_acks_due_by_its_horizon(horizon,
     server, _ = _recording_server(params, send_at=1_000)
     server.schedule_handovers([22_000], lambda: True)
     server.sim.run_until(horizon)
-    assert server.server_path() == path
+    assert server.net.server_path == path
     server.sim.run_until(43_000)
-    assert server.server_path() == 1
+    assert server.net.server_path == 1
 
 
 def test_a_read_after_run_sees_every_ack():
-    # the move at 22,000 is the last event; the ack arrives at 43,000
+    # the ack, the last event, arrives at 43,000
     params = TransportParams()
     server, _ = _recording_server(params, send_at=1_000)
     server.schedule_handovers([22_000], lambda: True)
     stats = server.sim.run()
-    assert (stats.events_processed, server.sim.now) == (3, 22_000)
-    assert server.server_path() == 1
+    assert (stats.events_processed, server.sim.now) == (4, 43_000)
+    assert server.net.server_path == 1
 
 
 def test_schedule_handovers_rejects_a_second_call():
@@ -381,7 +381,7 @@ def test_schedule_handovers_rejects_a_second_call():
 
 class _EveryAckServer(_DownlinkServer):
     """The server before it skipped the acks that repeat a path: every
-    delivery queues its ack."""
+    delivery sends its ack, an event."""
 
     def _data_arrives(self, sim):
         dest, sent_at, rto_us = self._in_flight.popleft()
@@ -391,8 +391,7 @@ class _EveryAckServer(_DownlinkServer):
             self.delivered += 1
             params = self.params
             leaves = now + params.ack_delay_us
-            self._acks.append((leaves + params.one_way_us, sim.reserve_seq(),
-                               net.address_at(leaves)))
+            self._ack(leaves + params.one_way_us, net.address_at(leaves))
             if self.on_packet_delivered is not None:
                 self.on_packet_delivered(now)
         elif rto_us is not None:
@@ -459,18 +458,6 @@ def test_skipping_acks_that_repeat_a_path_changes_no_metric(scenario):
         assert run() == expected
 
 
-class _RecordingAcks(deque):
-    """An ack FIFO that also appends each queued ack to `log`."""
-
-    def __init__(self, log):
-        super().__init__()
-        self.log = log
-
-    def append(self, ack):
-        self.log.append(ack)
-        super().append(ack)
-
-
 @pytest.mark.parametrize("forwarding", [False, True])
 @pytest.mark.parametrize("run, moves", [
     (lambda m, p: run_bulk(4_000_000, m, p, seed=1),
@@ -482,17 +469,16 @@ class _RecordingAcks(deque):
 ], ids=["bulk", "buffered", "live"])
 def test_a_run_with_k_moves_queues_at_most_k_acks(monkeypatch, run, moves,
                                                   forwarding):
-    queued = []
+    paths = []
+    ack = _DownlinkServer._ack
 
-    def server(params, seed):
-        s = _DownlinkServer(params, seed)
-        s._acks = _RecordingAcks(queued)
-        return s
+    def recording(self, arrives_us, path):
+        paths.append(path)
+        ack(self, arrives_us, path)
 
-    monkeypatch.setattr(transport, "_DownlinkServer", server)
+    monkeypatch.setattr(_DownlinkServer, "_ack", recording)
     run(moves, TransportParams(forwarding_enabled=forwarding))
-    paths = [path for _, _, path in queued]
-    # each queued ack moves the server's path up from the last one's
+    # each ack event moves the server's path up from the last one's
     assert 0 < len(paths) <= len(moves)
     assert paths == sorted(set(paths)) and paths[0] > 0
 
@@ -599,13 +585,14 @@ def test_live_rejects_an_unknown_policy_before_it_runs(monkeypatch):
         run_live(2.0, [], policy="PingAlways")
 
 
-@pytest.mark.parametrize("frame_interval_us", [0, -5, 41_666.5, 41_667.0])
+@pytest.mark.parametrize("frame_interval_us",
+                         [0, -5, 41_666.5, 41_667.0, True])
 def test_live_rejects_bad_frame_interval(frame_interval_us):
     with pytest.raises(ValueError, match="frame_interval_us"):
         run_live(2.0, [], frame_interval_us=frame_interval_us)
 
 
-@pytest.mark.parametrize("time_us", [-5, math.nan, 1.5, math.inf])
+@pytest.mark.parametrize("time_us", [-5, math.nan, 1.5, math.inf, True])
 @pytest.mark.parametrize("run", [
     lambda t: run_bulk(1200, [t]),
     lambda t: run_buffered(2.0, [t]),
