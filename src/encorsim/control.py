@@ -9,6 +9,12 @@ session key) and direct (peer-to-peer through a HOP, reusing the key).
 A procedure builds one payload per step of its table in ``messages`` and
 returns the table, its ids and payloads as a trace; the message counts
 derive from the tables and are pinned by tests.
+
+What EnCoR keeps from LTE is stated here once and used by ``lte`` too:
+the attach admission (`admit`), the handover preconditions
+(`check_move`) and the errors they raise (`AttachError`,
+`HandoverError`). The two architectures differ only in where the anchor
+lives.
 """
 from dataclasses import dataclass
 import enum
@@ -24,7 +30,8 @@ class AttachError(Exception):
 
 
 class HandoverError(Exception):
-    pass
+    """Handover refused before any state changed; the message names the
+    cause."""
 
 
 class ConfigurationError(Exception):
@@ -42,8 +49,9 @@ class UeState(str, enum.Enum):
 
 @dataclass
 class UeContext:
+    """Network side of an attached device. It is connected while its
+    `serving_inb` holds it: no detach procedure exists."""
     imsi: int
-    state: UeState = UeState.DETACHED
     serving_inb: str = None
     private_addr: Addr128 = None
     keys: security.SessionKeys = None
@@ -109,35 +117,60 @@ class Sme:
         self.rng = random.Random(seed)
 
 
-def attach(ue, inb, sme, now_us=0):
-    """Authenticate and connect a device at a base station.
+def admit(ue, subdb, rng):
+    """The attach admission of both architectures: refuse a device that is
+    not Detached or not subscribed, run AKA, and connect the device with
+    its session key. A failed AKA has used up a RAND and the network's
+    SQN, and leaves the device Detached.
 
-    Returns (UeContext, trace). On failure the device stays Detached and
-    AttachError is raised, naming the cause.
+    Returns (record, vector, RES, keys); raises AttachError.
     """
     if ue.state != UeState.DETACHED:
         raise AttachError("ue not detached")
-    rec = sme.subdb.get(ue.imsi)
+    rec = subdb.get(ue.imsi)
     if rec is None:
         raise AttachError("unknown subscriber")
-
     try:
-        vector, res, keys = security.authenticate(rec, ue, sme.rng)
+        vector, res, keys = security.authenticate(rec, ue, rng)
     except security.AuthError as exc:
         raise AttachError(str(exc)) from exc
-
-    addr = assign_private_addr(ue.imsi)
-    ctx = UeContext(imsi=ue.imsi, state=UeState.CONNECTED, serving_inb=inb.id,
-                    private_addr=addr, keys=keys, qci=rec.qci_profile)
-    inb.attached[addr.identifier] = ctx
     ue.state = UeState.CONNECTED
     ue.keys = keys
+    return rec, vector, res, keys
+
+
+def attach(ue, inb, sme, now_us=0):
+    """Authenticate and connect a device at a base station, at the private
+    address its IMSI derives.
+
+    Returns (UeContext, trace). On failure nothing changes but what a
+    failed AKA uses up (see `admit`), and AttachError is raised, naming
+    the cause.
+    """
+    try:
+        addr = assign_private_addr(ue.imsi)
+    except ValueError as exc:
+        raise AttachError(str(exc)) from exc
+    rec, vector, res, keys = admit(ue, sme.subdb, sme.rng)
+    ctx = UeContext(imsi=ue.imsi, serving_inb=inb.id, private_addr=addr,
+                    keys=keys, qci=rec.qci_profile)
+    inb.attached[addr.identifier] = ctx
     payloads = [{"imsi": ue.imsi, "inb": inb.id},
                 {"rand": vector.rand, "autn": vector.autn},
                 {"res": res},
                 {"k_enb": keys.k_enb, "addr": addr, "qci": rec.qci_profile}]
     return ctx, HandoverTrace(HandoverMode.ATTACH, messages.ATTACH_SEQUENCE,
                               {}, now_us, payloads)
+
+
+def check_move(imsi, serving, src, tgt):
+    """The handover preconditions of both architectures: the network serves
+    the device at `src` (`serving` is where it does, None for nowhere),
+    and `tgt` is another station. Raises HandoverError."""
+    if serving != src:
+        raise HandoverError(f"ue {imsi} not connected at {src}")
+    if tgt == src:
+        raise HandoverError(f"ue {imsi}: target {tgt} is its source")
 
 
 def handover_core_assisted(ctx, ue, src, tgt, sme, hop, now_us=0):
@@ -158,10 +191,7 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us):
     """Run the mode's prefix, the target's admission check and the shared
     tail. Every precondition is checked before any state changes, so a
     refused or misconfigured handover leaves the device at the source."""
-    if ctx.state != UeState.CONNECTED or ctx.serving_inb != src.id:
-        raise HandoverError(f"ue {ctx.imsi} not connected at {src.id}")
-    if tgt.id == src.id:
-        raise HandoverError(f"ue {ctx.imsi}: target {tgt.id} is its source")
+    check_move(ctx.imsi, ctx.serving_inb, src.id, tgt.id)
     if src.id not in hop.connected or tgt.id not in hop.connected:
         raise ConfigurationError(
             f"{src.id} and {tgt.id} do not share hop {hop.id}")

@@ -6,14 +6,19 @@ public IP for the whole session, every user-plane packet detours through
 the anchor, and S1 handover re-points tunnels via the 15-message
 ``messages.S1_SEQUENCE`` that runs entirely through core-side elements,
 buffering downlink traffic at the source until completion.
+
+Attach admission, the handover preconditions and their errors are
+EnCoR's (`control.admit`, `control.check_move`): LTE differs only in
+anchoring the device at the P-GW.
 """
 import itertools
 import random
 from dataclasses import dataclass, field
 
 from . import messages, security
-from .control import UeState
+from .control import admit, check_move
 from .messages import HandoverMode, HandoverTrace
+
 
 @dataclass
 class GtpTunnel:
@@ -33,10 +38,6 @@ class AnchorState:
     buffer_drops: int = 0
 
 
-class LteAttachError(Exception):
-    pass
-
-
 class LteCore:
     def __init__(self, subdb, seed=0, buffer_cap=None):
         self.subdb = subdb
@@ -52,24 +53,13 @@ class LteCore:
 
 
 def attach_lte(ue, enb, core, now_us=0):
-    """LTE attach: same auth machinery, then tunnel + anchor IP setup.
-
-    A device that is not Detached is refused before any state changes, as
-    `control.attach` refuses it."""
-    if ue.state != UeState.DETACHED:
-        raise LteAttachError("ue not detached")
-    rec = core.subdb.get(ue.imsi)
-    if rec is None:
-        raise LteAttachError("unknown subscriber")
-    try:
-        _, _, keys = security.authenticate(rec, ue, core.rng)
-    except security.AuthError as exc:
-        raise LteAttachError(str(exc)) from exc
+    """LTE attach: EnCoR's admission (`control.admit`, which raises
+    AttachError), then a public IP from the anchor's pool and a GTP
+    tunnel toward `enb`. Returns the AnchorState."""
+    admit(ue, core.subdb, core.rng)
     anchor = AnchorState(imsi=ue.imsi, public_ip=next(core._ips),
                          tunnel=core.new_tunnel(enb))
     core.anchors[ue.imsi] = anchor
-    ue.keys = keys
-    ue.state = UeState.CONNECTED
     return anchor
 
 
@@ -78,13 +68,12 @@ def s1_handover(ue, src_enb, tgt_enb, core, now_us=0,
     """S1 handover. Tunnels are re-anchored to the target; downlink
     packets arriving mid-procedure are buffered and flushed at the end.
 
-    Returns (trace, flushed_packets).
+    Returns (trace, flushed_packets); raises HandoverError, with nothing
+    changed, unless the device's anchor tunnels to `src_enb` and
+    `tgt_enb` is another station.
     """
     anchor = core.anchors.get(ue.imsi)
-    if anchor is None or anchor.tunnel.enb != src_enb:
-        raise LteAttachError(f"ue {ue.imsi} not connected at {src_enb}")
-    if tgt_enb == src_enb:
-        raise LteAttachError(f"ue {ue.imsi}: target {tgt_enb} is its source")
+    check_move(ue.imsi, anchor and anchor.tunnel.enb, src_enb, tgt_enb)
 
     anchor.buffering = True
     steps = messages.S1_SEQUENCE

@@ -3,8 +3,8 @@ import pytest
 from encorsim import control, security
 from encorsim.addressing import PRIVATE_LOCATOR
 from encorsim.control import (
-    AttachError, ConfigurationError, HandoverError, Hop, Inb, RelayError, Sme,
-    Ue, UeState, attach, handover_core_assisted, handover_direct,
+    AttachError, ConfigurationError, Hop, Inb, RelayError, Sme, Ue, UeState,
+    attach, handover_core_assisted, handover_direct,
 )
 from encorsim.messages import ControlMessage, Kind, count_messages
 
@@ -23,7 +23,7 @@ def make_world(ue_cap=None, seed=0):
 def test_attach_connects_with_derived_address_and_qci():
     ue, inb_a, _, sme, _ = make_world()
     ctx, trace = attach(ue, inb_a, sme)
-    assert ctx.state is UeState.CONNECTED
+    assert ue.state is UeState.CONNECTED
     assert ctx.private_addr.locator == PRIVATE_LOCATOR
     assert ctx.private_addr.identifier == 1
     assert ctx.qci == 7
@@ -31,26 +31,22 @@ def test_attach_connects_with_derived_address_and_qci():
     assert [m.kind for m in trace.messages] == [
         Kind.ATTACH_REQUEST, Kind.AUTH_CHALLENGE,
         Kind.AUTH_RESPONSE, Kind.ATTACH_ACCEPT]
-    assert 1 in inb_a.attached
+    assert inb_a.attached[1] is ctx
 
 
-def test_attach_unknown_imsi_rejected():
-    ue, inb_a, _, sme, _ = make_world()
-    stranger = Ue(imsi=99, k=bytes(16))
-    with pytest.raises(AttachError, match="unknown"):
-        attach(stranger, inb_a, sme)
-    assert stranger.state is UeState.DETACHED
-
-
-def test_attach_stale_sqn_is_replay_failure():
-    ue, inb_a, _, sme, _ = make_world()
-    # burn a vector so the network SQN runs ahead of the UE's
-    security.generate_auth_vector(sme.subdb[1], bytes(16))
-    security.generate_auth_vector(sme.subdb[1], bytes(16))
-    ue.sqn = 0
-    with pytest.raises(AttachError, match="SQN .* not the expected"):
-        attach(ue, inb_a, sme)
-    assert ue.state is UeState.DETACHED
+@pytest.mark.parametrize("imsi", [0, 1 << 64])
+def test_attach_of_an_imsi_that_is_no_identifier_changes_nothing(imsi):
+    k = bytes(16)
+    sme = Sme({imsi: security.SubscriberRecord(imsi=imsi, k=k)})
+    inb = Inb("inb_a", 0x2001_0DB8_0000_0001)
+    ue = Ue(imsi=imsi, k=k)
+    rng = sme.rng.getstate()
+    with pytest.raises(AttachError, match="subscriber id"):
+        attach(ue, inb, sme)
+    assert ue.sqn == sme.subdb[imsi].sqn == 0
+    assert sme.rng.getstate() == rng
+    assert inb.attached == {}
+    assert ue.state is UeState.DETACHED and ue.keys is None
 
 
 def attach_and_handover(mode, ue_cap=None):
@@ -86,7 +82,7 @@ def test_core_assisted_refusal_leaves_ue_at_source():
     ue, ctx, inb_a, inb_b, sme, hop, trace = attach_and_handover(
         "core", ue_cap=0)
     assert trace.failed
-    assert ctx.state is UeState.CONNECTED
+    assert ue.state is UeState.CONNECTED
     assert ctx.serving_inb == inb_a.id
     assert ctx.keys.ncc == 0
     assert 1 in inb_a.attached and 1 not in inb_b.attached
@@ -127,28 +123,12 @@ def test_misconfigured_hop_leaves_ue_at_source(mode):
             handover_core_assisted(ctx, ue, inb_a, inb_b, sme, lonely_hop)
         else:
             handover_direct(ctx, ue, inb_a, inb_b, lonely_hop)
-    assert ctx.state is UeState.CONNECTED
+    assert ue.state is UeState.CONNECTED
     assert ctx.serving_inb == inb_a.id
     assert ctx.keys.ncc == 0
     assert 1 in inb_a.attached and 1 not in inb_b.attached
     trace = handover_core_assisted(ctx, ue, inb_a, inb_b, sme, hop)
     assert not trace.failed and ctx.serving_inb == inb_b.id
-
-
-@pytest.mark.parametrize("mode", ["core", "direct"])
-def test_handover_to_its_own_source_is_refused_and_changes_nothing(mode):
-    ue, inb_a, _, sme, hop = make_world()
-    ctx, _ = attach(ue, inb_a, sme)
-    keys, attached = ctx.keys, dict(inb_a.attached)
-    with pytest.raises(HandoverError, match="is its source"):
-        if mode == "core":
-            handover_core_assisted(ctx, ue, inb_a, inb_a, sme, hop)
-        else:
-            handover_direct(ctx, ue, inb_a, inb_a, hop)
-    assert ctx.keys is keys and ue.keys is keys and keys.ncc == 0
-    assert ctx.serving_inb == inb_a.id
-    assert inb_a.attached == attached
-    assert inb_a.moved.lookup(1, now=1) is None
 
 
 def test_ho_command_byte_identical_to_target_radio_config():
