@@ -108,3 +108,23 @@ def test_forwarding_rewrites_only_destination_locator(ident, prefix, target):
     assert decision is Decision.FORWARD
     assert out.identifier == ident  # lower 64 bits untouched
 
+
+
+@pytest.mark.parametrize("half", ["locator", "identifier"])
+def test_addr128_range_checks_immutability_and_hash(half):
+    other = "identifier" if half == "locator" else "locator"
+    for value in (0, (1 << 64) - 1):
+        addr = Addr128(**{half: value, other: 1})
+        assert getattr(addr, half) == value
+    for value in (-1, 1 << 64):
+        with pytest.raises(ValueError,
+                           match=f"^{half} out of 64-bit range$"):
+            Addr128(**{half: value, other: 1})
+    addr = Addr128(PRIVATE_LOCATOR, 7)
+    with pytest.raises(AttributeError):
+        setattr(addr, half, 8)
+    assert (addr.locator, addr.identifier) == (PRIVATE_LOCATOR, 7)
+    twin = Addr128(PRIVATE_LOCATOR, 7)
+    assert twin == addr and hash(twin) == hash(addr)
+    assert {addr: "x"}[twin] == "x"
+    assert Addr128(PRIVATE_LOCATOR, 8) != addr
