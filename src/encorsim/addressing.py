@@ -10,7 +10,7 @@ in-flight downlink packets after a handover by rewriting the locator
 once more.
 """
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MASK64 = (1 << 64) - 1
 
@@ -19,16 +19,22 @@ PRIVATE_PREFIX_BITS = 0b1111110
 PRIVATE_LOCATOR = PRIVATE_PREFIX_BITS << 57
 
 
-@dataclass(frozen=True)
-class Addr128:
+class _Halves(NamedTuple):
     locator: int
     identifier: int
 
-    def __post_init__(self):
-        if not 0 <= self.locator <= MASK64:
+
+class Addr128(_Halves):
+    """A (locator, identifier) pair, each half in [0, 2**64). A tuple, so
+    immutable and hashed by its halves; `__new__` checks the ranges."""
+    __slots__ = ()
+
+    def __new__(cls, locator, identifier):
+        if not 0 <= locator <= MASK64:
             raise ValueError("locator out of 64-bit range")
-        if not 0 <= self.identifier <= MASK64:
+        if not 0 <= identifier <= MASK64:
             raise ValueError("identifier out of 64-bit range")
+        return tuple.__new__(cls, (locator, identifier))
 
     def is_private(self):
         return (self.locator >> 57) == PRIVATE_PREFIX_BITS

@@ -8,6 +8,7 @@ exhaustion. Every grant and consumption step is logged so conservation
 (delivered <= grants at each tier <= initial balance) is checkable.
 """
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass
@@ -20,8 +21,9 @@ class Account:
             raise ValueError("balance must be nonnegative")
 
 
-@dataclass
-class ChargingEvent:
+class ChargingEvent(NamedTuple):
+    """One ledger line; a tuple, made once per grant, sub-quota, delivery
+    or cutoff and never changed."""
     time_us: int
     actor: str
     event: str

@@ -145,12 +145,14 @@ def attach(ue, inb, sme, now_us=0):
 
     Returns (UeContext, trace). On failure nothing changes but what a
     failed AKA uses up (see `admit`), and AttachError is raised, naming
-    the cause.
+    the cause. A station at its `ue_cap` refuses before AKA runs.
     """
     try:
         addr = assign_private_addr(ue.imsi)
     except ValueError as exc:
         raise AttachError(str(exc)) from exc
+    if not inb.has_room():
+        raise AttachError(f"{inb.id} is at its ue cap")
     rec, vector, res, keys = admit(ue, sme.subdb, sme.rng)
     ctx = UeContext(imsi=ue.imsi, serving_inb=inb.id, private_addr=addr,
                     keys=keys, qci=rec.qci_profile)

@@ -109,7 +109,6 @@ def test_forwarding_rewrites_only_destination_locator(ident, prefix, target):
     assert out.identifier == ident  # lower 64 bits untouched
 
 
-
 @pytest.mark.parametrize("half", ["locator", "identifier"])
 def test_addr128_range_checks_immutability_and_hash(half):
     other = "identifier" if half == "locator" else "locator"

@@ -1,6 +1,6 @@
 import pytest
 
-from encorsim import control, security
+from encorsim import security
 from encorsim.addressing import PRIVATE_LOCATOR
 from encorsim.control import (
     AttachError, ConfigurationError, HandoverError, Hop, Inb, RelayError, Sme,
@@ -47,6 +47,22 @@ def test_attach_of_an_imsi_that_is_no_identifier_changes_nothing(imsi):
     assert sme.rng.getstate() == rng
     assert inb.attached == {}
     assert ue.state is UeState.DETACHED and ue.keys is None
+
+
+def test_attach_at_a_station_at_its_cap_is_refused_and_changes_nothing():
+    k = bytes(16)
+    sme = Sme({i: security.SubscriberRecord(imsi=i, k=k) for i in (1, 2)})
+    inb = Inb("inb_a", 0x2001_0DB8_0000_0001, ue_cap=1)
+    first, second = Ue(imsi=1, k=k), Ue(imsi=2, k=k)
+    ctx, _ = attach(first, inb, sme)
+    rng = sme.rng.getstate()
+    with pytest.raises(AttachError, match="^inb_a "):
+        attach(second, inb, sme)
+    assert second.sqn == sme.subdb[2].sqn == 0
+    assert sme.rng.getstate() == rng
+    assert inb.attached == {1: ctx}
+    assert second.state is UeState.DETACHED and second.keys is None
+    assert first.state is UeState.CONNECTED and ctx.serving_inb == "inb_a"
 
 
 def attach_and_handover(mode, ue_cap=None):

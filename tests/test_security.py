@@ -2,6 +2,7 @@ import hashlib
 import hmac as hmac_mod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from encorsim.security import (
     NetworkAuthError, ReplayError, SubscriberRecord, chain_k_enb,
@@ -84,6 +85,15 @@ def _prf_oracle(key, label, *parts):
             part = part.to_bytes(8, "big")
         data += b"|" + part
     return hmac_mod.new(key, data, hashlib.sha256).digest()[:16]
+
+
+# keys past the 64-byte block are hashed first, as RFC 2104 says
+@given(key=st.binary(max_size=64) | st.binary(min_size=65, max_size=200),
+       label=st.text(st.characters(max_codepoint=127)),
+       parts=st.lists(st.binary() | st.integers(0, (1 << 64) - 1),
+                      max_size=3))
+def test_prf_is_hmac_sha256_of_the_joined_message(key, label, parts):
+    assert prf(key, label, *parts) == _prf_oracle(key, label, *parts)
 
 
 def test_derive_k_enb_matches_independent_prf_oracle():
