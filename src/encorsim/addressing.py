@@ -26,7 +26,8 @@ class _Halves(NamedTuple):
 
 class Addr128(_Halves):
     """A (locator, identifier) pair, each half in [0, 2**64). A tuple, so
-    immutable and hashed by its halves; `__new__` checks the ranges."""
+    immutable and hashed by its halves; `__new__` checks the ranges, and
+    `_make`, through which `_replace` goes, calls it."""
     __slots__ = ()
 
     def __new__(cls, locator, identifier):
@@ -35,6 +36,10 @@ class Addr128(_Halves):
         if not 0 <= identifier <= MASK64:
             raise ValueError("identifier out of 64-bit range")
         return tuple.__new__(cls, (locator, identifier))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def is_private(self):
         return (self.locator >> 57) == PRIVATE_PREFIX_BITS

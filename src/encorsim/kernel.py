@@ -7,7 +7,9 @@ scenario produce identical results; a scheduled event cannot be
 cancelled. Events scheduled in time order can go through a `Lane`,
 which keeps only its earliest event in the heap. A series on a fixed grid,
 start + k·interval for k < count, is one `Train`: it is keyed once, when
-it is made, and makes its events one at a time as they fire.
+it is made, and only its next event is in the heap. The drain fires each
+event with one heap operation: it pops a plain event, and replaces a lane
+or train event with its successor before the action runs.
 
 Nodes are capacity-limited FIFO servers. A node owns its inbound
 latency and loss: every message sent to it takes the node's latency to
@@ -30,7 +32,7 @@ simulator.
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from math import inf
 from operator import index
 
@@ -118,13 +120,14 @@ class Lane:
     scheduled, such as every event a fixed delay after `now`.
 
     Only the lane's earliest pending event sits in the simulator's heap;
-    when it fires, the next one moves in. The heap stays as small as the
-    number of busy lanes plus the events scheduled directly. A heap entry
-    carries its lane's FIFO, so the drain loop needs no lane lookup.
+    when it fires, the drain replaces it with the next one. The heap
+    stays as small as the number of busy lanes plus the events scheduled
+    directly. A heap entry carries its lane's FIFO, so the drain loop
+    needs no lane lookup.
     Lanes stay for speed, not for order: every lane event pushed on the
     heap directly instead, as `Simulator.schedule` pushes it, gives the
     same results but a slower `mobility_apps` benchmark round (wall_s
-    median 0.291 -> 0.301 s, slower in 5 of 6 alternating 20 s pairs on
+    median 0.176 -> 0.199 s, slower in 8 of 8 alternating 10 s pairs on
     a 2-CPU x86-64 host, Python 3.11).
 
     Order: each event takes its key (time, seq) from the simulator's
@@ -165,12 +168,12 @@ class Train:
     """`count` events on a fixed grid: `action(sim, k)` at start +
     k * interval for each k < count, made by `Simulator.train`.
 
-    The train takes `count` consecutive seqs from the simulator's counter
-    when it is made, so event k has the key (start + k * interval, seq0 +
-    k), the key `Simulator.schedule` would give it in a loop at that
-    moment. Only the next event sits in the heap; when it fires, it puts
-    event k + 1 there before its action runs, and the drain loop treats
-    it like any other event.
+    The train takes `count` consecutive seqs, seq0 to `last_seq`, from
+    the simulator's counter when it is made, so event k has the key
+    (start + k * interval, seq0 + k), the key `Simulator.schedule` would
+    give it in a loop at that moment. Only the next event sits in the
+    heap, as (time, seq, action, train). The drain replaces that entry
+    with event k + 1's before it runs `action(sim, seq - seq0)`.
 
     Order: the keys within a train strictly increase, since times never
     decrease and seqs increase. An event that is not in the heap has an earlier
@@ -180,30 +183,12 @@ class Train:
     simulator directly when the train was made.
     """
 
-    __slots__ = ("_start", "_interval", "_count", "_seq0", "_action", "_k")
+    __slots__ = ("interval", "seq0", "last_seq")
 
-    def __init__(self, sim, start, interval, count, action):
-        self._start = start
-        self._interval = interval
-        self._count = count
-        self._seq0 = sim._seq
-        self._action = action
-        self._k = 0
-        sim._seq += count
-        # every heap entry's action is this one bound method; only the
-        # entries hold it, since on the train it would make a cycle
-        heappush(sim._queue, (start, self._seq0, self.fire, None))
-
-    def fire(self, sim):
-        """Put the next event in the heap, then run this one's action. The
-        running entry's action is this bound method: the next entry
-        reuses it."""
-        k = self._k
-        self._k = nxt = k + 1
-        if nxt < self._count:
-            heappush(sim._queue, (self._start + nxt * self._interval,
-                                  self._seq0 + nxt, sim.running[2], None))
-        self._action(sim, k)
+    def __init__(self, interval, seq0, last_seq):
+        self.interval = interval
+        self.seq0 = seq0
+        self.last_seq = last_seq
 
 
 class Simulator:
@@ -214,9 +199,6 @@ class Simulator:
         self.stats = RunStats()
         self._queue = []
         self._seq = 0
-        # the heap entry of the event running now, or of the last one run;
-        # None before the first event and after `close`
-        self.running = None
 
     # -- topology ---------------------------------------------------------
 
@@ -258,7 +240,10 @@ class Simulator:
                 f"cannot schedule {count} events from t={start!r} every"
                 f" {interval!r} µs: times are whole µs, now is t={self.now}")
         if count:
-            Train(self, start, interval, count, action)
+            seq0 = self._seq
+            self._seq += count
+            heappush(self._queue, (start, seq0, action,
+                                   Train(interval, seq0, seq0 + count - 1)))
 
     def send(self, node, msg, on_delivered=None):
         """Send msg into the service queue of `node`, a `Node` that
@@ -297,37 +282,49 @@ class Simulator:
         """End the simulation: drop every pending event (the heap, the
         lanes' queued events and the nodes' queued messages) and each
         node's lane and completion method, which hold the simulator and
-        the node, and `running`, the last event run. What the events
-        captured is freed with them, so nothing closes a reference cycle
-        through the simulator. No message can be sent after it."""
+        the node. What the events captured is freed with them, so nothing
+        closes a reference cycle through the simulator. No message can be
+        sent after it."""
         for entry in self._queue:
-            if entry[3] is not None:
+            if type(entry[3]) is deque:
                 entry[3].clear()
         self._queue.clear()
-        self.running = None
         for node in self.nodes.values():
             node.inbox.clear()
             node.lane = node._complete = None
 
     def _drain(self, t_end):
         """Execute every event with time <= t_end, in (time, insertion)
-        order, recording each one's heap entry as `running`."""
+        order. Each event leaves the heap, or gives its place to its lane's
+        or train's next one, before its action runs."""
         queue = self._queue
         pop = heappop
-        push = heappush
+        replace = heapreplace
         events = 0
         try:
-            while queue and queue[0][0] <= t_end:
-                entry = pop(queue)
-                at, _, action, pending = entry
-                if pending is not None:
-                    pending.popleft()
-                    if pending:
-                        push(queue, pending[0])
+            while queue:
+                at, seq, action, tail = queue[0]
+                if at > t_end:
+                    break
                 self.now = at
-                self.running = entry
                 events += 1
-                action(self)
+                if tail is None:
+                    pop(queue)
+                    action(self)
+                elif type(tail) is Train:
+                    if seq < tail.last_seq:
+                        replace(queue, (at + tail.interval, seq + 1, action,
+                                        tail))
+                    else:
+                        pop(queue)
+                    action(self, seq - tail.seq0)
+                else:
+                    tail.popleft()
+                    if tail:
+                        replace(queue, tail[0])
+                    else:
+                        pop(queue)
+                    action(self)
         finally:
             self.stats.events_processed += events
 

@@ -115,10 +115,17 @@ def test_addr128_range_checks_immutability_and_hash(half):
     for value in (0, (1 << 64) - 1):
         addr = Addr128(**{half: value, other: 1})
         assert getattr(addr, half) == value
+        replaced = Addr128(**{half: 5, other: 1})._replace(**{half: value})
+        assert type(replaced) is Addr128 and replaced == addr
+    # `_replace` goes through `_make`, and both check the ranges
     for value in (-1, 1 << 64):
-        with pytest.raises(ValueError,
-                           match=f"^{half} out of 64-bit range$"):
-            Addr128(**{half: value, other: 1})
+        halves = {half: value, other: 1}
+        for make in (lambda: Addr128(**halves),
+                     lambda: Addr128(1, 2)._replace(**{half: value}),
+                     lambda: Addr128._make(map(halves.get, Addr128._fields))):
+            with pytest.raises(ValueError,
+                               match=f"^{half} out of 64-bit range$"):
+                make()
     addr = Addr128(PRIVATE_LOCATOR, 7)
     with pytest.raises(AttributeError):
         setattr(addr, half, 8)

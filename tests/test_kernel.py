@@ -252,16 +252,36 @@ def test_times_that_are_not_whole_us_are_rejected_naming_them(t):
     assert sim.nodes == {}
 
 
-def test_running_is_the_running_key_then_none_after_close():
+def test_an_action_that_raises_leaves_its_successor_scheduled():
+    # the drain advances the heap before an action runs: a raising plain,
+    # lane or train event is counted once, its lane's and its train's next
+    # events stay scheduled, and the next run goes on in key order
     sim = Simulator()
-    keys = []
     lane = sim.lane()
-    sim.schedule(5, lambda s: keys.append(s.running[:2]))
-    lane.schedule(5, lambda s: keys.append(s.running[:2]))
-    sim.run_until(7)
-    assert keys == [(5, 0), (5, 1)]
-    sim.close()  # the last entry run holds its action: drop it
-    assert sim.running is None
+    fired = []
+    raising = {(1, "plain"), (2, "lane"), (3, "train")}
+
+    def act(name):
+        def action(s, k=None):
+            fired.append((s.now, name, k))
+            if (s.now, name) in raising:
+                raise RuntimeError(name)
+        return action
+
+    sim.schedule(1, act("plain"))
+    lane.schedule(2, act("lane"))
+    lane.schedule(4, act("lane"))
+    sim.train(1, 2, 3, act("train"))
+    sim.schedule(6, act("plain"))
+    for name, events in (("plain", 1), ("lane", 3), ("train", 4)):
+        with pytest.raises(RuntimeError, match=name):
+            sim.run()
+        assert sim.stats.events_processed == events
+    assert sim.run().events_processed == 7
+    assert fired == [(1, "plain", None), (1, "train", 0), (2, "lane", None),
+                     (3, "train", 1), (4, "lane", None), (5, "train", 2),
+                     (6, "plain", None)]
+    assert sim._queue == []
 
 
 def test_lane_rejects_earlier_time_and_changes_nothing():
