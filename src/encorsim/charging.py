@@ -49,14 +49,17 @@ class Ocs:
 
     def grant(self, subscriber, requested, now_us=0):
         """Grant min(requested, balance); zero balance signals cutoff."""
-        if requested < 0:  # would hand quota back to the account
+        # a negative request would hand quota back to the account, and a
+        # NaN one would make the balance NaN
+        if not requested >= 0:
             raise ValueError(f"requested must be nonnegative, got {requested}")
         self.request_count += 1
         account = self.accounts.get(subscriber)
         if account is None:
             return 0
-        granted = min(requested, account.balance)
-        account.balance -= granted
+        balance = account.balance
+        granted = balance if balance < requested else requested
+        account.balance = balance - granted
         self.log.record(now_us, "ocs", "grant", subscriber, granted)
         return granted
 
@@ -68,8 +71,9 @@ class ChargingProxy:
     DEFAULT_BATCH = 10 * 1024 * 1024
 
     def __init__(self, cp_id, ocs, batch_bytes=DEFAULT_BATCH, log=None):
-        # a batch below one byte would return quota to the OCS
-        if batch_bytes < 1:
+        # a batch below one byte would return quota to the OCS, and a NaN
+        # one would be granted as NaN
+        if not batch_bytes >= 1:
             raise ValueError(
                 f"batch_bytes must be at least 1, got {batch_bytes}")
         self.id = cp_id
@@ -81,14 +85,16 @@ class ChargingProxy:
     def subquota(self, subscriber, amount, now_us=0):
         """Serve a sub-quota from cache, refilling in batch units first
         if the cache cannot cover the request."""
-        if amount < 0:  # would leave more remaining than was granted
+        # a negative amount would leave more remaining than was granted,
+        # and a NaN one would cache a NaN remainder
+        if not amount >= 0:
             raise ValueError(f"amount must be nonnegative, got {amount}")
         granted, remaining = self.cache.get(subscriber, (0, 0))
         if remaining < amount:
             got = self.ocs.grant(subscriber, self.batch_bytes, now_us)
             granted += got
             remaining += got
-        out = min(amount, remaining)
+        out = remaining if remaining < amount else amount
         remaining -= out
         self.cache[subscriber] = (granted, remaining)
         if out:
@@ -124,7 +130,7 @@ class InbQuota:
         while remaining > 0:
             headroom = self.granted - self.used
             if headroom > 0:
-                take = min(remaining, headroom)
+                take = headroom if headroom < remaining else remaining
                 self.used += take
                 allowed += take
                 remaining -= take

@@ -21,9 +21,9 @@ due in the same microsecond at different nodes therefore fire in send
 order, which is their arrival order when every node has the same
 latency. An exponential service time is drawn at send time. A node's
 completions fall due at strictly increasing times in send order, so each
-is queued on its node's lane and the message waits in the node's FIFO:
-no closure is made per message, and the heap holds at most one
-completion per node.
+is queued in the node's own completion FIFO, which the drain serves as a
+lane, and the message waits in the node's inbox: no closure is made per
+message, and the heap holds at most one completion per node.
 
 `Simulator.close` ends a simulation: it drops every pending event, with
 whatever the events captured, and the reference cycles through the
@@ -43,7 +43,8 @@ class SchedulingError(Exception):
     """Raised when an event is scheduled in the past, at a time that is not
     a whole number of µs (an int), or earlier than the last event of its
     lane, when a train's interval is negative or not an int or its count
-    is negative, or when a run's horizon is not an int."""
+    is negative, when a run's horizon is not an int, or when a message is
+    sent to a node of another simulator or after `close`."""
 
 
 @dataclass
@@ -75,10 +76,12 @@ class Node:
     time of that mean with `exponential_service`; then `service_us` is
     None. A bad parameter raises ValueError naming it.
 
-    Its completions form a lane (see `Simulator.send`): `inbox` holds
-    (latency, msg, on_delivered) for every message sent to it and not yet
-    complete, in send order, and each of its lane's events runs
-    `complete`, which takes the head."""
+    `inbox` holds (latency, msg, on_delivered) for every message sent to
+    it and not yet complete, in send order. `completions` holds their
+    completions' heap entries, (time, seq, `complete`, `completions`), in
+    the same order; only the first is in the heap, and the drain serves
+    the deque as it serves a `Lane`'s (see `Simulator.send`). Each
+    completion runs `complete`, which takes the head of `inbox`."""
 
     def __init__(self, node_id, service_rate, latency_us=0,
                  loss_probability=0.0, exponential_service=False):
@@ -100,8 +103,9 @@ class Node:
                            else max(1, round(US_PER_S / service_rate)))
         self.busy_until = 0
         self.inbox = deque()
-        self.lane = None  # its completions' lane, made by `add_node`
-        self._complete = self.complete  # the lane events' action, bound once
+        self.completions = deque()
+        self._owner = None  # its simulator, set by `add_node`; None after close
+        self._complete = self.complete  # the completions' action, bound once
 
     def complete(self, sim):
         """The message at the head of `inbox` leaves service now."""
@@ -207,7 +211,7 @@ class Simulator:
         rate, inbound latency, loss probability and service discipline.
         A node that its checks reject is not added."""
         node = Node(node_id, *args, **kwargs)
-        node.lane = self.lane()
+        node._owner = self
         self.nodes[node_id] = node
         return node
 
@@ -246,8 +250,10 @@ class Simulator:
                                    Train(interval, seq0, seq0 + count - 1)))
 
     def send(self, node, msg, on_delivered=None):
-        """Send msg into the service queue of `node`, a `Node` that
-        `add_node` returned, unless the node's loss drops it.
+        """Send msg into the service queue of `node`, a `Node` that this
+        simulator's `add_node` returned, unless the node's loss drops it.
+        Any other node, or any node after `close`, raises SchedulingError
+        naming it, and nothing is counted.
 
         on_delivered(sim, msg) fires when the node finishes servicing the
         message. Every message into a node takes the node's one latency,
@@ -258,10 +264,23 @@ class Simulator:
         A completion is done = max(busy_until, now + latency) + service,
         with service at least 1 µs, so a node's completions are due at
         strictly increasing times in send order, exponential service
-        included. They go on the node's lane, so the heap holds at most
-        one of them per node, and the message waits in the node's `inbox`:
-        no closure is made per message.
+        included. Its heap entry goes into the node's `completions` FIFO,
+        and onto the heap only if the FIFO was empty, so the heap holds at
+        most one completion per node, and the message waits in the node's
+        `inbox`: no closure is made per message.
+
+        The entry is the one `Lane.schedule` would make, without the
+        lane's check, which cannot fail here: `done` is an int, as `now`,
+        the latency and the service are; it is greater than `now`, since
+        the service is at least 1 µs; and it is greater than the node's
+        previous completion, `busy_until`. So the keys in the FIFO
+        strictly increase, and the drain fires its entries in (time, seq)
+        order as it fires a lane's.
         """
+        if node._owner is not self:
+            raise SchedulingError(
+                f"cannot send to node {node.id!r}: it is not a node of this"
+                " simulator, or the simulator is closed")
         stats = self.stats
         stats.sent += 1
         loss_probability = node.loss_probability
@@ -271,27 +290,37 @@ class Simulator:
         sent_at = self.now
         service = node.service_us
         if service is None:
-            service = max(1, round(
-                self.rng.expovariate(node.service_rate) * US_PER_S))
-        done = max(node.busy_until, sent_at + node.latency_us) + service
+            service = round(self.rng.expovariate(node.service_rate) * US_PER_S)
+            if service < 1:
+                service = 1
+        start = node.busy_until
+        arrival = sent_at + node.latency_us
+        if arrival > start:
+            start = arrival
+        done = start + service
         node.busy_until = done
         node.inbox.append((done - sent_at, msg, on_delivered))
-        node.lane.schedule(done, node._complete)
+        fifo = node.completions
+        entry = (done, self._seq, node._complete, fifo)
+        self._seq += 1
+        if not fifo:
+            heappush(self._queue, entry)
+        fifo.append(entry)
 
     def close(self):
         """End the simulation: drop every pending event (the heap, the
-        lanes' queued events and the nodes' queued messages) and each
-        node's lane and completion method, which hold the simulator and
-        the node. What the events captured is freed with them, so nothing
-        closes a reference cycle through the simulator. No message can be
-        sent after it."""
+        lanes' and the nodes' queued events and the nodes' queued
+        messages) and each node's simulator and completion method, which
+        hold the simulator and the node. What the events captured is freed
+        with them, so nothing closes a reference cycle through the
+        simulator. A message sent after it raises SchedulingError."""
         for entry in self._queue:
             if type(entry[3]) is deque:
                 entry[3].clear()
         self._queue.clear()
         for node in self.nodes.values():
             node.inbox.clear()
-            node.lane = node._complete = None
+            node._owner = node._complete = None
 
     def _drain(self, t_end):
         """Execute every event with time <= t_end, in (time, insertion)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -132,7 +133,7 @@ def test_conservation_property(balance, sizes):
     assert ocs.accounts[1].balance >= 0
 
 
-@pytest.mark.parametrize("batch_bytes", [0, -500])
+@pytest.mark.parametrize("batch_bytes", [0, -500, math.nan])
 def test_proxy_rejects_batch_below_one_byte(batch_bytes):
     # a batch of -500 would make subquota return -500 and raise the OCS
     # balance to 1500
@@ -148,6 +149,41 @@ def test_ocs_rejects_negative_grant():
     with pytest.raises(ValueError, match="requested"):
         ocs.grant(1, -500)
     assert ocs.accounts[1].balance == 1000
+
+
+def test_ocs_rejects_nan_grant():
+    # a NaN request would be granted as NaN and make the balance NaN
+    ocs = Ocs([Account(1, 1000)])
+    with pytest.raises(ValueError, match="requested"):
+        ocs.grant(1, math.nan)
+    assert (ocs.accounts[1].balance, ocs.request_count) == (1000, 0)
+
+
+def test_proxy_rejects_nan_subquota():
+    # a NaN amount would cache a NaN remainder
+    ocs, cp, _, _ = make_tier(balance=1000, batch_bytes=100)
+    assert cp.subquota(1, 50) == 50
+    with pytest.raises(ValueError, match="amount"):
+        cp.subquota(1, math.nan)
+    assert cp.cache[1] == (100, 50)
+    assert ocs.request_count == 1
+
+
+def test_each_tier_hands_out_the_whole_request_at_a_tie():
+    # at requested == balance, amount == remaining and remaining ==
+    # headroom each tier hands out the whole request, as min(), which
+    # returns its first argument at a tie, did
+    ocs = Ocs([Account(1, 100)])
+    granted = ocs.grant(1, 100.0)
+    assert (granted, type(granted), ocs.accounts[1].balance) \
+        == (100.0, float, 0)
+    ocs, cp, _, _ = make_tier(balance=1000, batch_bytes=100)
+    assert cp.subquota(1, 40) == 40
+    assert cp.subquota(1, 60) == 60  # the cache's 60, no refill
+    assert (cp.cache[1], ocs.request_count) == ((100, 0), 1)
+    inb = InbQuota(1, granted=100)
+    assert inb.consume(100, None) == 100
+    assert (inb.used, inb.cut_off) == (100, False)
 
 
 def test_proxy_rejects_negative_subquota():

@@ -5,7 +5,7 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encorsim.kernel import SchedulingError, Simulator, US_PER_S
+from encorsim.kernel import Node, RunStats, SchedulingError, Simulator, US_PER_S
 
 
 def test_schedule_at_now_executes():
@@ -70,7 +70,8 @@ def test_fifo_service_two_messages():
                          ids=["deterministic", "exponential"])
 def test_a_nodes_completions_keep_one_heap_entry_and_fire_in_send_order(
         exponential):
-    # a node's completions form a lane: only the earliest is in the heap
+    # a node's completions queue in its own FIFO: only the earliest is in
+    # the heap
     sim = Simulator(seed=3)
     n = sim.add_node("n", 50_000, 100, exponential_service=exponential)
     done = []
@@ -94,10 +95,46 @@ def test_close_drops_every_pending_event():
     sim.send(n, "m", on_delivered=lambda s, m: fired.append(m))
     sim.run_until(1)
     sim.close()
-    assert (sim._queue, list(lane._pending), list(n.inbox)) \
-        == ([], [], [])
+    assert (sim._queue, list(lane._pending), list(n.inbox),
+            list(n.completions)) == ([], [], [], [])
     assert sim.run().events_processed == 1
     assert fired == [0]
+
+
+def test_sends_at_one_instant_leave_one_heap_entry_per_node():
+    sim = Simulator()
+    a = sim.add_node("a", 1000, 10)
+    b = sim.add_node("b", 500)
+    for node in (a, b, b, a, a, b):
+        sim.send(node, "m")
+    assert len(sim._queue) == 2
+    assert {entry[:2] for entry in sim._queue} \
+        == {a.completions[0][:2], b.completions[0][:2]}
+    for node in (a, b):
+        entries = list(node.completions)
+        assert len(entries) == 3
+        assert all(x[0] < y[0] and x[1] < y[1]
+                   for x, y in zip(entries, entries[1:]))
+        assert all(entry[3] is node.completions for entry in entries)
+
+
+@pytest.mark.parametrize("case", ["other simulator", "closed", "not added"])
+def test_send_to_a_node_of_another_simulator_or_after_close_is_refused(
+        case):
+    # a send to another simulator's node would count the send in one
+    # simulator and its delivery in the other, whose in_flight would
+    # read -1
+    sim, other = Simulator(), Simulator()
+    node = {"other simulator": other.add_node("n", 1000),
+            "closed": sim.add_node("n", 1000),
+            "not added": Node("n", 1000)}[case]
+    if case == "closed":
+        sim.close()
+    with pytest.raises(SchedulingError, match="node 'n'"):
+        sim.send(node, "m")
+    assert (sim.stats, other.stats) == (RunStats(), RunStats())
+    assert (sim._queue, other._queue, list(node.inbox),
+            list(node.completions)) == ([], [], [], [])
 
 
 def test_certain_loss_drops_and_counts():
