@@ -17,8 +17,10 @@ class Account:
     balance: int  # bytes remaining
 
     def __post_init__(self):
-        if self.balance < 0:
-            raise ValueError("balance must be nonnegative")
+        # a NaN balance would make every grant from it NaN
+        if not self.balance >= 0:
+            raise ValueError(
+                f"balance must be nonnegative, got {self.balance}")
 
 
 class ChargingEvent(NamedTuple):

@@ -4,12 +4,29 @@ Deterministic discrete-event simulation kernel.
 Time is an integer count of simulated microseconds. Events are totally
 ordered by (time, insertion sequence), so runs with the same seed and
 scenario produce identical results; a scheduled event cannot be
-cancelled. Events scheduled in time order can go through a `Lane`,
-which keeps only its earliest event in the heap. A series on a fixed grid,
-start + k·interval for k < count, is one `Train`: it is keyed once, when
-it is made, and only its next event is in the heap. The drain fires each
-event with one heap operation: it pops a plain event, and replaces a lane
-or train event with its successor before the action runs.
+cancelled. Events scheduled in time order can go through a FIFO of heap
+entries (below), which keeps only its earliest event in the heap. A
+series on a fixed grid, start + k·interval for k < count, is one
+`Train`: it is keyed once, when it is made, and only its next event is
+in the heap. The drain fires each event with one heap operation: it pops
+a plain event, and replaces a FIFO's or a train's event with its
+successor before the action runs.
+
+A FIFO of heap entries is a deque of entries (time, seq, action, FIFO),
+owned by whatever makes its events. To queue an event, the owner builds
+its entry with the simulator's next seq (`_seq`, which it then
+increments), pushes the entry onto the heap (`_queue`) only if the FIFO
+is empty, and appends it. The time must be an int, no earlier than `now`
+and than the FIFO's last entry; an owner that does not check this states
+why it cannot fail. Then the keys within a FIFO strictly increase, and
+an entry that is not in the heap has an earlier entry of its own FIFO
+there, with a smaller key. The drain fires the head and puts the next
+entry in its place, so the heap's minimum is the minimum over every
+pending event, and events fire in the same (time, insertion) order as
+if each had been scheduled on the simulator directly. `Lane.schedule`
+follows this with the checks; `Simulator.send` (a node's completions)
+and `transport._DownlinkServer` (its one-way arrivals) follow it without
+them.
 
 Nodes are capacity-limited FIFO servers. A node owns its inbound
 latency and loss: every message sent to it takes the node's latency to
@@ -21,9 +38,9 @@ due in the same microsecond at different nodes therefore fire in send
 order, which is their arrival order when every node has the same
 latency. An exponential service time is drawn at send time. A node's
 completions fall due at strictly increasing times in send order, so each
-is queued in the node's own completion FIFO, which the drain serves as a
-lane, and the message waits in the node's inbox: no closure is made per
-message, and the heap holds at most one completion per node.
+is queued in the node's own completion FIFO of heap entries, and the
+message waits in the node's inbox: no closure is made per message, and
+the heap holds at most one completion per node.
 
 `Simulator.close` ends a simulation: it drops every pending event, with
 whatever the events captured, and the reference cycles through the
@@ -79,9 +96,9 @@ class Node:
     `inbox` holds (latency, msg, on_delivered) for every message sent to
     it and not yet complete, in send order. `completions` holds their
     completions' heap entries, (time, seq, `complete`, `completions`), in
-    the same order; only the first is in the heap, and the drain serves
-    the deque as it serves a `Lane`'s (see `Simulator.send`). Each
-    completion runs `complete`, which takes the head of `inbox`."""
+    the same order: a FIFO of heap entries (see the module docstring and
+    `Simulator.send`). Each completion runs `complete`, which takes the
+    head of `inbox`."""
 
     def __init__(self, node_id, service_rate, latency_us=0,
                  loss_probability=0.0, exponential_service=False):
@@ -120,27 +137,23 @@ class Node:
 
 
 class Lane:
-    """A FIFO of events whose times never decrease in the order they are
-    scheduled, such as every event a fixed delay after `now`.
+    """A checked FIFO of heap entries (see the module docstring) for
+    events whose times never decrease in the order they are scheduled,
+    such as every event a fixed delay after `now`.
 
     Only the lane's earliest pending event sits in the simulator's heap;
     when it fires, the drain replaces it with the next one. The heap
     stays as small as the number of busy lanes plus the events scheduled
     directly. A heap entry carries its lane's FIFO, so the drain loop
-    needs no lane lookup.
-    Lanes stay for speed, not for order: every lane event pushed on the
-    heap directly instead, as `Simulator.schedule` pushes it, gives the
-    same results but a slower `mobility_apps` benchmark round (wall_s
-    median 0.176 -> 0.199 s, slower in 8 of 8 alternating 10 s pairs on
-    a 2-CPU x86-64 host, Python 3.11).
-
-    Order: each event takes its key (time, seq) from the simulator's
-    counter when it is scheduled, exactly as `Simulator.schedule` would
-    give it, so the keys within a lane strictly increase. An event that
-    is not in the heap has an earlier event of its own lane there, with a
-    smaller key. The heap's minimum is therefore the minimum over every
-    pending event, and events fire in the same (time, insertion) order as
-    if each had been scheduled on the simulator directly.
+    needs no lane lookup. Each event takes the key (time, seq) that
+    `Simulator.schedule` would give it, and `schedule` checks the time,
+    so the FIFO's order argument holds.
+    FIFOs stay for speed, not for order: when the transport's one-way
+    arrivals went through a lane, pushing each on the heap directly
+    instead, as `Simulator.schedule` does, gave the same results but a
+    slower `mobility_apps` benchmark round (wall_s median 0.176 -> 0.199
+    s, slower in 8 of 8 alternating 10 s pairs on a 2-CPU x86-64 host,
+    Python 3.11).
     """
 
     __slots__ = ("_sim", "_pending", "_last")
@@ -264,18 +277,15 @@ class Simulator:
         A completion is done = max(busy_until, now + latency) + service,
         with service at least 1 µs, so a node's completions are due at
         strictly increasing times in send order, exponential service
-        included. Its heap entry goes into the node's `completions` FIFO,
-        and onto the heap only if the FIFO was empty, so the heap holds at
-        most one completion per node, and the message waits in the node's
-        `inbox`: no closure is made per message.
+        included. Its heap entry is queued in the node's `completions`, a
+        FIFO of heap entries (see the module docstring), so the heap holds
+        at most one completion per node, and the message waits in the
+        node's `inbox`: no closure is made per message.
 
-        The entry is the one `Lane.schedule` would make, without the
-        lane's check, which cannot fail here: `done` is an int, as `now`,
-        the latency and the service are; it is greater than `now`, since
-        the service is at least 1 µs; and it is greater than the node's
-        previous completion, `busy_until`. So the keys in the FIFO
-        strictly increase, and the drain fires its entries in (time, seq)
-        order as it fires a lane's.
+        The FIFO's time check is not made, and cannot fail here: `done` is
+        an int, as `now`, the latency and the service are; it is greater
+        than `now`, since the service is at least 1 µs; and it is greater
+        than the node's previous completion, `busy_until`.
         """
         if node._owner is not self:
             raise SchedulingError(
@@ -309,8 +319,9 @@ class Simulator:
 
     def close(self):
         """End the simulation: drop every pending event (the heap, the
-        lanes' and the nodes' queued events and the nodes' queued
-        messages) and each node's simulator and completion method, which
+        queued events of every FIFO of heap entries with an event in it,
+        and the nodes' queued messages) and each node's simulator and
+        completion method, which
         hold the simulator and the node. What the events captured is freed
         with them, so nothing closes a reference cycle through the
         simulator. A message sent after it raises SchedulingError."""
@@ -324,7 +335,7 @@ class Simulator:
 
     def _drain(self, t_end):
         """Execute every event with time <= t_end, in (time, insertion)
-        order. Each event leaves the heap, or gives its place to its lane's
+        order. Each event leaves the heap, or gives its place to its FIFO's
         or train's next one, before its action runs."""
         queue = self._queue
         pop = heappop

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 
 from .addressing import FORWARDING_TTL_US
 from .kernel import Simulator, US_PER_S
@@ -128,7 +129,9 @@ class MobilityNet:
         forwarding_ttl_us after the client left it, so a packet follows
         the chain from `dest` while every hop is live. The client leaves
         its paths in time order and every hop has the same TTL, so the
-        first hop expires first: the chain is live while it is."""
+        first hop expires first: the chain is live while it is.
+        `_DownlinkServer._data_arrives` makes the first test itself and
+        calls this only for a path the client has left."""
         if dest == self.path:
             return True
         params = self.params
@@ -143,9 +146,17 @@ class _DownlinkServer:
     transmission is lost, and path learning from every client packet
     (acks, requests, keepalives, pings).
 
-    Every event a fixed delay after `now` goes into the lane for that
-    delay (see `kernel.Lane`): the one-way lane holds data and
-    client-packet arrivals. A timeout is due a fixed delay after its send,
+    Data and client-packet arrivals are each due one_way_us after their
+    send, so the server queues them in its own one-way FIFO, `_one_way`,
+    a FIFO of heap entries that the drain serves as it serves a lane's
+    (see the `kernel` module docstring). `transmit`, `send_reliable` and
+    `client_packet` each append (now + one_way_us, seq, action, FIFO)
+    themselves, taking the seq from the simulator's counter, and push the
+    entry onto the heap only when the FIFO was empty. The check that
+    `Lane.schedule` makes cannot fail here: `now` is an int and never
+    decreases, and one_way_us is a positive int (`TransportParams`
+    checks it), so the entry's time is an int after `now` and no earlier
+    than the FIFO's last. A timeout is due a fixed delay after its send,
     not after the loss that schedules it, so it goes to
     `Simulator.schedule`, as does an ack (at most one per move). The
     apps' sends on a fixed grid (bulk packets, a chunk's paced packets and
@@ -154,17 +165,27 @@ class _DownlinkServer:
 
     A data packet makes no closure. Its send appends (dest path, send µs,
     RTO or None) to the in-flight FIFO and puts one bound method,
-    `_data_arrives`, on the one-way lane. Every data arrival is due
-    one_way_us after its send, and a lane fires in the order it was
-    filled, so data arrivals fire in send order: the FIFO's head is the
-    packet that arrives. Client-packet arrivals share the lane but not
-    the FIFO.
+    `_data_arrives`, on the one-way FIFO. Every data arrival is due
+    one_way_us after its send, and the one-way FIFO fires in the order it
+    was filled, so data arrivals fire in send order: the in-flight FIFO's
+    head is the packet that arrives. Client-packet arrivals share the
+    one-way FIFO but not the in-flight one.
 
     A delivered packet costs two events, the send and the arrival, and a
-    third if it sends an ack (below). The ack leaves ack_delay_us after
-    the delivery, from the address the move schedule gives for that µs,
-    and all it does on arrival is set the server's path,
-    `net.server_path`. An ack is an event scheduled at its delivery.
+    third if it sends an ack (below). Most cost two Python calls, one per
+    event. A packet sent to the client's current path reaches it, so the
+    arrival asks `MobilityNet.reaches_client` only about a packet sent to
+    a path the client has left. It wakes the app only at the delivery the
+    app waits for: the server counts its deliveries (`delivered`) and
+    keeps the last one's time (`last_delivery_us`); an app sets
+    `wake_count` to the count it waits for, and the arrival that makes
+    `delivered` equal to it calls `on_wake(now)`. At 0, the start, no
+    delivery wakes the app, since `delivered` is at least 1 after one.
+
+    The ack leaves ack_delay_us after the delivery, from the address the
+    move schedule gives for that µs, and all it does on arrival is set
+    the server's path, `net.server_path`. An ack is an event scheduled at
+    its delivery.
 
     A delivery sends its ack only if the ack's path differs from the last
     sent ack's (at first, the server's starting path 0); any other ack
@@ -184,14 +205,14 @@ class _DownlinkServer:
     A packet is delivered at most once (see `send_reliable`), so every
     delivery is a packet's first.
 
-    The server's bound methods, the app's callbacks and the pending
+    The server's bound methods, the app's callback and the pending
     events hold the server in reference cycles; each run ends with
     `close`, which drops them."""
 
     def __init__(self, params, seed):
         self.sim = Simulator(seed)
         # data and client-packet arrivals are both one_way_us away
-        self.one_way = self.sim.lane()
+        self._one_way = deque()  # their heap entries; the first is in the heap
         self._one_way_us = params.one_way_us
         self._first_rto_us = params.rto_us
         self._in_flight = deque()  # (dest path, send µs, RTO or None)
@@ -206,9 +227,11 @@ class _DownlinkServer:
         self.params = params
         self.handovers = 0
         self.delivered = 0
+        self.last_delivery_us = 0
         self.retx_count = 0
         self.tx_count = 0
-        self.on_packet_delivered = None  # callback(now)
+        self.wake_count = 0  # the delivery count that calls on_wake
+        self.on_wake = None  # callback(now)
 
     def schedule_handovers(self, times_us, active):
         """The client moves at each time; the server is not told. A move
@@ -241,7 +264,12 @@ class _DownlinkServer:
         self.tx_count += 1
         now = sim.now
         self._in_flight.append((self.net.server_path, now, None))
-        self.one_way.schedule(now + self._one_way_us, self._arrive)
+        fifo = self._one_way
+        entry = (now + self._one_way_us, sim._seq, self._arrive, fifo)
+        sim._seq += 1
+        if not fifo:
+            heappush(sim._queue, entry)
+        fifo.append(entry)
 
     def send_reliable(self, sim, _k=None, rto_us=None):
         """Transmit until delivered, doubling the timeout after each loss.
@@ -279,20 +307,27 @@ class _DownlinkServer:
         now = sim.now
         self._in_flight.append((self.net.server_path, now,
                                 rto_us or self._first_rto_us))
-        self.one_way.schedule(now + self._one_way_us, self._arrive)
+        fifo = self._one_way
+        entry = (now + self._one_way_us, sim._seq, self._arrive, fifo)
+        sim._seq += 1
+        if not fifo:
+            heappush(sim._queue, entry)
+        fifo.append(entry)
 
     def _data_arrives(self, sim):
         """The arrival of the in-flight FIFO's head. If it reaches the
-        client, deliver it, and send its ack if the ack leaves at or after
-        the µs the client leaves the last sent ack's path: only then does
-        it move the server's path when it arrives (see the class
-        docstring). If not, and the packet is reliable, schedule its
-        timeout."""
+        client, deliver it: count it, keep its time, send its ack if the
+        ack leaves at or after the µs the client leaves the last sent
+        ack's path (only then does it move the server's path when it
+        arrives; see the class docstring), and wake the app if this is
+        the delivery it waits for. If not, and the packet is reliable,
+        schedule its timeout."""
         dest, sent_at, rto_us = self._in_flight.popleft()
         now = sim.now
         net = self.net
-        if net.reaches_client(dest, now):
-            self.delivered += 1
+        if dest == net.path or net.reaches_client(dest, now):
+            delivered = self.delivered = self.delivered + 1
+            self.last_delivery_us = now
             leaves = now + self._ack_delay_us
             if leaves >= self._path_left_us:
                 path = net.address_at(leaves)
@@ -300,8 +335,8 @@ class _DownlinkServer:
                 move_times = net.move_times
                 self._path_left_us = (move_times[path]
                                       if path < len(move_times) else math.inf)
-            if self.on_packet_delivered is not None:
-                self.on_packet_delivered(now)
+            if delivered == self.wake_count:
+                self.on_wake(now)
         elif rto_us is not None:
             self._lost(sent_at, rto_us)
 
@@ -336,7 +371,13 @@ class _DownlinkServer:
         def arrive(sim):
             net.server_path = src
 
-        self.one_way.schedule(self.sim.now + self._one_way_us, arrive)
+        sim = self.sim
+        fifo = self._one_way
+        entry = (sim.now + self._one_way_us, sim._seq, arrive, fifo)
+        sim._seq += 1
+        if not fifo:
+            heappush(sim._queue, entry)
+        fifo.append(entry)
 
     def keep_alive(self, running, busy):
         """A client mid-download is never idle: a window update every
@@ -363,7 +404,7 @@ class _DownlinkServer:
         run's objects are freed when it returns, with no collection."""
         self.sim.close()
         self._in_flight.clear()
-        self._arrive = self._alive = self.on_packet_delivered = None
+        self._arrive = self._alive = self.on_wake = None
 
     def metrics(self, app, **fields):
         return AppMetrics(app=app, handovers=self.handovers,
@@ -421,14 +462,14 @@ def run_bulk(file_bytes, handover_times_us, params=None, seed=0):
     interval = params.packet_interval_us()
     finish_us = [None]
 
-    def on_delivered(now):
-        if server.delivered == n_packets:
-            finish_us[0] = now
+    def finished(now):
+        finish_us[0] = now
 
     def downloading():
         return server.delivered < n_packets
 
-    server.on_packet_delivered = on_delivered
+    server.wake_count = n_packets
+    server.on_wake = finished
     sim.train(0, interval, n_packets, server.send_reliable)
     server.schedule_handovers(handover_times_us, downloading)
     server.keep_alive(downloading, downloading)
@@ -478,10 +519,6 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         "stall_us": 0,
         "qualities": [],
         "buffer_integral": 0.0,  # buffer-seconds, for the time average
-        # packets of the requested chunk not yet delivered: request_chunk
-        # runs as one chain, re-armed once per completed chunk, so at most
-        # one chunk is in flight and every delivery belongs to it
-        "undelivered": 0,
     }
     duration_us = round(duration_s * US_PER_S)
     pace_interval = params.packet_interval_us(PACE_MBPS)
@@ -513,7 +550,10 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
         state["qualities"].append(level)
         chunk_bytes = bitrate * CHUNK_DURATION_S / 8
         n_pkts = max(1, math.ceil(chunk_bytes / params.packet_bytes))
-        state["undelivered"] = n_pkts
+        # wake at the chunk's last packet: request_chunk runs as one
+        # chain, re-armed once per completed chunk, so at most one chunk
+        # is in flight and every delivery belongs to it
+        server.wake_count = server.delivered + n_pkts
         server.client_packet()  # the chunk request
 
         def start_sending(s):
@@ -521,20 +561,19 @@ def run_buffered(duration_s, handover_times_us, params=None, seed=0):
 
         sim.schedule(sim.now + params.one_way_us, start_sending)
 
-    def on_delivered(now):
-        state["undelivered"] -= 1
-        if not state["undelivered"]:
-            update_buffer(now)
-            state["buffer_s"] += CHUNK_DURATION_S
-            sim.schedule(now, request_chunk)
+    def chunk_delivered(now):
+        update_buffer(now)
+        state["buffer_s"] += CHUNK_DURATION_S
+        sim.schedule(now, request_chunk)
 
     def playing():
         return sim.now < duration_us
 
-    server.on_packet_delivered = on_delivered
+    server.on_wake = chunk_delivered
     sim.schedule(0, request_chunk)
     server.schedule_handovers(handover_times_us, playing)
-    server.keep_alive(playing, lambda: state["undelivered"] > 0)
+    # busy while the requested chunk has packets to deliver
+    server.keep_alive(playing, lambda: server.delivered < server.wake_count)
     sim.run_until(duration_us)
     update_buffer(duration_us)
     server.close()
@@ -569,7 +608,7 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     duration_us = round(duration_s * US_PER_S)
     idle_deadline = round(params.idle_deadline_factor * frame_interval_us)
 
-    state = {"last_delivery": 0, "pings": 0, "ping_muted_until": -1}
+    state = {"pings": 0, "ping_muted_until": -1}
     n_frames = duration_us // frame_interval_us
     last_send_us = (n_frames - 1) * frame_interval_us
     last_arrival_us = last_send_us + params.one_way_us
@@ -577,7 +616,7 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     def check(s):
         if s.now >= last_arrival_us:
             return  # stream over; nothing left to expect
-        if state["last_delivery"] + idle_deadline > s.now:
+        if server.last_delivery_us + idle_deadline > s.now:
             return  # a frame arrived in the meantime; its delivery re-armed us
         if s.now < state["ping_muted_until"]:
             return
@@ -587,19 +626,17 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
         server.client_packet()
         s.schedule(s.now + idle_deadline + params.rtt_us, check)
 
-    def arm_deadline():
-        sim.schedule(sim.now + idle_deadline, check)
+    def arm_deadline(now):
+        """Wait idle_deadline for a delivery, and wake at the next one."""
+        server.wake_count += 1
+        sim.schedule(now + idle_deadline, check)
 
-    def on_delivered(now):
-        state["last_delivery"] = now
-        if policy == Policy.PING_ON_IDLE:
-            arm_deadline()
-
-    server.on_packet_delivered = on_delivered
     sim.train(0, frame_interval_us, n_frames, server.transmit)
     server.schedule_handovers(handover_times_us, lambda: sim.now < duration_us)
+    # a passive stream wakes at no delivery: it reads last_delivery_us
     if policy == Policy.PING_ON_IDLE:
-        arm_deadline()
+        server.on_wake = arm_deadline
+        arm_deadline(0)
 
     sim.run_until(duration_us + params.give_up_us)
     server.close()
@@ -610,7 +647,8 @@ def run_live(duration_s, handover_times_us, policy=Policy.PASSIVE_ONLY,
     # delivery and none arrived
     delivered = server.delivered
     deadlocked = (delivered < server.tx_count
-                  and state["last_delivery"] + params.give_up_us <= last_send_us)
+                  and server.last_delivery_us + params.give_up_us
+                  <= last_send_us)
     return server.metrics("live", policy=policy.value,
                           frames_delivered=delivered,
                           fps=delivered / duration_s, deadlocked=deadlocked,

@@ -36,6 +36,13 @@ def test_negative_balance_rejected():
         Account(1, -1)
 
 
+def test_nan_balance_rejected():
+    # a NaN balance would make the whole request granted and the balance
+    # stay NaN
+    with pytest.raises(ValueError, match="balance must be nonnegative"):
+        Account(1, math.nan)
+
+
 def test_batching_amortizes_ocs_requests():
     # five 2 MB sub-quotas fit one 10 MB batch: exactly one OCS round trip
     ocs, cp, _, _ = make_tier(balance=100 * MB)

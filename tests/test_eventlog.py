@@ -1,7 +1,9 @@
 """tools/eventlog.py on a tiny `handover_signalling` round: the count it
 records is the kernel's own event count, a tree compared with itself
-reads identical, and a tree whose `Lane.schedule` takes two seqs per
-event reads diverging."""
+reads identical, a tree whose `Lane.schedule` takes two seqs per event
+reads diverging in (time, seq) but identical in (time, action), and a
+tree that inserts an event per lane event reads those insertions per
+action name."""
 import importlib.util
 import os
 import shutil
@@ -57,18 +59,47 @@ def test_diff_of_a_tree_against_itself_reads_identical():
     assert out.returncode == 0, out.stderr
     assert "(time, seq) streams: identical" in out.stdout
     assert "action names at equal keys: identical" in out.stdout
+    assert "(time, action) streams: identical" in out.stdout
 
 
-def test_diff_against_a_tree_that_shifts_lane_seqs_reads_diverging(
-        tmp_path):
+def _tree_with_lane_schedule(tmp_path, replacement, appended=""):
+    """A copy of this tree whose `Lane.schedule` runs `replacement` in
+    place of `sim._seq += 1`, and whose kernel module ends with
+    `appended`."""
     for part in ("src", "bench"):
         shutil.copytree(os.path.join(ROOT, part), tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
     path = tmp_path / "src" / "encorsim" / "kernel.py"
     source = path.read_text(encoding="utf-8")
     assert source.count("sim._seq += 1") == 1  # Lane.schedule's
-    path.write_text(source.replace("sim._seq += 1", "sim._seq += 2"),
+    path.write_text(source.replace("sim._seq += 1", replacement) + appended,
                     encoding="utf-8")
-    out = eventlog("--diff", ROOT, str(tmp_path))
+    return str(tmp_path)
+
+
+def test_diff_against_a_tree_that_shifts_lane_seqs_reads_diverging(
+        tmp_path):
+    # about 0.3 s (pytest --durations), as each diff below
+    out = eventlog("--diff", ROOT,
+                   _tree_with_lane_schedule(tmp_path, "sim._seq += 2"))
     assert out.returncode == 1, out.stderr
     assert "(time, seq) streams: first divergence at event" in out.stdout
+    # the seqs move, the order does not
+    assert "(time, action) streams: identical" in out.stdout
+
+
+def test_diff_counts_the_events_a_tree_inserts_per_action(tmp_path):
+    # every lane event gets a no-op twin in its µs, right after it
+    tree = _tree_with_lane_schedule(
+        tmp_path, "sim._seq += 1\n        sim.schedule(at, inserted)",
+        "\n\ndef inserted(sim):\n    pass\n")
+    out = eventlog("--diff", ROOT, tree)
+    assert out.returncode == 1, out.stderr
+    lines = out.stdout.splitlines()
+    start = lines.index("(time, action) streams: differ; (time, action)"
+                        " pairs only one side has, per action (- A only,"
+                        " + B only):")
+    count_a, count_b = (int(line.split(": ")[1].split()[0])
+                        for line in lines[:2])
+    assert count_b > count_a
+    assert lines[start + 1:] == [f"  +{count_b - count_a} inserted"]

@@ -389,11 +389,12 @@ class _EveryAckServer(_DownlinkServer):
         net = self.net
         if net.reaches_client(dest, now):
             self.delivered += 1
+            self.last_delivery_us = now
             params = self.params
             leaves = now + params.ack_delay_us
             self._ack(leaves + params.one_way_us, net.address_at(leaves))
-            if self.on_packet_delivered is not None:
-                self.on_packet_delivered(now)
+            if self.delivered == self.wake_count:
+                self.on_wake(now)
         elif rto_us is not None:
             self._lost(sent_at, rto_us)
 
@@ -481,6 +482,160 @@ def test_a_run_with_k_moves_queues_at_most_k_acks(monkeypatch, run, moves,
     # each ack event moves the server's path up from the last one's
     assert 0 < len(paths) <= len(moves)
     assert paths == sorted(set(paths)) and paths[0] > 0
+
+
+class _LaneServer(_DownlinkServer):
+    """The reference for the server's one-way FIFO and wake-ups: one-way
+    arrivals go through a checked `Lane`, every arrival asks
+    `reaches_client`, and every delivery calls back, which wakes the app
+    when `delivered` reaches `wake_count`."""
+
+    def __init__(self, params, seed):
+        super().__init__(params, seed)
+        self._lane = self.sim.lane()
+
+    def transmit(self, sim, _k=None):
+        self.tx_count += 1
+        self._in_flight.append((self.net.server_path, sim.now, None))
+        self._lane.schedule(sim.now + self._one_way_us, self._arrive)
+
+    def send_reliable(self, sim, _k=None, rto_us=None):
+        self.tx_count += 1
+        self._in_flight.append((self.net.server_path, sim.now,
+                                rto_us or self._first_rto_us))
+        self._lane.schedule(sim.now + self._one_way_us, self._arrive)
+
+    def client_packet(self):
+        net = self.net
+        src = net.path
+
+        def arrive(sim):
+            net.server_path = src
+
+        self._lane.schedule(self.sim.now + self._one_way_us, arrive)
+
+    def _data_arrives(self, sim):
+        dest, sent_at, rto_us = self._in_flight.popleft()
+        now = sim.now
+        net = self.net
+        if net.reaches_client(dest, now):
+            self.delivered += 1
+            self.last_delivery_us = now
+            leaves = now + self._ack_delay_us
+            if leaves >= self._path_left_us:
+                path = net.address_at(leaves)
+                self._ack(leaves + self._one_way_us, path)
+                self._path_left_us = (net.move_times[path]
+                                      if path < len(net.move_times)
+                                      else math.inf)
+            self._on_delivery(now)
+        elif rto_us is not None:
+            self._lost(sent_at, rto_us)
+
+    def _on_delivery(self, now):
+        if self.delivered == self.wake_count:
+            self.on_wake(now)
+
+
+def _run_with(server_cls, run):
+    """run() with its server made by `server_cls`; the metrics and the
+    server."""
+    servers = []
+
+    class Recorded(server_cls):
+        def __init__(self, params, seed):
+            super().__init__(params, seed)
+            servers.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_DownlinkServer", Recorded)
+        metrics = run()
+    (server,) = servers
+    return metrics, server
+
+
+# about 0.4 s (pytest --durations)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(scenario=_ack_scenarios())
+@example(scenario=(TransportParams(), 3_000_000, [1_000_000, 2_000_000],
+                   FRAME_INTERVAL_US))
+@example(scenario=(TransportParams(forwarding_enabled=True), 3_000_000,
+                   [1_000_000, 1_000_000], FRAME_INTERVAL_US))
+def test_the_servers_fifo_and_wake_ups_match_a_checked_lane_reference(
+        scenario):
+    params, horizon_us, moves, frame_interval_us = scenario
+    bulk_bytes = (horizon_us // params.packet_interval_us() + 1) \
+        * params.packet_bytes
+    runs = [lambda: run_bulk(bulk_bytes, moves, params, seed=1),
+            lambda: run_buffered(horizon_us / US, moves, params, seed=1)]
+    runs += [lambda policy=policy: run_live(
+                 horizon_us / US, moves, policy, params, seed=1,
+                 frame_interval_us=frame_interval_us)
+             for policy in Policy]
+    for run in runs:
+        expected, reference = _run_with(_LaneServer, run)
+        metrics, server = _run_with(_DownlinkServer, run)
+        assert metrics == expected
+        assert (server.sim.stats.events_processed
+                == reference.sim.stats.events_processed)
+
+
+class _WakeLog(_DownlinkServer):
+    """A server that logs (delivered, now) at each wake-up of its app."""
+
+    def __init__(self, params, seed):
+        self.wakes = []
+        super().__init__(params, seed)
+
+    @property
+    def on_wake(self):
+        return self._on_wake
+
+    @on_wake.setter
+    def on_wake(self, callback):
+        def logged(now):
+            self.wakes.append((self.delivered, now))
+            callback(now)
+
+        self._on_wake = None if callback is None else logged
+
+
+# each wake-up test takes about 0.01 s (pytest --durations)
+def test_a_bulk_run_wakes_once_and_finishes_at_its_last_delivery():
+    params = TransportParams()
+    file_bytes = 600 * params.packet_bytes - 1
+    m, server = _run_with(_WakeLog, lambda: run_bulk(
+        file_bytes, [50_000, 100_000], params, seed=1))
+    assert m.retx_count > 0
+    assert server.delivered == 600
+    assert server.wakes == [(600, server.last_delivery_us)]
+    assert m.throughput_mbps == file_bytes * 8 / server.last_delivery_us
+
+
+def test_a_buffered_chunk_completes_at_its_last_packet():
+    # ample bandwidth keeps the top rung: every chunk is 834 packets
+    params = TransportParams()
+    chunk = math.ceil(DEFAULT_LADDER[-1][1] * 2 / 8 / params.packet_bytes)
+    m, server = _run_with(_WakeLog, lambda: run_buffered(
+        6.0, [1_000_000, 2_500_000], params, seed=1))
+    assert m.mean_quality == 5.0
+    counts = [delivered for delivered, _ in server.wakes]
+    assert counts == [chunk * (k + 1) for k in range(len(counts))]
+    times = [now for _, now in server.wakes]
+    assert len(counts) > 2 and times == sorted(set(times))
+    # the last wake-up is the last completed chunk's last delivery
+    assert server.delivered < counts[-1] + chunk
+
+
+def test_a_passive_live_run_makes_no_callback_and_a_pinging_one_one_per_frame():
+    passive, server = _run_with(_WakeLog, lambda: run_live(
+        10.0, [3_000_000], Policy.PASSIVE_ONLY, seed=1))
+    assert passive.frames_delivered > 0 and server.wakes == []
+    pinging, server = _run_with(_WakeLog, lambda: run_live(
+        10.0, [3_000_000], Policy.PING_ON_IDLE, seed=1))
+    assert [d for d, _ in server.wakes] == list(
+        range(1, pinging.frames_delivered + 1))
+    assert server.wakes[-1][1] == server.last_delivery_us
 
 
 def test_params_reject_fractional_packet_bytes():

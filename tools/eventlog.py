@@ -22,14 +22,17 @@ call returns is the event fired. Each is recorded as (time, seq, action
 the sum of `events_processed` over every simulator the round made, so a
 kernel that fires events another way fails loudly.
 
-Recording prints the event count, a blake2b digest of the (time, seq)
-stream and the count of events per action; `--stream FILE` also writes
-the stream, one `time seq action` line per event. `--diff A B` records
-each tree in a process of its own and reports whether the (time, seq)
-streams are identical, the first divergence with context, which action
-names differ at equal keys, and, when the streams differ, the events
-per action name that only one side has. It exits 1 if the (time, seq)
-streams differ.
+Recording prints the event count, blake2b digests of the (time, seq)
+and the (time, action) streams and the count of events per action;
+`--stream FILE` also writes the stream, one `time seq action` line per
+event. `--diff A B` records each tree in a process of its own and
+reports whether the (time, seq) streams are identical, the first
+divergence with context, which action names differ at equal keys, and
+whether the (time, action) streams are identical. A change that only
+shifts the seq counter, and reorders nothing, keeps the (time, action)
+stream. When it differs, the diff counts per action name the (time,
+action) pairs that only one side has: the events one side inserted or
+deleted. It exits 1 if the (time, seq) streams differ.
 """
 import argparse
 import collections
@@ -116,9 +119,15 @@ def key_digest(events):
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
+def time_action_digest(events):
+    blob = "\n".join(f"{t} {name}" for t, _, name in events).encode()
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
 def report(events):
     print(f"events: {len(events)}")
     print(f"(time, seq) digest: {key_digest(events)}")
+    print(f"(time, action) digest: {time_action_digest(events)}")
     census = collections.Counter(name for _, _, name in events)
     for name, count in census.most_common():
         print(f"  {count:>9}  {name}")
@@ -151,8 +160,10 @@ def diff(a, b, args):
                 check=True, stdout=subprocess.DEVNULL)
             streams.append(read_stream(path))
     ea, eb = streams
-    print(f"A {a}: {len(ea)} events, (time, seq) digest {key_digest(ea)}")
-    print(f"B {b}: {len(eb)} events, (time, seq) digest {key_digest(eb)}")
+    for side, tree, events in (("A", a, ea), ("B", b, eb)):
+        print(f"{side} {tree}: {len(events)} events, (time, seq) digest"
+              f" {key_digest(events)}, (time, action) digest"
+              f" {time_action_digest(events)}")
     first = next((i for i, (x, y) in enumerate(zip(ea, eb))
                   if x[:2] != y[:2]), None)
     if first is None and len(ea) != len(eb):
@@ -170,17 +181,27 @@ def diff(a, b, args):
                 t, s, name = events[i]
                 mark = ">" if i == first else " "
                 print(f" {mark}{side} {i:>9}  t={t} seq={s}  {name}")
-        names_a = collections.Counter(name for _, _, name in ea)
-        names_b = collections.Counter(name for _, _, name in eb)
-        for sign, only in (("-", names_a - names_b), ("+", names_b - names_a)):
-            for name, count in sorted(only.items()):
-                print(f"  {sign}{count} {name}")
     if renamed:
         print("action names that differ at equal keys (A -> B):")
         for (name_a, name_b), count in renamed.most_common():
             print(f"  {count:>9}  {name_a} -> {name_b}")
     else:
         print("action names at equal keys: identical")
+    if [(t, name) for t, _, name in ea] == [(t, name) for t, _, name in eb]:
+        print("(time, action) streams: identical")
+    else:
+        pairs_a = collections.Counter((t, name) for t, _, name in ea)
+        pairs_b = collections.Counter((t, name) for t, _, name in eb)
+        print("(time, action) streams: differ; (time, action) pairs only"
+              " one side has, per action (- A only, + B only):")
+        for sign, only in (("-", pairs_a - pairs_b), ("+", pairs_b - pairs_a)):
+            per_name = collections.Counter()
+            for (_, name), count in only.items():
+                per_name[name] += count
+            for name, count in sorted(per_name.items()):
+                print(f"  {sign}{count} {name}")
+        if pairs_a == pairs_b:
+            print("  none: the same pairs in another order")
     return 0 if first is None else 1
 
 
