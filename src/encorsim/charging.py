@@ -33,12 +33,21 @@ class ChargingEvent(NamedTuple):
     nbytes: int
 
 
+# builds a record from a tuple of its fields in one C call, skipping the
+# class's generated Python `__new__`
+_tuple_new = tuple.__new__
+
+
 class ChargingLog:
     def __init__(self):
         self.events = []
 
     def record(self, time_us, actor, event, subscriber, nbytes):
-        self.events.append(ChargingEvent(time_us, actor, event, subscriber, nbytes))
+        """Append one `ChargingEvent`, built with `tuple.__new__`: a
+        ledger line holds the fields as given, so the class's generated
+        `__new__` would only add a Python frame."""
+        self.events.append(_tuple_new(
+            ChargingEvent, (time_us, actor, event, subscriber, nbytes)))
 
 
 class Ocs:
@@ -119,33 +128,52 @@ class InbQuota:
     cut_off: bool = False
     log: ChargingLog = field(default_factory=ChargingLog)
 
+    def __post_init__(self):
+        # a negative grant or usage makes no sense, and a NaN one would
+        # never refill; a sub-quota below one byte would cut the device
+        # off at once, whatever its balance
+        for name, least in (("granted", 0), ("used", 0),
+                            ("subquota_bytes", 1)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(
+                    f"{name} must be at least {least}, got {value!r}")
+
     def consume(self, nbytes, cp, now_us=0):
         """Count traffic against the grant; returns the bytes allowed.
 
         Refills from the proxy when usage crosses the threshold; traffic
-        beyond an exhausted, non-refillable grant is rejected.
+        beyond an exhausted, non-refillable grant is rejected. The loop
+        works in local copies of `granted` and `used`, written back in a
+        `finally`: a proxy that raises mid-refill leaves the counters as
+        far as the loop got.
         """
         if self.cut_off:
             return 0
         allowed = 0
         remaining = nbytes
-        while remaining > 0:
-            headroom = self.granted - self.used
-            if headroom > 0:
-                take = headroom if headroom < remaining else remaining
-                self.used += take
-                allowed += take
-                remaining -= take
-            if self.granted == 0 or self.used >= self.refill_threshold * self.granted:
-                got = cp.subquota(self.subscriber, self.subquota_bytes, now_us) \
-                    if cp is not None else 0
-                if got == 0:
-                    if self.used >= self.granted and remaining > 0:
-                        self.cut_off = True
-                        self.log.record(now_us, "inb", "cutoff",
-                                        self.subscriber, 0)
-                    break
-                self.granted += got
+        granted, used = self.granted, self.used
+        threshold = self.refill_threshold
+        try:
+            while remaining > 0:
+                headroom = granted - used
+                if headroom > 0:
+                    take = headroom if headroom < remaining else remaining
+                    used += take
+                    allowed += take
+                    remaining -= take
+                if granted == 0 or used >= threshold * granted:
+                    got = cp.subquota(self.subscriber, self.subquota_bytes,
+                                      now_us) if cp is not None else 0
+                    if got == 0:
+                        if used >= granted and remaining > 0:
+                            self.cut_off = True
+                            self.log.record(now_us, "inb", "cutoff",
+                                            self.subscriber, 0)
+                        break
+                    granted += got
+        finally:
+            self.granted, self.used = granted, used
         if allowed:
             self.log.record(now_us, "inb", "deliver", self.subscriber, allowed)
         return allowed

@@ -21,7 +21,8 @@ import enum
 import random
 
 from . import messages, security
-from .addressing import Addr128, RecentlyMovedTable, assign_private_addr
+from .addressing import (MASK64, Addr128, RecentlyMovedTable,
+                         assign_private_addr)
 from .messages import HandoverMode, HandoverTrace
 
 
@@ -74,6 +75,14 @@ class Inb:
     forwarding table. No downlink buffering exists here by design."""
 
     def __init__(self, inb_id, locator, ue_cap=None):
+        # the locator is the upper half of the station's addresses, and a
+        # negative cap would refuse every attach and handover
+        if type(locator) is not int or not 0 <= locator <= MASK64:
+            raise ValueError(
+                f"locator must be an int in [0, 2**64), got {locator!r}")
+        if ue_cap is not None and (type(ue_cap) is not int or ue_cap < 0):
+            raise ValueError(
+                f"ue_cap must be None or an int of at least 0, got {ue_cap!r}")
         self.id = inb_id
         self.locator = locator
         self.ue_cap = ue_cap
@@ -231,8 +240,9 @@ def _handover(mode, ctx, ue, src, tgt, hop, now_us):
 
 def _relay(hop, steps, payloads, ids):
     """Pass the payload of each via-HOP step through the relay toward the
-    step's destination, tagged with the relay's id."""
-    for (_, _, dst, _, via_hop), payload in zip(steps, payloads):
-        if via_hop:
-            payload["via_hop"] = hop.id
-            hop.relay(payload, ids[dst])
+    step's destination, tagged with the relay's id. Walks only the
+    table's `relayed` steps, in order."""
+    for i, dst in steps.relayed:
+        payload = payloads[i]
+        payload["via_hop"] = hop.id
+        hop.relay(payload, ids[dst])

@@ -40,6 +40,11 @@ class AnchorState:
 
 class LteCore:
     def __init__(self, subdb, seed=0, buffer_cap=None):
+        # a negative cap would drop every buffered packet
+        if buffer_cap is not None and (type(buffer_cap) is not int
+                                       or buffer_cap < 0):
+            raise ValueError("buffer_cap must be None or an int of at least"
+                             f" 0, got {buffer_cap!r}")
         self.subdb = subdb
         self.anchors = {}  # imsi -> AnchorState
         self._teids = itertools.count(1)

@@ -57,13 +57,16 @@ class HandoverMode(str, enum.Enum):
 
 class StepTable(tuple):
     """A tuple of (kind, src role, dst role, via_core, via_hop) steps, with
-    its per-kind ``kinds`` Counter and its ``via_core`` count computed once
-    when the table is made."""
+    its per-kind ``kinds`` Counter, its ``via_core`` count and its
+    ``relayed`` steps, the (index, dst role) of each via-HOP step, computed
+    once when the table is made."""
 
     def __new__(cls, steps):
         table = super().__new__(cls, steps)
         table.kinds = Counter(step[0] for step in table)
         table.via_core = sum(1 for step in table if step[3])
+        table.relayed = tuple((i, step[2]) for i, step in enumerate(table)
+                              if step[4])
         return table
 
 

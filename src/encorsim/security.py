@@ -8,7 +8,11 @@ a chaining counter (NCC) on core-assisted handover. The PRF is a keyed
 hash over domain-separated labels, not the 3GPP cipher internals: RFC 2104
 HMAC-SHA256, truncated to 128 bits and computed in one pass (see `prf`).
 The records each procedure makes (`Autn`, `AuthVector`, `SessionKeys`)
-are named tuples, which cost a C constructor call.
+are named tuples. Calling a `NamedTuple` class runs the Python `__new__`
+that `collections.namedtuple` generates; `tuple.__new__(Cls, values)` is
+the C call that `__new__` ends in. The procedures here build their
+records with the C call, from values they made themselves; the class
+call stays the public constructor.
 """
 import hmac
 from hashlib import sha256
@@ -92,6 +96,11 @@ class SessionKeys(NamedTuple):
     ncc: int
 
 
+# builds a record from a tuple of its fields in one C call, skipping the
+# class's generated Python `__new__`
+_tuple_new = tuple.__new__
+
+
 def generate_auth_vector(rec, rand):
     """Build an auth vector from the subscriber's K and current SQN.
 
@@ -102,7 +111,8 @@ def generate_auth_vector(rec, rand):
     mac = prf(rec.k, "autn", rand, sqn)
     k_asme = prf(rec.k, "asme", rand, sqn)
     rec.sqn = sqn + 1
-    return AuthVector(rand=rand, xres=xres, autn=Autn(sqn, mac), k_asme=k_asme)
+    return _tuple_new(AuthVector,
+                      (rand, xres, _tuple_new(Autn, (sqn, mac)), k_asme))
 
 
 def ue_process_challenge(k, ue_sqn, rand, autn):
@@ -136,10 +146,10 @@ def authenticate(rec, ue, rng):
 
 def derive_k_enb(k_asme):
     """Initial per-base-station session key; chaining counter starts at 0."""
-    return SessionKeys(k_enb=prf(k_asme, "enb", 0), ncc=0)
+    return _tuple_new(SessionKeys, (prf(k_asme, "enb", 0), 0))
 
 
 def chain_k_enb(keys):
     """Cycle the session key forward for forward secrecy (NCC += 1)."""
     ncc = keys.ncc + 1
-    return SessionKeys(k_enb=prf(keys.k_enb, "chain", ncc), ncc=ncc)
+    return _tuple_new(SessionKeys, (prf(keys.k_enb, "chain", ncc), ncc))

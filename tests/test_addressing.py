@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from encorsim.addressing import (
     Addr128, Decision, PRIVATE_LOCATOR, RecentlyMovedTable,
@@ -26,6 +28,13 @@ def test_assign_injective_and_deterministic():
 def test_assign_rejects_zero():
     with pytest.raises(ValueError):
         assign_private_addr(0)
+
+
+@pytest.mark.parametrize("subscriber_id", [True, 1.5, "1", None])
+def test_assign_rejects_a_subscriber_id_that_is_not_an_int(subscriber_id):
+    # True == 1 and 1.5 is in range, but neither is an identifier
+    with pytest.raises(ValueError, match="^subscriber id must be an int"):
+        assign_private_addr(subscriber_id)
 
 
 def test_uplink_definitional():
@@ -117,14 +126,18 @@ def test_addr128_range_checks_immutability_and_hash(half):
         assert getattr(addr, half) == value
         replaced = Addr128(**{half: 5, other: 1})._replace(**{half: value})
         assert type(replaced) is Addr128 and replaced == addr
-    # `_replace` goes through `_make`, and both check the ranges
-    for value in (-1, 1 << 64):
+    # `_replace` goes through `_make`, and both check the ranges and
+    # that a half is an int
+    for value, message in [(-1, f"{half} out of 64-bit range"),
+                           (1 << 64, f"{half} out of 64-bit range"),
+                           (1.5, f"{half} must be an int, got 1.5"),
+                           (True, f"{half} must be an int, got True"),
+                           ("1", f"{half} must be an int, got '1'")]:
         halves = {half: value, other: 1}
         for make in (lambda: Addr128(**halves),
                      lambda: Addr128(1, 2)._replace(**{half: value}),
                      lambda: Addr128._make(map(halves.get, Addr128._fields))):
-            with pytest.raises(ValueError,
-                               match=f"^{half} out of 64-bit range$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 make()
     addr = Addr128(PRIVATE_LOCATOR, 7)
     with pytest.raises(AttributeError):
@@ -134,3 +147,17 @@ def test_addr128_range_checks_immutability_and_hash(half):
     assert twin == addr and hash(twin) == hash(addr)
     assert {addr: "x"}[twin] == "x"
     assert Addr128(PRIVATE_LOCATOR, 8) != addr
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(half=st.sampled_from(["identifier", "target_locator"]),
+       bad=st.one_of(st.integers(max_value=-1),
+                     st.integers(min_value=1 << 64), st.floats(),
+                     st.booleans(), st.text(max_size=2), st.none()))
+def test_record_move_refuses_a_bad_half_and_stores_nothing(half, bad):
+    moved = RecentlyMovedTable()
+    moved.record_move(5, 9, now=0)
+    halves = {"identifier": 7, "target_locator": 8, half: bad}
+    with pytest.raises(ValueError, match=f"^{half} must be an int in"):
+        moved.record_move(now=10, **halves)
+    assert moved.entries == {5: (9, RecentlyMovedTable.DEFAULT_TTL_US)}

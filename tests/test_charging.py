@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from encorsim.charging import Account, ChargingLog, ChargingProxy, InbQuota, Ocs
 
@@ -200,3 +200,90 @@ def test_proxy_rejects_negative_subquota():
     with pytest.raises(ValueError, match="amount"):
         cp.subquota(1, -100)
     assert cp.cache[1] == (100, 50)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("granted", -100), ("granted", math.nan), ("used", -1),
+    ("used", math.nan), ("subquota_bytes", 0), ("subquota_bytes", -5),
+    ("subquota_bytes", math.nan),
+])
+def test_inb_quota_refuses_a_bad_size(field, value):
+    # a zero sub-quota cut a subscriber off at its first consume, whatever
+    # its balance, and a negative one failed only inside the proxy
+    with pytest.raises(ValueError, match=f"^{field} must be at least"):
+        InbQuota(1, **{field: value})
+
+
+def parent_consume(self, nbytes, cp, now_us=0):
+    """`InbQuota.consume` as it was before it worked in local variables,
+    kept as the reference the current one must match."""
+    if self.cut_off:
+        return 0
+    allowed = 0
+    remaining = nbytes
+    while remaining > 0:
+        headroom = self.granted - self.used
+        if headroom > 0:
+            take = headroom if headroom < remaining else remaining
+            self.used += take
+            allowed += take
+            remaining -= take
+        if self.granted == 0 or self.used >= self.refill_threshold * self.granted:
+            got = cp.subquota(self.subscriber, self.subquota_bytes, now_us) \
+                if cp is not None else 0
+            if got == 0:
+                if self.used >= self.granted and remaining > 0:
+                    self.cut_off = True
+                    self.log.record(now_us, "inb", "cutoff",
+                                    self.subscriber, 0)
+                break
+            self.granted += got
+    if allowed:
+        self.log.record(now_us, "inb", "deliver", self.subscriber, allowed)
+    return allowed
+
+
+class FailingProxy(ChargingProxy):
+    """A proxy whose second `subquota` raises."""
+
+    calls = 0
+
+    def subquota(self, subscriber, amount, now_us=0):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("proxy down")
+        return super().subquota(subscriber, amount, now_us)
+
+
+def run_consumes(consume, proxy, balance, batch_bytes, quota_fields, sizes):
+    """Each consume's result (or the error it raised), the quota's final
+    counters and the ledger, for one tier."""
+    log = ChargingLog()
+    ocs = Ocs([Account(1, balance)], log=log)
+    cp = None if proxy is None else proxy("cp", ocs, batch_bytes, log=log)
+    quota = InbQuota(1, log=log, **quota_fields)
+    results = []
+    for now_us, nbytes in enumerate(sizes):
+        try:
+            results.append(consume(quota, nbytes, cp, now_us))
+        except RuntimeError as exc:
+            results.append(str(exc))
+    return results, quota.granted, quota.used, quota.cut_off, log.events
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(proxy=st.sampled_from([ChargingProxy, FailingProxy, None]),
+       balance=st.integers(0, 8 * MB), batch_bytes=st.integers(1, 4 * MB),
+       granted=st.integers(0, 2 * MB), used=st.integers(0, 2 * MB),
+       refill_threshold=st.floats(0.0, 1.0),
+       subquota_bytes=st.integers(1, 2 * MB),
+       sizes=st.lists(st.integers(0, 3 * MB), max_size=8))
+def test_consume_matches_the_reference_loop(proxy, balance, batch_bytes,
+                                            granted, used, refill_threshold,
+                                            subquota_bytes, sizes):
+    fields = {"granted": granted, "used": used,
+              "refill_threshold": refill_threshold,
+              "subquota_bytes": subquota_bytes}
+    tier = (proxy, balance, batch_bytes, fields, sizes)
+    assert run_consumes(InbQuota.consume, *tier) \
+        == run_consumes(parent_consume, *tier)

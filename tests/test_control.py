@@ -263,3 +263,14 @@ def test_attach_trace_chart():
         " 3. ue -> sme: AuthResponse [core]",
         " 4. sme -> ue: AttachAccept [core]",
     ]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("locator", -1), ("locator", 1 << 64), ("locator", 1.5),
+    ("locator", True), ("locator", None),
+    ("ue_cap", -3), ("ue_cap", 1.5), ("ue_cap", True), ("ue_cap", "2"),
+])
+def test_inb_refuses_a_bad_locator_or_cap(field, value):
+    # a cap of -3 refused every attach and handover
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        Inb("inb_a", **{"locator": 1, field: value})

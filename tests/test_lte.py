@@ -1,3 +1,5 @@
+import pytest
+
 from encorsim import security
 from encorsim.control import Ue, UeState
 from encorsim.lte import LteCore, attach_lte, deliver_downlink, s1_handover
@@ -96,3 +98,10 @@ def test_teids_never_reused_across_handovers():
         for teid in (anchor.tunnel.teid_up, anchor.tunnel.teid_down):
             assert teid not in seen
             seen.add(teid)
+
+
+@pytest.mark.parametrize("buffer_cap", [-1, 1.5, True, "3"])
+def test_core_refuses_a_bad_buffer_cap(buffer_cap):
+    # a cap of -1 dropped every buffered packet
+    with pytest.raises(ValueError, match="^buffer_cap must be"):
+        make_core(buffer_cap)

@@ -1,8 +1,11 @@
 """
 Reach map: list every function in src/encorsim that neither a CLI command
-nor one round of each bench workload calls.
+nor one round of each bench workload calls. Census: count the Python
+calls of one bench round.
 
-Usage: python3 tools/reach.py
+Usage:
+    python3 tools/reach.py
+    python3 tools/reach.py --census WORKLOAD [--tree DIR] [--size full|tiny]
 
 Every call into a Python function is recorded with `sys.setprofile` while
 this script imports encorsim, runs each CLI command at its defaults
@@ -15,9 +18,24 @@ by a count. Lambdas and comprehensions are not listed.
 
 An unreached function is a candidate for deletion, or it is reached only
 through an error path or a test: read each one before deleting it.
+
+`--census WORKLOAD` sets up the workload's inputs at seed 0 and the
+given size (full by default) from a source tree, then runs one round of
+it, as `bench/run.py` does, under the same `sys.setprofile` hook. A tree
+is a directory that holds `src/encorsim` and `bench/`: the working copy
+(the default), or a commit extracted with `git archive REV | tar -x -C
+DIR`. It prints the count of Python-level calls (every `call` event:
+functions, lambdas, comprehensions and generator resumptions) in total
+and in the tree's src/encorsim, then the 20 functions entered most, as
+`count  path:line  qualified name`. The round is seeded, and which
+calls it makes does not depend on time, so the counts repeat exactly; a
+round whose operations fail exits with an error.
 """
+import argparse
 import ast
+import collections
 import contextlib
+import importlib.util
 import io
 import os
 import sys
@@ -93,8 +111,68 @@ def bench_rounds(workloads):
             raise SystemExit(f"bench round {name} failed: {ops.errors}")
 
 
-def main():
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+def import_tree(tree):
+    """(encorsim.cli, workloads) from `tree`: its src/encorsim, put first
+    on sys.path unless encorsim is already imported, and its
+    bench/workloads.py. Exits with an error if encorsim comes from
+    elsewhere."""
+    tree = os.path.abspath(tree)
+    src = os.path.join(tree, "src")
+    if "encorsim" not in sys.modules:
+        sys.path.insert(0, src)
+    from encorsim import cli
+    if os.path.dirname(os.path.abspath(cli.__file__)) != os.path.join(
+            src, "encorsim"):
+        raise SystemExit(f"error: imported encorsim from {cli.__file__},"
+                         f" not from {tree}")
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(tree, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return cli, workloads
+
+
+def census(tree, workload, size="full"):
+    """Counter of Python-level calls per code object in one seed-0 round
+    of `workload` from `tree`; the inputs are set up before counting."""
+    _, workloads = import_tree(tree)
+    setup, run_round = workloads.WORKLOADS[workload]
+    inputs = setup(0, workloads.SIZES[size][workload])
+    ops = workloads.Ops(hard_deadline=time.perf_counter() + 600)
+    calls = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    with workloads.KernelCheck(ops):
+        sys.setprofile(count)
+        try:
+            run_round(inputs, ops)
+        finally:
+            sys.setprofile(None)
+    if ops.failed:
+        raise SystemExit(f"error: {ops.failed} operations failed:"
+                         f" {ops.errors}")
+    return calls
+
+
+def print_census(tree, calls):
+    tree = os.path.abspath(tree)
+    package = os.path.join(tree, "src", "encorsim") + os.sep
+    print(f"calls: {sum(calls.values())}")
+    print("in src/encorsim:", sum(n for code, n in calls.items()
+                                  if code.co_filename.startswith(package)))
+    print("top 20 functions:")
+    for code, n in calls.most_common(20):
+        path = code.co_filename
+        if path.startswith(tree + os.sep):
+            path = os.path.relpath(path, tree)
+        qualname = getattr(code, "co_qualname", code.co_name)
+        print(f"  {n:>9}  {path}:{code.co_firstlineno}  {qualname}")
+
+
+def reach_map():
     entered = set()
 
     def record(frame, event, arg):
@@ -103,8 +181,7 @@ def main():
 
     sys.setprofile(record)
     try:
-        from encorsim import cli
-        import workloads
+        cli, workloads = import_tree(ROOT)
         with tempfile.TemporaryDirectory() as workdir, \
                 contextlib.redirect_stdout(io.StringIO()):
             commands = cli_runs(cli, workdir)
@@ -123,6 +200,23 @@ def main():
     print(f"{len(unreached)} of {len(defined)} functions unreached by the"
           f" commands {', '.join(commands)} and one round of each of"
           f" {', '.join(workloads.WORKLOADS)}", file=sys.stderr)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--census", metavar="WORKLOAD",
+                   choices=("mobility_apps", "handover_signalling",
+                            "anchor_planning"),
+                   help="count the Python calls of one round of WORKLOAD")
+    p.add_argument("--tree", default=ROOT,
+                   help="source tree of the census (default: this one)")
+    p.add_argument("--size", choices=("full", "tiny"), default="full",
+                   help="workload size of the census (default: full)")
+    args = p.parse_args(argv)
+    if args.census is None:
+        reach_map()
+    else:
+        print_census(args.tree, census(args.tree, args.census, args.size))
 
 
 if __name__ == "__main__":
