@@ -111,7 +111,9 @@ class RecentlyMovedTable:
         the TTL. Both halves are checked here, where they enter the
         table, so `nat_downlink` builds its FORWARD address from them
         unchecked; a bad half raises ValueError naming it, and nothing is
-        stored."""
+        stored. So does a `now` that is not whole microseconds: a NaN
+        expiry would never pass, and forward forever. A negative `now`
+        is a valid instant."""
         if type(identifier) is not int or not 0 <= identifier <= MASK64:
             raise ValueError("identifier must be an int in [0, 2**64),"
                              f" got {identifier!r}")
@@ -119,6 +121,8 @@ class RecentlyMovedTable:
                 or not 0 <= target_locator <= MASK64:
             raise ValueError("target_locator must be an int in [0, 2**64),"
                              f" got {target_locator!r}")
+        if type(now) is not int:
+            raise ValueError(f"now must be an int, got {now!r}")
         self.entries[identifier] = (target_locator, now + self.DEFAULT_TTL_US)
 
     def lookup(self, identifier, now):

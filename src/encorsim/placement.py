@@ -7,12 +7,31 @@ within a distance budget; cores may only sit at PoPs. The edge-routed
 architecture needs no core leg at all, so its coverage is the limit the
 anchored architecture only reaches by deploying a core at every PoP.
 Placement under a core budget uses greedy maximum population coverage.
+
+Most county x site distances are never computed. A great-circle arc is
+never shorter than R * |delta latitude|, with equality on a meridian, so a
+pair whose latitude bound already exceeds what the chain may still spend
+(the budget less the rest of the chain, or the best chain found so far)
+cannot fit, or cannot be the shortest. `_reach` tests only the points in
+a site's latitude window and `_nearest` skips such hops. Both keep
+`_SLACK_KM` in hand, so every set and every float they return is the
+one computing every distance gives.
 """
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import asin, sin, sqrt
 
 EARTH_RADIUS_KM = 6371.0
+# What a latitude bound must exceed the remaining budget by before a pair
+# is skipped. `_arc_km`'s h is sin^2(delta lat / 2) plus a term that is
+# never negative, so its computed arc is at least R * |delta latitude|
+# less float error: a few ulps of a value under 20,016 km, except near
+# the antipodal clamp, where asin's slope turns a few ulps of sqrt(h) into
+# a few 1e-8 radians, under a metre of arc. The bound and the window carry
+# errors of a few ulps more. One km dwarfs all of it, so a skipped pair's
+# computed chain is above the budget, or above the running minimum.
+_SLACK_KM = 1.0
 
 
 @dataclass(frozen=True)
@@ -62,6 +81,12 @@ def _check_coords(lat, lon):
         raise ValueError(f"longitude {lon} out of range")
 
 
+def _check_budget_km(budget_km):
+    # `not >=` also refuses NaN; math.inf stays valid, everything fits it
+    if not budget_km >= 0:
+        raise ValueError(f"budget_km must be >= 0, got {budget_km!r}")
+
+
 def _rad(point):
     """A (lat, lon) point in degrees as (lat, lon, cos(lat)) in radians:
     what `_arc_km` reads, computed once per point."""
@@ -96,23 +121,56 @@ def _hops(pops, cdns, cores=None):
         raise ValueError("pops and cdns must be nonempty")
     if cores is not None and not cores:
         raise ValueError("cores must be nonempty")
-    ends = [_coords(cdn) for cdn in cdns]
-    legs = [(site, min(_arc_km(site, end) for end in ends))
-            for site in map(_coords, pops)]
+    ends = [(_coords(cdn), 0.0) for cdn in cdns]
+    legs = [(site, _nearest(site, ends)) for site in map(_coords, pops)]
     if cores is None:
         return legs
     return [(site, _nearest(site, legs)) for site in map(_coords, cores)]
 
 
 def _nearest(point, hops):
-    """Shortest chain from point through one of hops."""
-    return min(_arc_km(point, site) + rest for site, rest in hops)
+    """Shortest chain from point through one of hops.
+
+    A hop whose bound R * |delta latitude| + rest exceeds the best chain
+    so far by more than `_SLACK_KM` has a computed chain longer than that
+    best, so its arc is not computed and the minimum is the same float.
+    """
+    lat = point[0]
+    best = cut = math.inf
+    for site, rest in hops:
+        if EARTH_RADIUS_KM * abs(site[0] - lat) + rest <= cut:
+            chain = _arc_km(point, site) + rest
+            if chain < best:
+                best = chain
+                cut = best + _SLACK_KM
+    return best
 
 
-def _reach(points, site, rest, budget_km):
+def _by_lat(points):
+    """(ascending latitudes, [(index, point)] in the same order) of a list
+    of `_rad` points: what `_reach` bisects, sorted once per call."""
+    lats = [point[0] for point in points]
+    order = sorted(range(len(points)), key=lats.__getitem__)
+    return [lats[i] for i in order], [(i, points[i]) for i in order]
+
+
+def _reach(by_lat, site, rest, budget_km):
     """Indices of the points whose chain through site, with rest beyond
-    it, fits the budget."""
-    return {i for i, point in enumerate(points)
+    it, fits the budget.
+
+    Only the points with R * |delta latitude| <= budget - rest +
+    `_SLACK_KM` are tested: any other point's arc is longer than
+    budget - rest. Since an arc is never negative, rest > budget
+    reaches nothing.
+    """
+    if rest > budget_km:
+        return set()
+    lats, ranked = by_lat
+    half = (budget_km - rest + _SLACK_KM) / EARTH_RADIUS_KM
+    lat = site[0]
+    window = ranked[bisect_left(lats, lat - half):
+                    bisect_right(lats, lat + half)]
+    return {i for i, point in window
             if _arc_km(point, site) + rest <= budget_km}
 
 
@@ -130,13 +188,14 @@ def coverage(counties, budget_km, deployment=None, pops=None, cdns=None):
     iff some hop's chain fits, so the covered set is the union of the
     hops' coverable sets.
     """
+    _check_budget_km(budget_km)
     total = sum(c.population for c in counties)
     if total == 0:
         return 0.0
     cores = None if deployment is None else deployment.core_sites
     if cores is not None and not cores:
         return 0.0
-    points = [_coords(county) for county in counties]
+    points = _by_lat([_coords(county) for county in counties])
     covered = set().union(*(_reach(points, site, rest, budget_km)
                             for site, rest in _hops(pops, cdns, cores)))
     return sum(county.population for i, county in enumerate(counties)
@@ -149,11 +208,13 @@ def greedy_place(counties, pops, cdns, core_budget, budget_km):
     Adds the PoP with the largest newly covered population each round;
     ties break by PoP id. Stops early when no site adds coverage.
     """
-    if core_budget < 1:
-        raise ValueError("core budget must be >= 1")
+    if type(core_budget) is not int or core_budget < 1:
+        raise ValueError(
+            f"core_budget must be an int >= 1, got {core_budget!r}")
+    _check_budget_km(budget_km)
     # no PoPs means nothing to place, not an error
     hops = _hops(pops, cdns, pops) if pops else []
-    points = [_coords(county) for county in counties]
+    points = _by_lat([_coords(county) for county in counties])
     coverable = {p.id: _reach(points, site, rest, budget_km)
                  for p, (site, rest) in zip(pops, hops)}
 

@@ -161,3 +161,21 @@ def test_record_move_refuses_a_bad_half_and_stores_nothing(half, bad):
     with pytest.raises(ValueError, match=f"^{half} must be an int in"):
         moved.record_move(now=10, **halves)
     assert moved.entries == {5: (9, RecentlyMovedTable.DEFAULT_TTL_US)}
+
+
+@pytest.mark.parametrize("now", [float("nan"), 1.5, True, 10.0])
+def test_record_move_refuses_a_now_that_is_not_whole_us(now):
+    # a NaN expiry never passes, so the entry would forward forever
+    moved = RecentlyMovedTable()
+    moved.record_move(5, 9, now=0)
+    with pytest.raises(ValueError, match="^now must be an int, got "):
+        moved.record_move(7, 8, now=now)
+    assert moved.entries == {5: (9, RecentlyMovedTable.DEFAULT_TTL_US)}
+    assert moved.lookup(7, 10**15) is None
+
+
+def test_record_move_takes_a_negative_now():
+    moved = RecentlyMovedTable()
+    moved.record_move(7, 8, now=-5)
+    assert moved.lookup(7, RecentlyMovedTable.DEFAULT_TTL_US - 6) == 8
+    assert moved.lookup(7, RecentlyMovedTable.DEFAULT_TTL_US - 5) is None
