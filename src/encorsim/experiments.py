@@ -175,9 +175,6 @@ def _run_load_point(arch, rate_per_s, scenario):
             return
         sim.send(dsts[i], (start, i + 1), advance)
 
-    def start_handover(sim):
-        advance(sim, (sim.now, 0))
-
     # Poisson handover arrivals over the run horizon, made in time order
     horizon = round(scenario.duration_s * US_PER_S)
     arrivals = sim.lane()
@@ -186,7 +183,7 @@ def _run_load_point(arch, rate_per_s, scenario):
         t += round(sim.rng.expovariate(rate_per_s) * US_PER_S)
         if t >= horizon:
             break
-        arrivals.schedule(t, start_handover)
+        arrivals.schedule(t, advance, (t, 0))
     sim.run()
     sim.close()
     del advance  # it passes itself as on_delivered, a cycle through its cell

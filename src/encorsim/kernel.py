@@ -12,9 +12,17 @@ in the heap. The drain fires each event with one heap operation: it pops
 a plain event, and replaces a FIFO's or a train's event with its
 successor before the action runs.
 
-A FIFO of heap entries is a deque of entries (time, seq, action, FIFO),
-owned by whatever makes its events. To queue an event, the owner builds
-its entry with the simulator's next seq (`_seq`, which it then
+A heap entry is (time, seq, action, series, data). A plain event, made
+by `Simulator.schedule`, has series and data None and runs
+`action(sim)`. Every other event belongs to a series, a FIFO of heap
+entries or a `Train`, and runs `action(sim, data)`: an event carries
+its own data in its entry, so no series keeps a second queue beside its
+events. Keys are unique, so two entries never compare their actions or
+data.
+
+A FIFO of heap entries is a deque of entries (time, seq, action, FIFO,
+data), owned by whatever makes its events. To queue an event, the owner
+builds its entry with the simulator's next seq (`_seq`, which it then
 increments), pushes the entry onto the heap (`_queue`) only if the FIFO
 is empty, and appends it. The time must be an int, no earlier than `now`
 and than the FIFO's last entry; an owner that does not check this states
@@ -38,12 +46,12 @@ due in the same microsecond at different nodes therefore fire in send
 order, which is their arrival order when every node has the same
 latency. An exponential service time is drawn at send time. A node's
 completions fall due at strictly increasing times in send order, so each
-is queued in the node's own completion FIFO of heap entries, and the
-message waits in the node's inbox: no closure is made per message, and
-the heap holds at most one completion per node.
+is queued in the node's own completion FIFO of heap entries, with the
+message in its data: no closure is made per message, and the heap holds
+at most one completion per node.
 
 `Simulator.close` ends a simulation: it drops every pending event, with
-whatever the events captured, and the reference cycles through the
+whatever the events carry, and the reference cycles through the
 simulator.
 """
 import random
@@ -93,12 +101,10 @@ class Node:
     time of that mean with `exponential_service`; then `service_us` is
     None. A bad parameter raises ValueError naming it.
 
-    `inbox` holds (latency, msg, on_delivered) for every message sent to
-    it and not yet complete, in send order. `completions` holds their
-    completions' heap entries, (time, seq, `complete`, `completions`), in
-    the same order: a FIFO of heap entries (see the module docstring and
-    `Simulator.send`). Each completion runs `complete`, which takes the
-    head of `inbox`."""
+    `completions` is a FIFO of heap entries (see the module docstring and
+    `Simulator.send`): one completion per message sent to the node and
+    not yet complete, in send order, whose data is (latency, msg,
+    on_delivered) and whose action is `complete`."""
 
     def __init__(self, node_id, service_rate, latency_us=0,
                  loss_probability=0.0, exponential_service=False):
@@ -119,14 +125,14 @@ class Node:
         self.service_us = (None if exponential_service
                            else max(1, round(US_PER_S / service_rate)))
         self.busy_until = 0
-        self.inbox = deque()
         self.completions = deque()
         self._owner = None  # its simulator, set by `add_node`; None after close
         self._complete = self.complete  # the completions' action, bound once
 
-    def complete(self, sim):
-        """The message at the head of `inbox` leaves service now."""
-        latency_us, msg, on_delivered = self.inbox.popleft()
+    def complete(self, sim, data):
+        """A message leaves service now; `data` is its (latency, msg,
+        on_delivered)."""
+        latency_us, msg, on_delivered = data
         stats = sim.stats
         stats.delivered += 1
         by_node = stats.delivered_by_category
@@ -144,10 +150,10 @@ class Lane:
     Only the lane's earliest pending event sits in the simulator's heap;
     when it fires, the drain replaces it with the next one. The heap
     stays as small as the number of busy lanes plus the events scheduled
-    directly. A heap entry carries its lane's FIFO, so the drain loop
-    needs no lane lookup. Each event takes the key (time, seq) that
-    `Simulator.schedule` would give it, and `schedule` checks the time,
-    so the FIFO's order argument holds.
+    directly. A heap entry carries its lane's FIFO and its data (see the
+    module docstring), so the drain loop needs no lane lookup. Each event
+    takes the key (time, seq) that `Simulator.schedule` would give it, and
+    `schedule` checks the time, so the FIFO's order argument holds.
     FIFOs stay for speed, not for order: when the transport's one-way
     arrivals went through a lane, pushing each on the heap directly
     instead, as `Simulator.schedule` does, gave the same results but a
@@ -163,9 +169,9 @@ class Lane:
         self._pending = deque()  # heap entries; the first one is in the heap
         self._last = 0
 
-    def schedule(self, at, action):
-        """Schedule `action(sim)` at absolute time `at`, no earlier than
-        the lane's last event."""
+    def schedule(self, at, action, data):
+        """Schedule `action(sim, data)` at absolute time `at`, no earlier
+        than the lane's last event."""
         sim = self._sim
         if type(at) is not int or not sim.now <= at or at < self._last:
             raise SchedulingError(
@@ -173,7 +179,7 @@ class Lane:
                 f" now is t={sim.now}, the lane's last event is at"
                 f" t={self._last}")
         pending = self._pending
-        entry = (at, sim._seq, action, pending)
+        entry = (at, sim._seq, action, pending, data)
         sim._seq += 1
         self._last = at
         pending.append(entry)
@@ -185,12 +191,14 @@ class Train:
     """`count` events on a fixed grid: `action(sim, k)` at start +
     k * interval for each k < count, made by `Simulator.train`.
 
-    The train takes `count` consecutive seqs, seq0 to `last_seq`, from
+    The train takes `count` consecutive seqs, s to s + count - 1, from
     the simulator's counter when it is made, so event k has the key
-    (start + k * interval, seq0 + k), the key `Simulator.schedule` would
+    (start + k * interval, s + k), the key `Simulator.schedule` would
     give it in a loop at that moment. Only the next event sits in the
-    heap, as (time, seq, action, train). The drain replaces that entry
-    with event k + 1's before it runs `action(sim, seq - seq0)`.
+    heap, as (time, seq, action, train, k) (see the module docstring).
+    The drain replaces that entry with (time + interval, seq + 1, action,
+    train, k + 1) before it runs `action(sim, k)`, unless k is the
+    train's `last`.
 
     Order: the keys within a train strictly increase, since times never
     decrease and seqs increase. An event that is not in the heap has an earlier
@@ -200,12 +208,11 @@ class Train:
     simulator directly when the train was made.
     """
 
-    __slots__ = ("interval", "seq0", "last_seq")
+    __slots__ = ("interval", "last")
 
-    def __init__(self, interval, seq0, last_seq):
+    def __init__(self, interval, last):
         self.interval = interval
-        self.seq0 = seq0
-        self.last_seq = last_seq
+        self.last = last
 
 
 class Simulator:
@@ -222,7 +229,10 @@ class Simulator:
     def add_node(self, node_id, *args, **kwargs):
         """Add and return `Node(node_id, *args, **kwargs)`: its service
         rate, inbound latency, loss probability and service discipline.
-        A node that its checks reject is not added."""
+        A node that its checks reject, or whose id is already in use,
+        raises ValueError and is not added."""
+        if node_id in self.nodes:
+            raise ValueError(f"node id {node_id!r} is already in use")
         node = Node(node_id, *args, **kwargs)
         node._owner = self
         self.nodes[node_id] = node
@@ -237,7 +247,7 @@ class Simulator:
         if type(at) is not int or not self.now <= at:
             raise SchedulingError(f"cannot schedule at t={at!r}: times are"
                                   f" whole µs, now is t={self.now}")
-        heappush(self._queue, (at, self._seq, action, None))
+        heappush(self._queue, (at, self._seq, action, None, None))
         self._seq += 1
 
     def lane(self):
@@ -257,10 +267,9 @@ class Simulator:
                 f"cannot schedule {count} events from t={start!r} every"
                 f" {interval!r} µs: times are whole µs, now is t={self.now}")
         if count:
-            seq0 = self._seq
+            heappush(self._queue, (start, self._seq, action,
+                                   Train(interval, count - 1), 0))
             self._seq += count
-            heappush(self._queue, (start, seq0, action,
-                                   Train(interval, seq0, seq0 + count - 1)))
 
     def send(self, node, msg, on_delivered=None):
         """Send msg into the service queue of `node`, a `Node` that this
@@ -278,9 +287,9 @@ class Simulator:
         with service at least 1 µs, so a node's completions are due at
         strictly increasing times in send order, exponential service
         included. Its heap entry is queued in the node's `completions`, a
-        FIFO of heap entries (see the module docstring), so the heap holds
-        at most one completion per node, and the message waits in the
-        node's `inbox`: no closure is made per message.
+        FIFO of heap entries (see the module docstring), with (latency,
+        msg, on_delivered) as its data, so the heap holds at most one
+        completion per node, and no closure is made per message.
 
         The FIFO's time check is not made, and cannot fail here: `done` is
         an int, as `now`, the latency and the service are; it is greater
@@ -309,28 +318,27 @@ class Simulator:
             start = arrival
         done = start + service
         node.busy_until = done
-        node.inbox.append((done - sent_at, msg, on_delivered))
         fifo = node.completions
-        entry = (done, self._seq, node._complete, fifo)
+        entry = (done, self._seq, node._complete, fifo,
+                 (done - sent_at, msg, on_delivered))
         self._seq += 1
         if not fifo:
             heappush(self._queue, entry)
         fifo.append(entry)
 
     def close(self):
-        """End the simulation: drop every pending event (the heap, the
-        queued events of every FIFO of heap entries with an event in it,
-        and the nodes' queued messages) and each node's simulator and
-        completion method, which
-        hold the simulator and the node. What the events captured is freed
-        with them, so nothing closes a reference cycle through the
-        simulator. A message sent after it raises SchedulingError."""
+        """End the simulation: drop every pending event (the heap, and the
+        queued events of every FIFO of heap entries with an event in it)
+        and each node's simulator and completion method, which hold the
+        simulator and the node. What the events captured or carry in
+        their data (see the module docstring) is freed with them, so
+        nothing closes a reference cycle through the simulator. A message
+        sent after it raises SchedulingError."""
         for entry in self._queue:
             if type(entry[3]) is deque:
                 entry[3].clear()
         self._queue.clear()
         for node in self.nodes.values():
-            node.inbox.clear()
             node._owner = node._complete = None
 
     def _drain(self, t_end):
@@ -343,7 +351,7 @@ class Simulator:
         events = 0
         try:
             while queue:
-                at, seq, action, tail = queue[0]
+                at, seq, action, tail, data = queue[0]
                 if at > t_end:
                     break
                 self.now = at
@@ -351,20 +359,20 @@ class Simulator:
                 if tail is None:
                     pop(queue)
                     action(self)
-                elif type(tail) is Train:
-                    if seq < tail.last_seq:
+                    continue
+                if type(tail) is Train:
+                    if data < tail.last:
                         replace(queue, (at + tail.interval, seq + 1, action,
-                                        tail))
+                                        tail, data + 1))
                     else:
                         pop(queue)
-                    action(self, seq - tail.seq0)
                 else:
                     tail.popleft()
                     if tail:
                         replace(queue, tail[0])
                     else:
                         pop(queue)
-                    action(self)
+                action(self, data)
         finally:
             self.stats.events_processed += events
 

@@ -44,8 +44,10 @@ class County:
 
     def __post_init__(self):
         _check_coords(self.lat, self.lon)
-        if self.population < 0:
-            raise ValueError("population must be nonnegative")
+        # with a NaN population coverage is NaN, and greedy places nothing
+        if type(self.population) is not int or self.population < 0:
+            raise ValueError("population must be a nonnegative int, got"
+                             f" {self.population!r}")
 
 
 @dataclass(frozen=True)

@@ -150,11 +150,11 @@ class _DownlinkServer:
     send, so the server queues them in its own one-way FIFO, `_one_way`,
     a FIFO of heap entries that the drain serves as it serves a lane's
     (see the `kernel` module docstring). `transmit`, `send_reliable` and
-    `client_packet` each append (now + one_way_us, seq, action, FIFO)
-    themselves, taking the seq from the simulator's counter, and push the
-    entry onto the heap only when the FIFO was empty. The check that
-    `Lane.schedule` makes cannot fail here: `now` is an int and never
-    decreases, and one_way_us is a positive int (`TransportParams`
+    `client_packet` each append (now + one_way_us, seq, action, FIFO,
+    data) themselves, taking the seq from the simulator's counter, and
+    push the entry onto the heap only when the FIFO was empty. The check
+    that `Lane.schedule` makes cannot fail here: `now` is an int and
+    never decreases, and one_way_us is a positive int (`TransportParams`
     checks it), so the entry's time is an int after `now` and no earlier
     than the FIFO's last. A timeout is due a fixed delay after its send,
     not after the loss that schedules it, so it goes to
@@ -163,13 +163,10 @@ class _DownlinkServer:
     live frames) are each one train (see `kernel.Train`), keyed when it is
     made, whose action is `transmit` or `send_reliable` itself.
 
-    A data packet makes no closure. Its send appends (dest path, send µs,
-    RTO or None) to the in-flight FIFO and puts one bound method,
-    `_data_arrives`, on the one-way FIFO. Every data arrival is due
-    one_way_us after its send, and the one-way FIFO fires in the order it
-    was filled, so data arrivals fire in send order: the in-flight FIFO's
-    head is the packet that arrives. Client-packet arrivals share the
-    one-way FIFO but not the in-flight one.
+    No packet makes a closure. A data packet's arrival runs one bound
+    method, `_data_arrives`, with (dest path, send µs, RTO or None) as
+    its data; a client packet's runs `_client_arrives` with the client's
+    path at its send. Each method is bound once per server.
 
     A delivered packet costs two events, the send and the arrival, and a
     third if it sends an ack (below). Most cost two Python calls, one per
@@ -215,8 +212,9 @@ class _DownlinkServer:
         self._one_way = deque()  # their heap entries; the first is in the heap
         self._one_way_us = params.one_way_us
         self._first_rto_us = params.rto_us
-        self._in_flight = deque()  # (dest path, send µs, RTO or None)
-        self._arrive = self._data_arrives  # the data arrivals' action
+        # the one-way arrivals' actions, bound once
+        self._arrive = self._data_arrives
+        self._client_arrive = self._client_arrives
         self._ack_delay_us = params.ack_delay_us
         # when the client leaves the last sent ack's path (at first the
         # server's own path 0): an ack that leaves before it is not sent
@@ -263,9 +261,9 @@ class _DownlinkServer:
         frame; a train's action (see `kernel.Train`)."""
         self.tx_count += 1
         now = sim.now
-        self._in_flight.append((self.net.server_path, now, None))
         fifo = self._one_way
-        entry = (now + self._one_way_us, sim._seq, self._arrive, fifo)
+        entry = (now + self._one_way_us, sim._seq, self._arrive, fifo,
+                 (self.net.server_path, now, None))
         sim._seq += 1
         if not fifo:
             heappush(sim._queue, entry)
@@ -305,24 +303,23 @@ class _DownlinkServer:
         disjoint state."""
         self.tx_count += 1
         now = sim.now
-        self._in_flight.append((self.net.server_path, now,
-                                rto_us or self._first_rto_us))
         fifo = self._one_way
-        entry = (now + self._one_way_us, sim._seq, self._arrive, fifo)
+        entry = (now + self._one_way_us, sim._seq, self._arrive, fifo,
+                 (self.net.server_path, now, rto_us or self._first_rto_us))
         sim._seq += 1
         if not fifo:
             heappush(sim._queue, entry)
         fifo.append(entry)
 
-    def _data_arrives(self, sim):
-        """The arrival of the in-flight FIFO's head. If it reaches the
-        client, deliver it: count it, keep its time, send its ack if the
-        ack leaves at or after the µs the client leaves the last sent
-        ack's path (only then does it move the server's path when it
-        arrives; see the class docstring), and wake the app if this is
-        the delivery it waits for. If not, and the packet is reliable,
-        schedule its timeout."""
-        dest, sent_at, rto_us = self._in_flight.popleft()
+    def _data_arrives(self, sim, packet):
+        """The arrival of a data packet, (dest path, send µs, RTO or
+        None). If it reaches the client, deliver it: count it, keep its
+        time, send its ack if the ack leaves at or after the µs the client
+        leaves the last sent ack's path (only then does it move the
+        server's path when it arrives; see the class docstring), and wake
+        the app if this is the delivery it waits for. If not, and the
+        packet is reliable, schedule its timeout."""
+        dest, sent_at, rto_us = packet
         now = sim.now
         net = self.net
         if dest == net.path or net.reaches_client(dest, now):
@@ -365,19 +362,18 @@ class _DownlinkServer:
         """A client packet (a request, a keepalive or a ping) leaves from
         the client's path at this instant and moves the server's path
         there on arrival."""
-        net = self.net
-        src = net.path
-
-        def arrive(sim):
-            net.server_path = src
-
         sim = self.sim
         fifo = self._one_way
-        entry = (sim.now + self._one_way_us, sim._seq, arrive, fifo)
+        entry = (sim.now + self._one_way_us, sim._seq, self._client_arrive,
+                 fifo, self.net.path)
         sim._seq += 1
         if not fifo:
             heappush(sim._queue, entry)
         fifo.append(entry)
+
+    def _client_arrives(self, sim, path):
+        """A client packet sent from `path` arrives."""
+        self.net.server_path = path
 
     def keep_alive(self, running, busy):
         """A client mid-download is never idle: a window update every
@@ -399,12 +395,12 @@ class _DownlinkServer:
                          self._tick)
 
     def close(self):
-        """End the run: drop the pending events, the packets in flight,
-        and the bound method and callbacks that hold the server, so the
-        run's objects are freed when it returns, with no collection."""
+        """End the run: drop the pending events, with the packets in
+        flight that their entries carry, and the bound methods and
+        callbacks that hold the server, so the run's objects are freed
+        when it returns, with no collection."""
         self.sim.close()
-        self._in_flight.clear()
-        self._arrive = self._alive = self.on_wake = None
+        self._arrive = self._client_arrive = self._alive = self.on_wake = None
 
     def metrics(self, app, **fields):
         return AppMetrics(app=app, handovers=self.handovers,

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,16 +90,55 @@ def test_close_drops_every_pending_event():
     lane = sim.lane()
     fired = []
     sim.schedule(5, lambda s: fired.append("direct"))
-    lane.schedule(5, lambda s: fired.append("lane"))
-    lane.schedule(6, lambda s: fired.append("lane"))
+    lane.schedule(5, lambda s, d: fired.append(d), "lane")
+    lane.schedule(6, lambda s, d: fired.append(d), "lane")
     sim.train(1, 1, 3, lambda s, k: fired.append(k))
     sim.send(n, "m", on_delivered=lambda s, m: fired.append(m))
     sim.run_until(1)
     sim.close()
-    assert (sim._queue, list(lane._pending), list(n.inbox),
-            list(n.completions)) == ([], [], [], [])
+    assert (sim._queue, list(lane._pending),
+            list(n.completions)) == ([], [], [])
     assert sim.run().events_processed == 1
     assert fired == [0]
+
+
+def test_each_series_hands_its_action_its_own_data():
+    # a lane's event its data, a node's completion its message, a
+    # train's event its k: each in its own heap entry
+    sim = Simulator()
+    lane = sim.lane()
+    n = sim.add_node("n", 1000, 10)
+    fired = []
+    data = [object(), object(), object()]
+    msgs = [object(), object()]
+    for at, d in zip((3, 3, 7), data):
+        lane.schedule(at, lambda s, d: fired.append(("lane", s.now, d)), d)
+    for msg in msgs:
+        sim.send(n, msg, lambda s, m: fired.append(("node", s.now, m)))
+    sim.train(2, 5, 3, lambda s, k: fired.append(("train", s.now, k)))
+    assert sim.run().latencies_us == [1_010, 2_010]
+    expected = [("train", 2, 0), ("lane", 3, data[0]), ("lane", 3, data[1]),
+                ("lane", 7, data[2]), ("train", 7, 1), ("train", 12, 2),
+                ("node", 1_010, msgs[0]), ("node", 2_010, msgs[1])]
+    assert len(fired) == len(expected)
+    assert all(x[:2] == y[:2] and x[2] is y[2]
+               for x, y in zip(fired, expected))
+
+
+def test_close_frees_the_messages_whose_completions_are_pending():
+    class Msg:
+        pass
+
+    sim = Simulator()
+    n = sim.add_node("n", 1000, 10)
+    msgs = [Msg(), Msg()]  # the first completion in the heap, one behind
+    refs = [weakref.ref(msg) for msg in msgs]
+    for msg in msgs:
+        sim.send(n, msg, lambda s, m: None)
+    del msg, msgs
+    assert all(ref() is not None for ref in refs)
+    sim.close()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_sends_at_one_instant_leave_one_heap_entry_per_node():
@@ -133,8 +173,8 @@ def test_send_to_a_node_of_another_simulator_or_after_close_is_refused(
     with pytest.raises(SchedulingError, match="node 'n'"):
         sim.send(node, "m")
     assert (sim.stats, other.stats) == (RunStats(), RunStats())
-    assert (sim._queue, other._queue, list(node.inbox),
-            list(node.completions)) == ([], [], [], [])
+    assert (sim._queue, other._queue,
+            list(node.completions)) == ([], [], [])
 
 
 def test_certain_loss_drops_and_counts():
@@ -221,6 +261,21 @@ def test_schedule_at_nan_rejected():
     assert sim.run().events_processed == 1
 
 
+def test_add_node_refuses_an_id_in_use_and_adds_nothing():
+    # a second node under the same id would replace the first in
+    # `nodes`, so `close` would never reach the first
+    sim = Simulator()
+    first = sim.add_node("n", 100)
+    with pytest.raises(ValueError, match="node id 'n'"):
+        sim.add_node("n", 100)
+    assert sim.nodes == {"n": first}
+    sim.send(first, "m")
+    sim.close()
+    with pytest.raises(SchedulingError, match="node 'n'"):
+        sim.send(first, "m")
+    assert sim.stats.in_flight == 1
+
+
 @pytest.mark.parametrize("latency", [math.nan, math.inf])
 def test_node_rejects_non_finite_latency(latency):
     sim = Simulator()
@@ -253,8 +308,8 @@ def test_non_finite_time_rejected_by_schedule_and_lane(at):
     with pytest.raises(SchedulingError):
         sim.schedule(at, lambda s: None)
     with pytest.raises(SchedulingError):
-        lane.schedule(at, lambda s: None)
-    lane.schedule(5, lambda s: None)
+        lane.schedule(at, lambda s, d: None, None)
+    lane.schedule(5, lambda s, d: None, None)
     assert sim.run().events_processed == 1
     assert sim.now == 5
 
@@ -275,7 +330,7 @@ def test_times_that_are_not_whole_us_are_rejected_naming_them(t):
     lane = sim.lane()
     calls = [
         lambda: sim.schedule(t, lambda s: None),
-        lambda: lane.schedule(t, lambda s: None),
+        lambda: lane.schedule(t, lambda s, d: None, None),
         lambda: sim.train(t, 1, 2, lambda s, k: None),  # start
         lambda: sim.train(0, t, 2, lambda s, k: None),  # interval
         lambda: sim.run_until(t),
@@ -306,8 +361,8 @@ def test_an_action_that_raises_leaves_its_successor_scheduled():
         return action
 
     sim.schedule(1, act("plain"))
-    lane.schedule(2, act("lane"))
-    lane.schedule(4, act("lane"))
+    lane.schedule(2, act("lane"), None)
+    lane.schedule(4, act("lane"), None)
     sim.train(1, 2, 3, act("train"))
     sim.schedule(6, act("plain"))
     for name, events in (("plain", 1), ("lane", 3), ("train", 4)):
@@ -325,13 +380,13 @@ def test_lane_rejects_earlier_time_and_changes_nothing():
     sim = Simulator()
     lane = sim.lane()
     fired = []
-    lane.schedule(5, lambda s: fired.append("lane@5"))
+    lane.schedule(5, lambda s, d: fired.append(d), "lane@5")
     sim.schedule(7, lambda s: fired.append("direct@7"))
     before = (list(sim._queue), list(lane._pending), sim._seq)
     with pytest.raises(SchedulingError):
-        lane.schedule(4, lambda s: fired.append("lane@4"))
+        lane.schedule(4, lambda s, d: fired.append(d), "lane@4")
     assert (list(sim._queue), list(lane._pending), sim._seq) == before
-    lane.schedule(5, lambda s: fired.append("lane@5 again"))
+    lane.schedule(5, lambda s, d: fired.append(d), "lane@5 again")
     sim.run()
     assert fired == ["lane@5", "lane@5 again", "direct@7"]
 
@@ -339,11 +394,11 @@ def test_lane_rejects_earlier_time_and_changes_nothing():
 def test_lane_accepts_now_after_its_events_fired():
     sim = Simulator()
     lane = sim.lane()
-    lane.schedule(5, lambda s: None)
+    lane.schedule(5, lambda s, d: None, None)
     sim.run_until(20)
     with pytest.raises(SchedulingError):
-        lane.schedule(10, lambda s: None)  # in the past
-    lane.schedule(20, lambda s: None)
+        lane.schedule(10, lambda s, d: None, None)  # in the past
+    lane.schedule(20, lambda s, d: None, None)
     assert sim.run().events_processed == 2
 
 
@@ -381,8 +436,8 @@ def _run_events(roots, reference):
         return key
 
     def event(key, children):
-        def action(s):
-            assert s.now == key[0]
+        def action(s, data=key):  # a lane passes the key as data
+            assert (s.now, data) == (key[0], key)
             fired.append(key)
             for child in children:
                 put(child)
@@ -394,11 +449,12 @@ def _run_events(roots, reference):
         if target < N_LANES:
             at = max(sim.now + delay, lane_last[target])
             lane_last[target] = at
-            action = event(take_key(at), children)
+            key = take_key(at)
+            action = event(key, children)
             if reference:
                 sim.schedule(at, action)
             else:
-                lanes[target].schedule(at, action)
+                lanes[target].schedule(at, action, key)
         elif target == TRAIN:
             start = sim.now + delay
             actions = [event(take_key(start + k * interval),

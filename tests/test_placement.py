@@ -87,6 +87,15 @@ def test_coordinate_validation():
         County("1", "x", 0.0, 0.0, -5)
 
 
+@pytest.mark.parametrize("population", [-5, math.nan, 2.5, 1.0, True])
+def test_county_refuses_a_population_that_is_not_an_int_of_at_least_0(
+        population):
+    # a NaN county makes coverage NaN, and greedy_place places nothing
+    with pytest.raises(ValueError, match="population"):
+        County("1", "x", 0.0, 0.0, population)
+    assert County("1", "x", 0.0, 0.0, 0).population == 0
+
+
 def _random_instance(seed, n_counties=6, n_pops=4, n_cdns=3):
     rng = random.Random(seed)
     box = lambda: (rng.uniform(30, 45), rng.uniform(-120, -75))

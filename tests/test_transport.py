@@ -383,8 +383,8 @@ class _EveryAckServer(_DownlinkServer):
     """The server before it skipped the acks that repeat a path: every
     delivery sends its ack, an event."""
 
-    def _data_arrives(self, sim):
-        dest, sent_at, rto_us = self._in_flight.popleft()
+    def _data_arrives(self, sim, packet):
+        dest, sent_at, rto_us = packet
         now = sim.now
         net = self.net
         if net.reaches_client(dest, now):
@@ -496,26 +496,26 @@ class _LaneServer(_DownlinkServer):
 
     def transmit(self, sim, _k=None):
         self.tx_count += 1
-        self._in_flight.append((self.net.server_path, sim.now, None))
-        self._lane.schedule(sim.now + self._one_way_us, self._arrive)
+        self._lane.schedule(sim.now + self._one_way_us, self._arrive,
+                            (self.net.server_path, sim.now, None))
 
     def send_reliable(self, sim, _k=None, rto_us=None):
         self.tx_count += 1
-        self._in_flight.append((self.net.server_path, sim.now,
-                                rto_us or self._first_rto_us))
-        self._lane.schedule(sim.now + self._one_way_us, self._arrive)
+        self._lane.schedule(sim.now + self._one_way_us, self._arrive,
+                            (self.net.server_path, sim.now,
+                             rto_us or self._first_rto_us))
 
     def client_packet(self):
         net = self.net
         src = net.path
 
-        def arrive(sim):
+        def arrive(sim, _data):
             net.server_path = src
 
-        self._lane.schedule(self.sim.now + self._one_way_us, arrive)
+        self._lane.schedule(self.sim.now + self._one_way_us, arrive, None)
 
-    def _data_arrives(self, sim):
-        dest, sent_at, rto_us = self._in_flight.popleft()
+    def _data_arrives(self, sim, packet):
+        dest, sent_at, rto_us = packet
         now = sim.now
         net = self.net
         if net.reaches_client(dest, now):

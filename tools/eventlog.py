@@ -11,8 +11,9 @@ Usage:
 A tree is a directory that holds `src/encorsim` and `bench/`: the working
 copy (the default), or a commit extracted with
 `git archive REV | tar -x -C DIR`. The tool imports the tree's encorsim
-and bench workloads, sets up the workload's inputs from the seed and runs
-one round of it (`bench/run.py` repeats that round).
+and bench workloads with `tools/reach.py`'s `import_tree`, sets up the
+workload's inputs from the seed and runs one round of it (`bench/run.py`
+repeats that round).
 
 During the round, `encorsim.kernel.heappop` and `heapreplace` are
 wrapped from outside, so the program itself is not changed. The kernel's
@@ -43,6 +44,8 @@ import sys
 import tempfile
 import time
 
+from reach import import_tree
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONTEXT = 3
 
@@ -65,14 +68,8 @@ def parse_args(argv):
 def record(tree, workload, seed, size):
     """[(time, seq, action name)] of every event of one round of
     `workload` from `tree`, in firing order."""
-    tree = os.path.abspath(tree)
-    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
+    _, workloads = import_tree(tree)
     from encorsim import kernel
-    import workloads
-    if os.path.dirname(os.path.abspath(kernel.__file__)) != os.path.join(
-            tree, "src", "encorsim"):
-        raise SystemExit(f"error: imported encorsim from {kernel.__file__},"
-                         f" not from {tree}")
 
     inputs = workloads.WORKLOADS[workload][0](
         seed, workloads.SIZES[size][workload])
